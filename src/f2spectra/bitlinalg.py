@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -242,8 +242,6 @@ def rank_gf2(m: BitMatrix) -> int:
 
 # -- serialization -----------------------------------------------------
 
-_MAGIC = b"F2M1"
-
 
 def write_matrix(m: BitMatrix, sink: TextIO) -> None:
     """Text form: one line of '0'/'1' per row, column index ascending."""
@@ -271,25 +269,6 @@ def read_matrix(source: TextIO) -> BitMatrix:
     if cols == -1:
         raise ValueError("empty matrix file")
     return BitMatrix.from_int_rows(rows, cols)
-
-
-def write_matrix_binary(m: BitMatrix, sink: BinaryIO) -> None:
-    """Binary form: magic ``F2M1``, two LE uint64 dims, packed rows."""
-    sink.write(_MAGIC)
-    sink.write(np.array([m.rows, m.cols], dtype="<u8").tobytes())
-    sink.write(m.storage.astype("<u8").tobytes())
-
-
-def read_matrix_binary(source: BinaryIO) -> BitMatrix:
-    if source.read(4) != _MAGIC:
-        raise ValueError("bad magic; not a packed GF(2) matrix file")
-    rows, cols = (int(x) for x in np.frombuffer(source.read(16), dtype="<u8"))
-    limbs = _limbs_for(cols)
-    raw = source.read(rows * limbs * 8)
-    if len(raw) != rows * limbs * 8:
-        raise ValueError("truncated matrix payload")
-    storage = np.frombuffer(raw, dtype="<u8").reshape(rows, limbs).copy()
-    return BitMatrix(rows, cols, storage)
 
 
 # -- transition-matrix extraction --------------------------------------

@@ -133,19 +133,6 @@ class ZPoly:
                 base = base * base
         return result
 
-    def substitute(self, inner: "ZPoly") -> "ZPoly":
-        """self(inner(t)), Horner over the sparse coefficient list."""
-        result = ZPoly()
-        prev_deg: int | None = None
-        for d, c in reversed(self.terms):
-            if prev_deg is not None:
-                result = result * inner ** (prev_deg - d)
-            result = result + ZPoly.constant(c)
-            prev_deg = d
-        if prev_deg is not None and prev_deg > 0:
-            result = result * inner**prev_deg
-        return result
-
     def evaluate(self, x: int) -> int:
         return sum(c * x**d for d, c in self.terms)
 
@@ -170,17 +157,6 @@ class ZPoly:
             return "ZPoly(0)"
         parts = [f"{c}*t^{d}" if d else str(c) for d, c in reversed(self.terms)]
         return f"ZPoly({' + '.join(parts)})"
-
-
-def format_zpoly(poly: ZPoly) -> str:
-    """Decimal coefficients, one per line, lowest degree first."""
-    dense = poly.to_dense() or [0]
-    return "\n".join(str(c) for c in dense) + "\n"
-
-
-def parse_zpoly(text: str) -> ZPoly:
-    coeffs = [int(line) for line in text.split() if line]
-    return ZPoly.from_dense(coeffs)
 
 
 # -- block-recurrence parameters -------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import random
 import sys
@@ -23,6 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
+from ._util import resolve_threads
 from .bitlinalg import extract_transition_matrix, write_matrix
 from .charpoly import (
     BlockSpec,
@@ -117,18 +117,6 @@ def _finish(
     return 0 if ok else 1
 
 
-def _threads(args: argparse.Namespace) -> int | None:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("F2SPECTRA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"F2SPECTRA_THREADS must be an integer, got {env!r}") from exc
-    return None
-
-
 def _int_arg(text: str) -> int:
     """Non-negative integer; accepts 0x/0o/0b prefixes and underscores."""
     try:
@@ -148,7 +136,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     spec = get_spec(args.spec)
     if args.json and not args.out:
         raise ValueError("matrix --json needs --out (the matrix itself goes to the file)")
-    mat = extract_transition_matrix(spec, threads=_threads(args))
+    mat = extract_transition_matrix(spec, threads=args.threads)
     outputs: list[str] = []
     if args.out:
         with open(args.out, "w") as sink:
@@ -162,7 +150,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         args,
         "matrix",
         [spec.name],
-        {"out": args.out, "threads": _threads(args)},
+        {"out": args.out, "threads": args.threads},
         outputs,
         {"name": spec.name, "k": mat.rows},
         lines,
@@ -178,7 +166,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         raise ValueError(
             f"{spec.name} has k={spec.k} > {cap}; pass --extended for long dense eigensolves"
         )
-    mat = extract_transition_matrix(spec, threads=_threads(args))
+    mat = extract_transition_matrix(spec, threads=args.threads)
     spectrum = eigenvalues(mat, source=spec.name, cap=cap)
     if args.power != 1:
         spectrum = power_spectrum(spectrum, args.power)
@@ -334,7 +322,7 @@ def cmd_zeroland(args: argparse.Namespace) -> int:
     else:
         p = args.p if args.p is not None else 100
         max_n = args.max_n if args.max_n is not None else 2000
-        trace = unit_seed_sweep(spec, p=p, max_n=max_n, threads=_threads(args))
+        trace = unit_seed_sweep(spec, p=p, max_n=max_n, threads=args.threads)
         settled = balanced_time(trace, band_sigmas=args.band_sigmas)
         payload = {
             "name": spec.name,
@@ -352,7 +340,7 @@ def cmd_zeroland(args: argparse.Namespace) -> int:
             "p": p,
             "max_n": max_n,
             "band_sigmas": args.band_sigmas,
-            "threads": _threads(args),
+            "threads": args.threads,
         }
     if args.out:
         with open(args.out, "w") as sink:
@@ -586,8 +574,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "threads" in vars(args):
+            args.threads = resolve_threads(args.threads)
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError, RuntimeError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1

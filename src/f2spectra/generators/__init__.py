@@ -10,10 +10,10 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .base import Family, Generator, GeneratorSpec, GeneratorState, canonical_layout
-from .melg import MelgGenerator
-from .mt import MtGenerator
-from .well import WellGenerator
+from .base import Family, Generator, GeneratorSpec, GeneratorState, Recurrence, canonical_layout
+from .melg import Melg
+from .mt import Mt
+from .well import Well
 
 __all__ = [
     "Family",
@@ -26,6 +26,7 @@ __all__ = [
     "list_specs",
     "make_generator",
     "parse_params",
+    "recurrence",
 ]
 
 #: Bundled generators, smallest-to-largest within each family group.
@@ -40,12 +41,12 @@ GENERATOR_NAMES = (
     "melg19937",
 )
 
-_FAMILY_CLASS = {
-    Family.MT32: MtGenerator,
-    Family.MT64_ID1: MtGenerator,
-    Family.MT64_ID3: MtGenerator,
-    Family.WELL: WellGenerator,
-    Family.MELG: MelgGenerator,
+_FAMILY_RECURRENCE = {
+    Family.MT32: Mt,
+    Family.MT64_ID1: Mt,
+    Family.MT64_ID3: Mt,
+    Family.WELL: Well,
+    Family.MELG: Melg,
 }
 
 _INT_KEYS = {
@@ -166,4 +167,9 @@ def list_specs() -> tuple[str, ...]:
 def make_generator(spec: GeneratorSpec | str, seed: int | None = None) -> Generator:
     if isinstance(spec, str):
         spec = get_spec(spec)
-    return _FAMILY_CLASS[spec.family](spec, seed)
+    return Generator(recurrence(spec, int), seed)
+
+
+def recurrence(spec: GeneratorSpec, cast) -> Recurrence:
+    """The family recurrence of ``spec``, its constants cast by ``cast``."""
+    return _FAMILY_RECURRENCE[spec.family](spec, cast)

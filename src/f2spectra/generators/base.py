@@ -1,4 +1,4 @@
-"""Generator interfaces and the canonical state-bit layout.
+"""Generator specs, the canonical state-bit layout and its codec.
 
 Every generator here updates a ring of n w-bit words (plus, for the MELG
 family, one extra w-bit "lung" word) by an F2-linear recurrence, so the
@@ -11,10 +11,16 @@ throughout the package enumerate that vector as:
     present, contributes its w bits last.
 
 That yields exactly k coordinates, k = n*w - r (+ w when there is a
-lung).  ``state_vector``/``set_state_vector`` are the codec between live
-generator state and those coordinates; ``set_raw_state`` normalizes the
-ring cursor to zero and clears dead bits so equal states have equal
-canonical vectors.
+lung).  ``canonical_layout`` is that definition; ``pack_rows`` and
+``unpack_rows`` beside it are the one codec between word arrays and
+canonical vectors, used by ``Ensemble.state_rows`` and, one lane at a
+time, by ``Generator.state_vector``/``set_state_vector``.
+
+Each family's recurrence (its step, output and logical-word index) is a
+``Recurrence`` subclass in ``mt.py``, ``well.py`` or ``melg.py``.  It runs
+unchanged on the scalar ``Generator`` below, whose ring ``st`` is a list
+of ints, and on ``ensemble.Ensemble``, whose ring is an (n, E) word
+array; the storage classes hold only storage-specific code.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +38,9 @@ from ..bitlinalg import BitVector
 #: Sentinel "logical word index" marking lung coordinates in the layout.
 LUNG_WORD = -1
 
+_INV32 = 1.0 / 4294967296.0  # 2^-32
+_INV53 = 1.0 / 9007199254740992.0  # 2^-53
+
 
 class Family(enum.Enum):
     MT32 = "MT32"
@@ -38,6 +48,9 @@ class Family(enum.Enum):
     MT64_ID3 = "MT64_ID3"
     WELL = "WELL"
     MELG = "MELG"
+
+
+_WELL = Family.WELL  # bound once: enum attribute lookups are slow on the next_real path
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,16 @@ class GeneratorSpec:
     def word_mask(self) -> int:
         return (1 << self.w) - 1
 
+    @property
+    def upper_mask(self) -> int:
+        """The w - r high bits: the live bits of the oldest ring word."""
+        return self.word_mask ^ self.lower_mask
+
+    @property
+    def lower_mask(self) -> int:
+        """The r low bits the recurrence splices in from the next-oldest word."""
+        return (1 << self.r) - 1
+
 
 @dataclass(frozen=True)
 class GeneratorState:
@@ -85,6 +108,11 @@ class GeneratorState:
     words: tuple[int, ...]
     cursor: int
     lung: int | None = None
+
+
+def word_dtype(spec: GeneratorSpec) -> type:
+    """Array word type of a spec's ring words."""
+    return np.uint32 if spec.w == 32 else np.uint64
 
 
 @lru_cache(maxsize=None)
@@ -109,11 +137,104 @@ def canonical_layout(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(words, dtype=np.int64), np.array(bits, dtype=np.int64)
 
 
-class Generator(ABC):
-    """Scalar (single-stream) generator over plain Python integers."""
+@lru_cache(maxsize=None)
+def _grid_runs(spec: GeneratorSpec) -> tuple[tuple[int, int], ...]:
+    """Where the canonical coordinates sit in the bit grid of all words.
 
-    def __init__(self, spec: GeneratorSpec, seed: int | None = None) -> None:
+    The grid holds the logical words newest first, then the lung, each as
+    a full storage word, most-significant bit first.  Canonical order
+    follows grid order, so the coordinates fill a few runs [start, stop)
+    of consecutive grid bits: one gap for the dead bits, plus one per
+    word when words are narrower than their storage.
+    """
+    wds, bts = canonical_layout(spec)
+    sw = np.dtype(word_dtype(spec)).itemsize * 8
+    pos = np.where(wds == LUNG_WORD, spec.n, spec.n - 1 - wds) * sw + (sw - 1 - bts)
+    cuts = np.flatnonzero(np.diff(pos) != 1) + 1
+    starts = pos[np.r_[0, cuts]]
+    stops = pos[np.r_[cuts - 1, len(pos) - 1]] + 1
+    return tuple(zip(starts.tolist(), stops.tolist()))
+
+
+def pack_rows(spec: GeneratorSpec, words: np.ndarray, lung: np.ndarray | None) -> np.ndarray:
+    """Canonical state vectors of E states, one packed uint64-limb row each.
+
+    ``words`` is an (n, E) array whose row j is logical word j (0 = oldest)
+    of every state; ``lung`` is an (E,) array, or None without a lung.
+    Rows use the BitMatrix format: canonical bit c is bit c % 64 of limb
+    c // 64.
+    """
+    cols = list(words[::-1]) + ([lung] if spec.has_lung else [])
+    grid = np.stack(cols, axis=1).astype(np.dtype(word_dtype(spec)).newbyteorder(">"))
+    size = grid.shape[0]
+    bits = np.unpackbits(grid.view(np.uint8).reshape(size, -1), axis=1)
+    k = 0
+    for a, b in _grid_runs(spec):  # close the gaps in place, left to right
+        if a != k:
+            bits[:, k : k + b - a] = bits[:, a:b]
+        k += b - a
+    packed = np.packbits(bits[:, :k], axis=1, bitorder="little")
+    limbs = (spec.k + 63) // 64
+    rows = np.zeros((size, limbs), dtype=np.uint64)
+    rows.view(np.uint8)[:, : packed.shape[1]] = packed
+    return rows
+
+
+def unpack_rows(spec: GeneratorSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverse of ``pack_rows``: (words, lung) holding the states in ``rows``."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    size = rows.shape[0]
+    canon = np.unpackbits(rows.view(np.uint8), axis=1, count=spec.k, bitorder="little")
+    dt = np.dtype(word_dtype(spec))
+    slots = spec.n + (1 if spec.has_lung else 0)
+    bits = np.zeros((size, slots * dt.itemsize * 8), dtype=np.uint8)
+    c = 0
+    for a, b in _grid_runs(spec):
+        bits[:, a:b] = canon[:, c : c + b - a]
+        c += b - a
+    grid = np.packbits(bits, axis=1).view(dt.newbyteorder(">")).astype(dt)
+    return grid[:, spec.n - 1 :: -1].T, (grid[:, spec.n] if spec.has_lung else None)
+
+
+class Recurrence(ABC):
+    """One family's F2-linear recurrence, on either kind of ring.
+
+    ``step`` and ``output`` act on a ring holder with attributes ``st``
+    (a list of n ints, or an (n, E) array whose rows are ring words),
+    ``cursor`` and ``lung``.  Every constant is cast once by ``cast``
+    (``int``, or the array's word type) so one set of expressions serves
+    both; left shifts are masked explicitly because ints do not wrap.
+    """
+
+    def __init__(self, spec: GeneratorSpec, cast: Callable[[int], object]) -> None:
         self.spec = spec
+        self.n = spec.n
+        self.mask = cast(spec.word_mask)
+        self.upper = cast(spec.upper_mask)
+        self.lower = cast(spec.lower_mask)
+
+    def index(self, cursor: int, j):
+        """Storage slot of logical word j (0 = oldest); j may be an int array.
+
+        By default the oldest word sits at the cursor and newer words follow.
+        """
+        return (cursor + j) % self.n
+
+    @abstractmethod
+    def step(self, ring) -> None:
+        """Advance the ring one step in place, moving its cursor."""
+
+    @abstractmethod
+    def output(self, ring):
+        """Output word(s) of the ring's current (already advanced) state."""
+
+
+class Generator:
+    """Scalar (single-stream) generator: a ring of plain Python ints."""
+
+    def __init__(self, rec: Recurrence, seed: int | None = None) -> None:
+        self.rec = rec
+        self.spec = spec = rec.spec
         self.st: list[int] = [0] * spec.n
         self.cursor = 0
         self.lung: int | None = 0 if spec.has_lung else None
@@ -138,27 +259,27 @@ class Generator(ABC):
 
     # -- stepping --------------------------------------------------------
 
-    @abstractmethod
     def step(self) -> None:
         """Advance the recurrence one step (no output)."""
-
-    @abstractmethod
-    def output_word(self) -> int:
-        """Tempered output of the current (already advanced) state."""
+        self.rec.step(self)
 
     def next_word(self) -> int:
-        self.step()
-        return self.output_word()
+        rec = self.rec
+        rec.step(self)
+        return rec.output(self)
 
-    @abstractmethod
     def next_real(self) -> float:
         """Float in [0, 1) using the family's published conversion."""
+        spec = self.spec
+        if spec.family is _WELL:
+            return self.next_word() * _INV32
+        if spec.w == 32:
+            hi = self.next_word() >> 5
+            lo = self.next_word() >> 6
+            return (hi * 67108864.0 + lo) * _INV53
+        return (self.next_word() >> 11) * _INV53
 
     # -- state access ----------------------------------------------------
-
-    def _logical_index(self, j: int) -> int:
-        """Storage index of logical word j (0 = oldest)."""
-        return (self.cursor + j) % self.spec.n
 
     def get_raw_state(self) -> GeneratorState:
         return GeneratorState(tuple(self.st), self.cursor, self.lung)
@@ -174,37 +295,26 @@ class Generator(ABC):
         # Rotate so the cursor lands on zero; logical order is preserved
         # because every family keeps consecutive logical words consecutive
         # in storage.
-        rotated = [state.words[(state.cursor + t) % n] & mask for t in range(n)]
-        self.st = rotated
+        self.st = [state.words[(state.cursor + t) % n] & mask for t in range(n)]
         self.cursor = 0
-        if spec.r:
-            oldest = self._logical_index(0)
-            self.st[oldest] &= mask ^ ((1 << spec.r) - 1)
+        self.st[self.rec.index(0, 0)] &= spec.upper_mask
         self.lung = (state.lung & mask) if spec.has_lung else None
 
     def state_vector(self) -> BitVector:
-        wds, bts = canonical_layout(self.spec)
-        value = 0
-        st = self.st
-        for c, (j, b) in enumerate(zip(wds.tolist(), bts.tolist())):
-            word = self.lung if j == LUNG_WORD else st[self._logical_index(j)]
-            value |= ((word >> b) & 1) << c
-        return BitVector(self.spec.k, value)
+        spec = self.spec
+        dt = word_dtype(spec)
+        order = self.rec.index(self.cursor, np.arange(spec.n))
+        words = np.array(self.st, dtype=dt)[order, None]
+        lung = np.array([self.lung], dtype=dt) if spec.has_lung else None
+        return BitVector.from_limbs(pack_rows(spec, words, lung)[0], spec.k)
 
     def set_state_vector(self, v: BitVector) -> None:
         spec = self.spec
         if v.length != spec.k:
             raise ValueError(f"expected {spec.k} bits, got {v.length}")
-        wds, bts = canonical_layout(spec)
-        st = [0] * spec.n
-        lung = 0
+        words, lung = unpack_rows(spec, v.to_limbs()[None, :])
+        st = np.empty(spec.n, dtype=words.dtype)
+        st[self.rec.index(0, np.arange(spec.n))] = words[:, 0]
+        self.st = st.tolist()
         self.cursor = 0
-        val = v.value
-        for c, (j, b) in enumerate(zip(wds.tolist(), bts.tolist())):
-            if (val >> c) & 1:
-                if j == LUNG_WORD:
-                    lung |= 1 << b
-                else:
-                    st[self._logical_index(j)] |= 1 << b
-        self.st = st
-        self.lung = lung if spec.has_lung else None
+        self.lung = int(lung[0]) if spec.has_lung else None

@@ -1,41 +1,42 @@
 """Vectorized lockstep ensembles: many generator instances as word arrays.
 
-Storage is one (n, E) array of words (plus an (E,) lung row for MELG):
-slot [j, e] is ring word j of ensemble member e.  Each step applies the
-family recurrence to whole rows at once, which makes basis-vector
+Storage is one (n, E) ring array ``st`` (plus an (E,) lung row for MELG):
+slot [j, e] is ring word j of ensemble member e.  Callers step it and
+read its outputs through ``ens.rec``: the family's own ``Recurrence`` from
+``mt.py``, ``well.py`` or ``melg.py``, with its constants cast to the
+array's word type, acting on whole rows at once.  That makes basis-vector
 probing of transition matrices and ensemble output-weight traces cheap.
+An output may be a view of a ring row (WELL emits its newest word), so
+use it before the next step.
 
-``state_rows`` emits every member's canonical state vector as packed
-little-endian uint64 limbs — the same row format BitMatrix uses.
+``state_rows`` emits every member's canonical state vector through
+``base.pack_rows``, the same codec the scalar generators use, as packed
+little-endian uint64 limbs — the row format BitMatrix uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import LUNG_WORD, Family, GeneratorSpec, GeneratorState, canonical_layout
-
-
-def _dtype(spec: GeneratorSpec) -> type:
-    return np.uint32 if spec.w == 32 else np.uint64
+from . import recurrence
+from .base import LUNG_WORD, GeneratorSpec, canonical_layout, pack_rows, word_dtype
 
 
 class Ensemble:
-    def __init__(self, spec: GeneratorSpec, words: np.ndarray, lung: np.ndarray | None) -> None:
+    def __init__(self, spec: GeneratorSpec, st: np.ndarray, lung: np.ndarray | None) -> None:
         self.spec = spec
-        self.words = words
+        self.rec = recurrence(spec, st.dtype.type)
+        self.st = st
         self.lung = lung
         self.cursor = 0
-        self.size = words.shape[1]
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def zeros(cls, spec: GeneratorSpec, size: int) -> "Ensemble":
-        dt = _dtype(spec)
-        words = np.zeros((spec.n, size), dtype=dt)
+        dt = word_dtype(spec)
         lung = np.zeros(size, dtype=dt) if spec.has_lung else None
-        return make_ensemble(spec, words, lung)
+        return cls(spec, np.zeros((spec.n, size), dtype=dt), lung)
 
     @classmethod
     def from_unit_vectors(cls, spec: GeneratorSpec, lo: int, hi: int) -> "Ensemble":
@@ -46,211 +47,33 @@ class Ensemble:
         wds, bts = canonical_layout(spec)
         wds, bts = wds[lo:hi], bts[lo:hi]
         lanes = np.arange(hi - lo)
-        dt = _dtype(spec)
+        dt = word_dtype(spec)
         ring = wds != LUNG_WORD
-        sidx = ens._storage_of_logical(wds[ring])
-        ens.words[sidx, lanes[ring]] = dt(1) << bts[ring].astype(dt)
+        ens.st[ens.rec.index(0, wds[ring]), lanes[ring]] = dt(1) << bts[ring].astype(dt)
         if spec.has_lung:
             out = ~ring
             ens.lung[lanes[out]] = dt(1) << bts[out].astype(dt)
         return ens
 
-    @classmethod
-    def from_raw_states(cls, spec: GeneratorSpec, states: list[GeneratorState]) -> "Ensemble":
-        """Stack scalar snapshots column-wise (cursor-normalized, dead bits cleared)."""
-        ens = cls.zeros(spec, len(states))
-        mask = spec.word_mask
-        n = spec.n
-        oldest = int(ens._storage_of_logical(np.array([0]))[0])
-        for e, st in enumerate(states):
-            if len(st.words) != n:
-                raise ValueError(f"state {e}: expected {n} words")
-            rotated = [st.words[(st.cursor + t) % n] & mask for t in range(n)]
-            rotated[oldest] &= mask ^ ((1 << spec.r) - 1)
-            ens.words[:, e] = rotated
-            if spec.has_lung:
-                ens.lung[e] = st.lung & mask
-        return ens
-
     # -- layout -----------------------------------------------------------
-
-    def _storage_of_logical(self, j: np.ndarray) -> np.ndarray:
-        """Storage row of logical word j (0 = oldest) at the current cursor."""
-        raise NotImplementedError
 
     def state_rows(self) -> np.ndarray:
         """Canonical state vectors, one packed uint64-limb row per member."""
-        spec = self.spec
-        n, w, size = spec.n, spec.w, self.size
-        order = self._storage_of_logical(np.arange(n - 1, -1, -1))
-        cols = [self.words[si] for si in order]
-        if spec.has_lung:
-            cols.append(self.lung)
-        big = ">u4" if w <= 32 else ">u8"
-        arr = np.stack(cols, axis=1).astype(big)
-        bits = np.unpackbits(arr.view(np.uint8).reshape(size, -1), axis=1, bitorder="big")
-        sw = arr.dtype.itemsize * 8
-        if sw != w:
-            # words narrower than their storage: keep the low w bits of each
-            bits = bits.reshape(size, -1, sw)[:, :, sw - w :].reshape(size, -1)
-        if spec.r:
-            bits = np.delete(bits, np.s_[(n - 1) * w + (w - spec.r) : n * w], axis=1)
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        limbs = (spec.k + 63) // 64
-        rows = np.zeros((size, limbs), dtype=np.uint64)
-        rows.view(np.uint8).reshape(size, limbs * 8)[:, : packed.shape[1]] = packed
-        return rows
-
-    # -- stepping ---------------------------------------------------------
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def output(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def step_output(self) -> np.ndarray:
-        self.step()
-        return self.output()
+        order = self.rec.index(self.cursor, np.arange(self.spec.n))
+        return pack_rows(self.spec, self.st[order], self.lung)
 
 
-class _MtEnsemble(Ensemble):
-    def __init__(self, spec, words, lung):
-        super().__init__(spec, words, lung)
-        dt = _dtype(spec)
-        self._lower = dt((1 << spec.r) - 1)
-        self._upper = dt(spec.word_mask ^ ((1 << spec.r) - 1))
-        self._a = dt(spec.a)
-        self._taps = (spec.m,) if spec.m is not None else (spec.m1, spec.m2, spec.m3)
-        self._temper = tuple(dt(x) for x in spec.temper)
+def probe_images(spec: GeneratorSpec, lo: int, hi: int, block: int = 512) -> np.ndarray:
+    """One-step images of canonical basis vectors lo..hi-1, as packed rows.
 
-    def _storage_of_logical(self, j):
-        return (self.cursor + j) % self.spec.n
-
-    def step(self):
-        st, c, n = self.words, self.cursor, self.spec.n
-        x = (st[c] & self._upper) | (st[(c + 1) % n] & self._lower)
-        v = (x >> 1) ^ ((x & 1) * self._a)
-        for t in self._taps:
-            v = v ^ st[(c + t) % n]
-        st[c] = v
-        self.cursor = (c + 1) % n
-
-    def output(self):
-        u, d, s, b, t, c, l = self._temper
-        y = self.words[(self.cursor - 1) % self.spec.n]
-        y = y ^ ((y >> u) & d)
-        y = y ^ ((y << s) & b)
-        y = y ^ ((y << t) & c)
-        return y ^ (y >> l)
-
-
-class _WellEnsemble(Ensemble):
-    def __init__(self, spec, words, lung):
-        super().__init__(spec, words, lung)
-        dt = _dtype(spec)
-        p = spec.r
-        self._masku = dt(spec.word_mask >> (spec.w - p)) if p else dt(0)
-        self._maskl = dt(spec.word_mask ^ int(self._masku))
-        self._t = [_np_transform(kind, t) for kind, t in spec.transforms]
-
-    def _storage_of_logical(self, j):
-        return (self.cursor + self.spec.n - 1 - j) % self.spec.n
-
-    def step(self):
-        spec = self.spec
-        st, i, n = self.words, self.cursor, spec.n
-        v0 = st[i]
-        vm1 = st[(i + spec.m1) % n]
-        vm2 = st[(i + spec.m2) % n]
-        vm3 = st[(i + spec.m3) % n]
-        oldest = st[(i + n - 1) % n]
-        if spec.r:
-            z0 = (oldest & self._maskl) | (st[(i + n - 2) % n] & self._masku)
-        else:
-            z0 = oldest
-        t = self._t
-        z1 = t[0](v0) ^ t[1](vm1)
-        z2 = t[2](vm2) ^ t[3](vm3)
-        z3 = z1 ^ z2
-        z4 = t[4](z0) ^ t[5](z1) ^ t[6](z2) ^ t[7](z3)
-        st[i] = z3
-        self.cursor = (i + n - 1) % n
-        st[self.cursor] = z4
-
-    def output(self):
-        return self.words[self.cursor].copy()
-
-
-class _MelgEnsemble(Ensemble):
-    def __init__(self, spec, words, lung):
-        super().__init__(spec, words, lung)
-        dt = _dtype(spec)
-        self._masku = dt((spec.word_mask << spec.r) & spec.word_mask)
-        self._maskl = dt(spec.word_mask ^ int(self._masku))
-        self._a = dt(spec.a)
-        self._b = dt(spec.b)
-
-    def _storage_of_logical(self, j):
-        return (self.cursor + j) % self.spec.n
-
-    def step(self):
-        spec = self.spec
-        st, i, n = self.words, self.cursor, spec.n
-        x = (st[i] & self._masku) | (st[(i + 1) % n] & self._maskl)
-        lung = (x >> 1) ^ ((x & 1) * self._a) ^ st[(i + spec.m) % n]
-        lung = lung ^ self.lung ^ (self.lung << spec.s1)
-        self.lung = lung
-        st[i] = x ^ (lung ^ (lung >> spec.s2))
-        self.cursor = (i + 1) % n
-
-    def output(self):
-        spec = self.spec
-        st, n = self.words, spec.n
-        v = st[(self.cursor - 1) % n]
-        y = v ^ ((v << spec.s3) & self._b)
-        return y ^ st[(self.cursor - 1 + spec.lag) % n]
-
-
-def _np_transform(kind: str, t: int):
-    """WELL slot transform on word arrays (left shifts wrap modulo 2^w)."""
-    if kind == "ID":
-        return lambda v: v
-    if kind == "ZERO":
-        return lambda v: 0
-    if kind == "XS":
-        if t >= 0:
-            return lambda v: v ^ (v >> t)
-        s = -t
-        return lambda v: v ^ (v << s)
-    if kind == "SH":
-        if t >= 0:
-            return lambda v: v >> t
-        s = -t
-        return lambda v: v << s
-    raise ValueError(f"unknown transform kind {kind!r}")
-
-
-_FAMILY_ENSEMBLE = {
-    Family.MT32: _MtEnsemble,
-    Family.MT64_ID1: _MtEnsemble,
-    Family.MT64_ID3: _MtEnsemble,
-    Family.WELL: _WellEnsemble,
-    Family.MELG: _MelgEnsemble,
-}
-
-
-def make_ensemble(spec: GeneratorSpec, words: np.ndarray, lung: np.ndarray | None) -> Ensemble:
-    return _FAMILY_ENSEMBLE[spec.family](spec, words, lung)
-
-
-def probe_images(spec: GeneratorSpec, lo: int, hi: int, block: int = 2048) -> np.ndarray:
-    """One-step images of canonical basis vectors lo..hi-1, as packed rows."""
+    Lanes go ``block`` at a time; a block's unpacked state bits take
+    block * k bytes, about 10 MB at k = 19937.
+    """
     limbs = (spec.k + 63) // 64
     out = np.empty((hi - lo, limbs), dtype=np.uint64)
     for blo in range(lo, hi, block):
         bhi = min(blo + block, hi)
         ens = Ensemble.from_unit_vectors(spec, blo, bhi)
-        ens.step()
+        ens.rec.step(ens)
         out[blo - lo : bhi - lo] = ens.state_rows()
     return out

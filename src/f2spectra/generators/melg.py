@@ -10,38 +10,26 @@ which keeps the output map linear in the post-step state.
 
 from __future__ import annotations
 
-from .base import Generator, GeneratorSpec
-
-_INV53 = 1.0 / 9007199254740992.0  # 2^-53
+from .base import Recurrence
 
 
-class MelgGenerator(Generator):
-    def __init__(self, spec: GeneratorSpec, seed: int | None = None) -> None:
-        self._masku = (spec.word_mask << spec.r) & spec.word_mask
-        self._maskl = spec.word_mask ^ self._masku
-        super().__init__(spec, seed)
+class Melg(Recurrence):
+    def __init__(self, spec, cast) -> None:
+        super().__init__(spec, cast)
+        self.a = cast(spec.a)
+        self.b = cast(spec.b)
 
-    def step(self) -> None:
+    def step(self, ring) -> None:
         spec = self.spec
-        st, i, n = self.st, self.cursor, spec.n
-        mask = spec.word_mask
-        x = (st[i] & self._masku) | (st[(i + 1) % n] & self._maskl)
-        lung = (
-            (x >> 1)
-            ^ (spec.a if x & 1 else 0)
-            ^ st[(i + spec.m) % n]
-            ^ (self.lung ^ ((self.lung << spec.s1) & mask))
-        )
-        self.lung = lung
-        st[i] = x ^ (lung ^ (lung >> spec.s2))
-        self.cursor = (i + 1) % n
+        st, i, n = ring.st, ring.cursor, self.n
+        x = (st[i] & self.upper) | (st[(i + 1) % n] & self.lower)
+        lung = ring.lung ^ ((ring.lung << spec.s1) & self.mask)
+        lung ^= (x >> 1) ^ ((x & 1) * self.a) ^ st[(i + spec.m) % n]
+        ring.lung = lung
+        st[i] = x ^ lung ^ (lung >> spec.s2)
+        ring.cursor = (i + 1) % n
 
-    def output_word(self) -> int:
-        spec = self.spec
-        st, n = self.st, spec.n
-        newest = st[(self.cursor - 1) % n]
-        y = newest ^ ((newest << spec.s3) & spec.b)
-        return y ^ st[(self.cursor - 1 + spec.lag) % n]
-
-    def next_real(self) -> float:
-        return (self.next_word() >> 11) * _INV53
+    def output(self, ring):
+        st, c, n = ring.st, ring.cursor, self.n
+        v = st[(c - 1) % n]
+        return v ^ ((v << self.spec.s3) & self.b) ^ st[(c - 1 + self.spec.lag) % n]

@@ -9,42 +9,30 @@ four-stage tempering.
 
 from __future__ import annotations
 
-from .base import Generator, GeneratorSpec
-
-_INV53 = 1.0 / 9007199254740992.0  # 2^-53
+from .base import Recurrence
 
 
-class MtGenerator(Generator):
-    def __init__(self, spec: GeneratorSpec, seed: int | None = None) -> None:
-        self._upper = spec.word_mask ^ ((1 << spec.r) - 1)
-        self._lower = (1 << spec.r) - 1
-        self._taps = (spec.m,) if spec.m is not None else (spec.m1, spec.m2, spec.m3)
-        super().__init__(spec, seed)
+class Mt(Recurrence):
+    def __init__(self, spec, cast) -> None:
+        super().__init__(spec, cast)
+        self.a = cast(spec.a)
+        self.taps = (spec.m,) if spec.m is not None else (spec.m1, spec.m2, spec.m3)
+        self.temper = tuple(cast(x) for x in spec.temper)
 
-    def step(self) -> None:
-        st, c, n = self.st, self.cursor, self.spec.n
-        x = (st[c] & self._upper) | (st[(c + 1) % n] & self._lower)
-        v = (x >> 1) ^ (self.spec.a if x & 1 else 0)
-        for t in self._taps:
+    def step(self, ring) -> None:
+        st, c, n = ring.st, ring.cursor, self.n
+        x = (st[c] & self.upper) | (st[(c + 1) % n] & self.lower)
+        v = (x >> 1) ^ ((x & 1) * self.a)
+        for t in self.taps:
             v ^= st[(c + t) % n]
         st[c] = v
-        self.cursor = (c + 1) % n
+        ring.cursor = (c + 1) % n
 
-    def output_word(self) -> int:
-        newest = self.st[(self.cursor - 1) % self.spec.n]
-        return self._temper(newest)
-
-    def _temper(self, y: int) -> int:
-        u, d, s, b, t, c, l = self.spec.temper
-        y ^= (y >> u) & d
-        y ^= (y << s) & b
-        y ^= (y << t) & c
-        y ^= y >> l
-        return y
-
-    def next_real(self) -> float:
-        if self.spec.w == 32:
-            hi = self.next_word() >> 5
-            lo = self.next_word() >> 6
-            return (hi * 67108864.0 + lo) * _INV53
-        return (self.next_word() >> 11) * _INV53
+    def output(self, ring):
+        u, d, s, b, t, c, l = self.temper
+        y = ring.st[(ring.cursor - 1) % self.n]
+        # No in-place XOR: on an ensemble, y starts as a view of the ring.
+        y = y ^ ((y >> u) & d)
+        y = y ^ ((y << s) & b)  # b and c lie inside the word, so they mask the shifts
+        y = y ^ ((y << t) & c)
+        return y ^ (y >> l)

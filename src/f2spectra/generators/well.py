@@ -14,14 +14,11 @@ identity and zero maps.
 
 from __future__ import annotations
 
-from typing import Callable
-
-from .base import Generator, GeneratorSpec
-
-_INV32 = 1.0 / 4294967296.0  # 2^-32
+from .base import Recurrence
 
 
-def transform_fn(kind: str, t: int, mask: int) -> Callable[[int], int]:
+def transform_fn(kind: str, t: int, mask):
+    """One slot transform; ``mask`` (of the ring's word type) masks left shifts."""
     if kind == "ID":
         return lambda v: v
     if kind == "ZERO":
@@ -30,7 +27,7 @@ def transform_fn(kind: str, t: int, mask: int) -> Callable[[int], int]:
         if t >= 0:
             return lambda v: v ^ (v >> t)
         s = -t
-        return lambda v: (v ^ (v << s)) & mask
+        return lambda v: v ^ ((v << s) & mask)
     if kind == "SH":
         if t >= 0:
             return lambda v: v >> t
@@ -39,41 +36,27 @@ def transform_fn(kind: str, t: int, mask: int) -> Callable[[int], int]:
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
-class WellGenerator(Generator):
-    def __init__(self, spec: GeneratorSpec, seed: int | None = None) -> None:
-        p = spec.r
-        self._masku = spec.word_mask >> (spec.w - p) if p else 0
-        self._maskl = spec.word_mask ^ self._masku
-        self._t = [transform_fn(kind, t, spec.word_mask) for kind, t in spec.transforms]
-        super().__init__(spec, seed)
+class Well(Recurrence):
+    def __init__(self, spec, cast) -> None:
+        super().__init__(spec, cast)
+        self.t = [transform_fn(kind, t, self.mask) for kind, t in spec.transforms]
 
-    def _logical_index(self, j: int) -> int:
+    def index(self, cursor, j):
         # The newest word sits at the cursor; logical 0 (oldest) is behind it.
-        return (self.cursor + self.spec.n - 1 - j) % self.spec.n
+        return (cursor + self.n - 1 - j) % self.n
 
-    def step(self) -> None:
+    def step(self, ring) -> None:
         spec = self.spec
-        st, i, n = self.st, self.cursor, spec.n
-        v0 = st[i]
-        vm1 = st[(i + spec.m1) % n]
-        vm2 = st[(i + spec.m2) % n]
-        vm3 = st[(i + spec.m3) % n]
-        oldest = st[(i + n - 1) % n]
-        if spec.r:
-            z0 = (oldest & self._maskl) | (st[(i + n - 2) % n] & self._masku)
-        else:
-            z0 = oldest
-        t = self._t
-        z1 = t[0](v0) ^ t[1](vm1)
-        z2 = t[2](vm2) ^ t[3](vm3)
+        st, i, n = ring.st, ring.cursor, self.n
+        t = self.t
+        z0 = (st[(i + n - 1) % n] & self.upper) | (st[(i + n - 2) % n] & self.lower)
+        z1 = t[0](st[i]) ^ t[1](st[(i + spec.m1) % n])
+        z2 = t[2](st[(i + spec.m2) % n]) ^ t[3](st[(i + spec.m3) % n])
         z3 = z1 ^ z2
         z4 = t[4](z0) ^ t[5](z1) ^ t[6](z2) ^ t[7](z3)
         st[i] = z3
-        self.cursor = (i + n - 1) % n
-        st[self.cursor] = z4
+        ring.cursor = (i + n - 1) % n
+        st[ring.cursor] = z4
 
-    def output_word(self) -> int:
-        return self.st[self.cursor]
-
-    def next_real(self) -> float:
-        return self.next_word() * _INV32
+    def output(self, ring):
+        return ring.st[ring.cursor]

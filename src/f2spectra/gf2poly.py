@@ -347,18 +347,21 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
 
     spec = gen.spec
     n = spec.n
-    x_words = [gen.st[gen._logical_index(j)] for j in range(n)]
+    has_lung = spec.has_lung
+    # Every family keeps consecutive logical words consecutive in storage,
+    # so a ring at cursor c holds the words of its cursor-0 form rotated
+    # right by c: x0 is the start state in cursor-0 storage order.
+    x0 = gen.st[gen.cursor :] + gen.st[: gen.cursor]
     x_lung = gen.lung
     acc = make_generator(spec)  # zero state
     for i in range(poly.degree, -1, -1):
         acc.step()
         if poly.coeff(i):
-            for j in range(n):
-                acc.st[acc._logical_index(j)] ^= x_words[j]
-            if spec.has_lung:
+            c = n - acc.cursor
+            acc.st = [a ^ b for a, b in zip(acc.st, x0[c:] + x0[:c])]
+            if has_lung:
                 acc.lung ^= x_lung
-    acc_state = acc.get_raw_state()
-    gen.set_raw_state(acc_state)  # normalizes the cursor, clears dead bits
+    gen.set_raw_state(acc.get_raw_state())  # normalizes the cursor, clears dead bits
 
 
 def jump_ahead(gen: "Generator", steps: BigUint, minpoly: GF2Poly | None = None) -> None:

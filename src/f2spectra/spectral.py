@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 import scipy.linalg
@@ -261,26 +261,6 @@ def real_matpow(mat: BitMatrix, n: int) -> np.ndarray:
     return result
 
 
-def nonzero_block_count(mat: BitMatrix, w: int) -> int:
-    """Number of w-square blocks of the matrix containing any 1 (the
-    last block row/column may be narrower when w does not divide the
-    dimension)."""
-    if w < 1:
-        raise ValueError("block size must be >= 1")
-    rows_blocks = (mat.rows + w - 1) // w
-    cols_blocks = (mat.cols + w - 1) // w
-    count = 0
-    for bi in range(rows_blocks):
-        row_ints = [mat.row_int(i) for i in range(bi * w, min((bi + 1) * w, mat.rows))]
-        for bj in range(cols_blocks):
-            lo = bj * w
-            width = min(w, mat.cols - lo)
-            mask = ((1 << width) - 1) << lo
-            if any(r & mask for r in row_ints):
-                count += 1
-    return count
-
-
 # -- tabular views ----------------------------------------------------------
 
 
@@ -291,27 +271,3 @@ def spectrum_csv(spectrum: Spectrum, sink: TextIO) -> None:
     moduli = np.abs(vals)
     for v, m in zip(vals, moduli):
         sink.write(f"{float(v.real)!r},{float(v.imag)!r},{float(m)!r}\n")
-
-
-def modulus_histogram(
-    spectrum: Spectrum, bins: int
-) -> list[tuple[float, float, int]]:
-    """Histogram of eigenvalue moduli covering [min, max] in equal bins;
-    rows are (bin_low, bin_high, count)."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    moduli = spectrum.moduli()
-    lo = float(np.min(moduli))
-    hi = float(np.max(moduli))
-    if hi == lo:
-        return [(lo, hi, len(moduli))]
-    counts, edges = np.histogram(moduli, bins=bins, range=(lo, hi))
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)
-    ]
-
-
-def histogram_csv(table: Sequence[tuple[float, float, int]], sink: TextIO) -> None:
-    sink.write("bin_low,bin_high,count\n")
-    for lo, hi, count in table:
-        sink.write(f"{lo!r},{hi!r},{count}\n")

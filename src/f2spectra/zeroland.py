@@ -92,10 +92,11 @@ def _window_means(totals: np.ndarray, p: int, per_step_bits: int) -> np.ndarray:
 
 def _ensemble_weight_totals(spec: GeneratorSpec, lo: int, hi: int, steps: int) -> np.ndarray:
     ens = Ensemble.from_unit_vectors(spec, lo, hi)
+    rec = ens.rec
     totals = np.empty(steps, dtype=np.int64)
     for i in range(steps):
-        out = ens.step_output()
-        totals[i] = int(np.sum(np.bitwise_count(out), dtype=np.int64))
+        rec.step(ens)
+        totals[i] = int(np.sum(np.bitwise_count(rec.output(ens)), dtype=np.int64))
     return totals
 
 

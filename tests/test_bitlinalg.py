@@ -20,10 +20,8 @@ from f2spectra.bitlinalg import (
     matvec,
     rank_gf2,
     read_matrix,
-    read_matrix_binary,
     transpose,
     write_matrix,
-    write_matrix_binary,
 )
 
 
@@ -168,14 +166,6 @@ def test_text_roundtrip():
     assert read_matrix(io.StringIO(sink.getvalue())) == m
     lines = sink.getvalue().strip("\n").split("\n")
     assert len(lines) == 19 and set("".join(lines)) <= {"0", "1"}
-
-
-def test_binary_roundtrip():
-    rng = random.Random(7)
-    m = _random_matrix(130, 31, rng)
-    sink = io.BytesIO()
-    write_matrix_binary(m, sink)
-    assert read_matrix_binary(io.BytesIO(sink.getvalue())) == m
 
 
 def test_read_matrix_rejects_garbage():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from f2spectra import __version__, get_spec
+from f2spectra import __version__, cli, get_spec
 from f2spectra.cli import main
 from f2spectra.gf2poly import parse_minpoly
 from f2spectra.zeroland import parse_seed_text
@@ -235,3 +235,21 @@ def test_threads_env_garbage_is_an_error(capsys, monkeypatch):
     code, _, stderr = run(capsys, "zeroland", "--spec", "well607b", "--max-n", "400")
     assert code == 1
     assert "F2SPECTRA_THREADS" in stderr
+
+
+def test_threads_env_zero_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("F2SPECTRA_THREADS", "0")
+    code, _, stderr = run(capsys, "zeroland", "--spec", "well607b", "--max-n", "400")
+    assert code == 1
+    assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("exc", [OverflowError("operand too wide"), RuntimeError("degenerate")])
+def test_library_arithmetic_and_runtime_errors_are_error_lines(capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "minimal_polynomial", fail)
+    code, _, stderr = run(capsys, "minpoly", "--spec", "well607b")
+    assert code == 1
+    assert stderr == f"error: {exc.args[0]}\n"

@@ -19,9 +19,6 @@ from f2spectra.spectral import (
     Spectrum,
     entropy,
     eigenvalues,
-    histogram_csv,
-    modulus_histogram,
-    nonzero_block_count,
     power_spectrum,
     real_matpow,
     spectrum_csv,
@@ -166,27 +163,3 @@ def test_spectrum_csv_parses_back():
     assert len(lines) == 11
     re, im, mod = map(float, lines[1].split(","))
     assert mod == pytest.approx(math.hypot(re, im), rel=1e-12)
-
-
-def test_modulus_histogram_counts_everything():
-    spec = eigenvalues(_random_bitmatrix(32, 7))
-    table = modulus_histogram(spec, bins=8)
-    assert len(table) == 8
-    assert sum(count for _, _, count in table) == 32
-    sink = io.StringIO()
-    histogram_csv(table, sink)
-    assert sink.getvalue().startswith("bin_low,bin_high,count\n")
-
-
-def test_modulus_histogram_degenerate_spread():
-    spec = eigenvalues(BitMatrix.identity(5))
-    table = modulus_histogram(spec, bins=4)
-    assert table == [(1.0, 1.0, 5)]
-
-
-def test_nonzero_block_count():
-    spec = get_spec("well607b")
-    mat = extract_transition_matrix(spec)
-    blocks = nonzero_block_count(mat, spec.w)
-    grid = -(-spec.k // spec.w)
-    assert 0 < blocks <= grid * grid
