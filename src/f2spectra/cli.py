@@ -117,15 +117,20 @@ def _finish(
     return 0 if ok else 1
 
 
-def _int_arg(text: str) -> int:
-    """Non-negative integer; accepts 0x/0o/0b prefixes and underscores."""
+def _int_arg(text: str, minimum: int = 0) -> int:
+    """Integer >= ``minimum``; accepts 0x/0o/0b prefixes and underscores."""
     try:
         value = int(text.replace("_", ""), 0)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _positive_int_arg(text: str) -> int:
+    """Count that must be at least 1, such as a number of trials or outputs."""
+    return _int_arg(text, minimum=1)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -529,7 +534,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["verify-appendix-a", "verify-appendix-b", "mt19937-mod2"],
         help="which identity to verify",
     )
-    sub.add_argument("--trials", type=int, default=20, help="random configs per run (default 20)")
+    sub.add_argument("--trials", type=_positive_int_arg, default=20,
+                     help="random configs per run (default 20)")
     sub.add_argument("--rng-seed", type=int, default=2026, help="config sampler seed (default 2026)")
     sub.set_defaults(func=cmd_charpoly)
 
@@ -554,7 +560,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = add("jump", "Jump a generator ahead by an arbitrary step count.")
     sub.add_argument("--seed", type=_int_arg, default=12345, help="initialization seed")
     sub.add_argument("--steps", type=_int_arg, required=True, help="recurrence steps to skip")
-    sub.add_argument("--emit", type=int, default=5, help="outputs to print after the jump")
+    sub.add_argument("--emit", type=_positive_int_arg, default=5,
+                     help="outputs to print after the jump")
     sub.add_argument("--verify", action="store_true",
                      help="replay the jump step by step and compare")
     sub.set_defaults(func=cmd_jump)
@@ -562,9 +569,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = add("bench", "Doubles-per-second benchmark (non-gating, machine-dependent).",
               spec=False)
     sub.add_argument("--specs", nargs="*", choices=spec_names, help="generators (default: all)")
-    sub.add_argument("--doubles", type=int, default=1_000_000,
+    sub.add_argument("--doubles", type=_positive_int_arg, default=1_000_000,
                      help="timed doubles per generator (default 1e6)")
-    sub.add_argument("--warmup", type=int, default=100_000,
+    sub.add_argument("--warmup", type=_int_arg, default=100_000,
                      help="untimed warmup doubles (default 1e5)")
     sub.set_defaults(func=cmd_bench)
 

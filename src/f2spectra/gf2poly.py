@@ -1,10 +1,15 @@
 """Polynomials over GF(2), minimal polynomials, and jump-ahead.
 
 A GF2Poly is an int-backed bitset: coefficient i of the polynomial is
-bit i of ``bits``.  Products of large polynomials ride on Python's
-big-integer multiply by spreading each coefficient into its own 16-bit
-column (column sums stay far below 2^16 for every degree this package
-meets, so no carries cross columns); squaring only respaces bits.
+bit i of ``bits``.  Small products use a shift-XOR schoolbook loop.
+Products whose shorter operand exceeds ``_FFT_THRESHOLD_BITS`` are an
+exact float64 FFT convolution of the 0/1 coefficient vectors: every
+coefficient of the integer product is a count no larger than the
+shorter operand's length, so it is recovered by rounding, and its low
+bit is the GF(2) coefficient.  Each FFT product checks its own rounding
+residual and raises ``ArithmeticError`` rather than return a wrong bit.
+Squaring only respaces bits.  ``_Barrett`` reduces modulo a fixed
+polynomial with the transforms of its two fixed operands computed once.
 
 ``berlekamp_massey`` recovers the minimal LFSR connection polynomial of
 a bit sequence; fed 2k+64 output bits of a k-dimensional generator it
@@ -29,14 +34,73 @@ if TYPE_CHECKING:
 #: Arbitrary-precision unsigned integers are plain Python ints.
 BigUint = int
 
-_SPREAD_THRESHOLD_BITS = 4096
-_SPREAD_COLUMN_LIMIT = 1 << 16
+#: Products whose shorter operand is longer than this use the FFT.  The two
+#: are level near 512 bits; at 1024 every reduction for k <= 1024 stays on
+#: the schoolbook loop and never loads ``numpy.fft`` (about 1 MB of RSS).
+_FFT_THRESHOLD_BITS = 1024
+#: Largest accepted distance of an FFT coefficient from its integer.
+_ROUNDING_GUARD = 0.25
 
 
-@lru_cache(maxsize=1)
-def _spread16_table() -> np.ndarray:
-    """Byte value -> eight uint16 columns, bit i of the byte in column i."""
-    return ((np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1).astype("<u2")
+def _fft_length(n: int) -> int:
+    """Smallest 2^a, 3*2^a or 5*2^a that is >= n (all fast pocketfft sizes)."""
+    best = 1 << max(0, (n - 1).bit_length())
+    for odd in (3, 5):
+        m = odd
+        while m < n:
+            m <<= 1
+        best = min(best, m)
+    return best
+
+
+def _spectrum(x: int, n: int) -> np.ndarray:
+    """Real FFT of the 0/1 coefficient vector of ``x``, zero-padded to length n."""
+    raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.fft.rfft(np.unpackbits(raw, bitorder="little"), n)
+
+
+def _product_bits(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Invert a product spectrum and round it to its GF(2) coefficients.
+
+    Raises ``ArithmeticError`` when any coefficient lies ``_ROUNDING_GUARD``
+    or further from an integer, as the rounding could then pick the wrong
+    parity.
+    """
+    c = np.fft.irfft(spectrum, n)
+    counts = np.rint(c)
+    c -= counts
+    residual = float(np.abs(c, out=c).max())
+    if residual >= _ROUNDING_GUARD:
+        raise ArithmeticError(
+            f"FFT product of length {n} is not exact: rounding residual {residual:.3g}"
+        )
+    parity = counts.astype(np.int64)
+    parity &= 1
+    return parity.astype(np.uint8)
+
+
+def _from_bit_vector(bits: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _mul_bits(a: int, b: int) -> int:
+    """Carryless product of two coefficient bitsets."""
+    if a == 0 or b == 0:
+        return 0
+    la, lb = a.bit_length(), b.bit_length()
+    if min(la, lb) > _FFT_THRESHOLD_BITS:
+        n = _fft_length(la + lb - 1)
+        spectrum = _spectrum(a, n)
+        spectrum *= _spectrum(b, n)
+        return _from_bit_vector(_product_bits(spectrum, n))
+    if la < lb:
+        a, b = b, a
+    acc = 0
+    while b:
+        low = b & -b
+        acc ^= a << (low.bit_length() - 1)
+        b ^= low
+    return acc
 
 
 @lru_cache(maxsize=1)
@@ -47,36 +111,6 @@ def _spread2_table() -> np.ndarray:
     for i in range(8):
         out |= (((vals >> i) & 1) << (2 * i)).astype("<u2")
     return out
-
-
-def _spread16(x: int) -> int:
-    raw = np.frombuffer(x.to_bytes(max(1, (x.bit_length() + 7) // 8), "little"), np.uint8)
-    return int.from_bytes(_spread16_table()[raw].tobytes(), "little")
-
-
-def _unspread16(x: int, out_bits: int) -> int:
-    cols = np.frombuffer(x.to_bytes(2 * out_bits, "little"), "<u2")
-    packed = np.packbits((cols & 1).astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _mul_bits(a: int, b: int) -> int:
-    """Carryless product of two coefficient bitsets."""
-    if a == 0 or b == 0:
-        return 0
-    la, lb = a.bit_length(), b.bit_length()
-    if min(la, lb) <= _SPREAD_THRESHOLD_BITS:
-        if la < lb:
-            a, b, la, lb = b, a, lb, la
-        acc = 0
-        while b:
-            low = b & -b
-            acc ^= a << (low.bit_length() - 1)
-            b ^= low
-        return acc
-    if min(la, lb) >= _SPREAD_COLUMN_LIMIT:
-        raise OverflowError("operands too large for 16-bit spread columns")
-    return _unspread16(_spread16(a) * _spread16(b), la + lb - 1)
 
 
 def _square_bits(x: int) -> int:
@@ -185,7 +219,18 @@ class GF2Poly:
 
 
 class _Barrett:
-    """Reduction context: one division up front, two multiplies per reduce."""
+    """Reduction modulo a fixed polynomial of degree d, by Barrett's method.
+
+    ``q = t^(2d) // mod`` is found once by long division.  A polynomial p
+    of degree below 2d then reduces with two products and no division:
+    ``qhat = ((p >> d) * q) >> d`` is the exact quotient p // mod, and
+    ``p - qhat * mod`` the remainder.  Above ``_FFT_THRESHOLD_BITS`` the
+    spectra of q and of the modulus are computed once, at the one length
+    every product needs, so a reduce costs two forward and two inverse
+    transforms.  A quotient no longer than the threshold (after a product
+    by t, say) stays on the schoolbook loop, and inputs of degree 2d or
+    more fall back to long division.
+    """
 
     def __init__(self, mod: GF2Poly) -> None:
         if mod.degree < 1:
@@ -193,13 +238,30 @@ class _Barrett:
         self.mod = mod
         self.d = mod.degree
         self.q = (GF2Poly.x_power(2 * self.d) // mod).bits
+        self.n = 0
+        if self.d > _FFT_THRESHOLD_BITS:
+            # Both products have fewer than 2d coefficients, so a cyclic
+            # convolution of this length never wraps around.
+            self.n = _fft_length(2 * self.d)
+            self.q_spectrum = _spectrum(self.q, self.n)
+            self.mod_spectrum = _spectrum(mod.bits, self.n)
 
     def reduce(self, p: GF2Poly) -> GF2Poly:
         d = self.d
         mb = self.mod.bits
         r = p.bits
+        if r.bit_length() > 2 * d:
+            return p % self.mod
         hi = r >> d
-        if hi:
+        if self.n and hi.bit_length() > _FFT_THRESHOLD_BITS:
+            n = self.n
+            spectrum = _spectrum(hi, n)
+            spectrum *= self.q_spectrum
+            qhat = _product_bits(spectrum, n)[d:]
+            spectrum = np.fft.rfft(qhat, n)
+            spectrum *= self.mod_spectrum
+            r ^= _from_bit_vector(_product_bits(spectrum, n))
+        elif hi:
             qhat = _mul_bits(hi, self.q) >> d
             r ^= _mul_bits(qhat, mb)
         while r.bit_length() - 1 >= d:

@@ -250,6 +250,36 @@ def test_bench_contract(capsys):
     assert payload["hardware"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["charpoly", "verify-appendix-a", "--trials", "0"], "--trials"),
+        (["charpoly", "verify-appendix-b", "--trials", "-1"], "--trials"),
+        (["jump", "--spec", "well607b", "--steps", "3", "--emit", "-1"], "--emit"),
+        (["jump", "--spec", "well607b", "--steps", "3", "--emit", "0"], "--emit"),
+        (["bench", "--specs", "well607b", "--doubles", "0"], "--doubles"),
+        (["bench", "--specs", "well607b", "--warmup", "-1"], "--warmup"),
+    ],
+    ids=["trials-0", "trials-negative", "emit-negative", "emit-0", "doubles-0", "warmup-negative"],
+)
+def test_out_of_range_counts_name_the_flag(capsys, argv, flag):
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert f"error: argument {flag}: must be at least" in stderr
+
+
+def test_counts_accept_their_minimum(capsys):
+    code, stdout, _ = run(capsys, "charpoly", "verify-appendix-b", "--trials", "1", "--json")
+    assert code == 0 and len(json.loads(stdout)["results"]) == 1
+    code, stdout, _ = run(capsys, "jump", "--spec", "well607b", "--steps", "3", "--emit", "1",
+                          "--json")
+    assert code == 0 and len(json.loads(stdout)["outputs"]) == 1
+    code, stdout, _ = run(capsys, "bench", "--specs", "well607b", "--doubles", "1",
+                          "--warmup", "0", "--json")
+    assert code == 0 and json.loads(stdout)["warmup"] == 0
+
+
 def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("F2SPECTRA_THREADS", "2")
     code, stdout, _ = run(

@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2spectra import get_spec, make_generator
 from f2spectra.bitlinalg import BitVector
+from f2spectra.cli import main
 from f2spectra.gf2poly import (
+    _FFT_THRESHOLD_BITS,
     GF2Poly,
+    _Barrett,
+    _fft_length,
+    _mul_bits,
     apply_transition_polynomial,
     berlekamp_massey,
     find_low_weight_state,
@@ -82,6 +88,87 @@ def test_square_and_pow_mod():
         naive = (naive * p) % mod
     assert p.pow_mod(13, mod) == naive
     assert p.pow_mod(0, mod) == GF2Poly.from_degrees([0])
+
+
+def _schoolbook_product(a: int, b: int) -> int:
+    """a * b from slices of ``a`` short enough for the shift-XOR loop."""
+    acc, offset = 0, 0
+    while a:
+        acc ^= _mul_bits(a & ((1 << _FFT_THRESHOLD_BITS) - 1), b) << offset
+        a >>= _FFT_THRESHOLD_BITS
+        offset += _FFT_THRESHOLD_BITS
+    return acc
+
+
+# Bit lengths on both sides of the FFT threshold, at the k = 19937 working
+# size, and past 65536 bits.
+_PRODUCT_SIZES = [
+    1,
+    _FFT_THRESHOLD_BITS - 1,
+    _FFT_THRESHOLD_BITS,
+    _FFT_THRESHOLD_BITS + 1,
+    5000,
+    19937,
+    2 * 19937,
+    70_000,
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    la=st.sampled_from(_PRODUCT_SIZES),
+    lb=st.sampled_from(_PRODUCT_SIZES),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_fft_product_equals_schoolbook(la, lb, seed):
+    rng = random.Random(seed)
+    a = rng.getrandbits(la) | (1 << (la - 1))
+    b = rng.getrandbits(lb) | (1 << (lb - 1))
+    assert _mul_bits(a, b) == _schoolbook_product(a, b)
+
+
+def test_fft_length_is_the_smallest_smooth_size():
+    smooth = sorted({f << e for f in (1, 3, 5) for e in range(20)})
+    for n in list(range(1, 3000)) + [2 * 19937, 140_000]:
+        assert _fft_length(n) == next(m for m in smooth if m >= n)
+    assert _fft_length(2 * 19937) == 40960
+
+
+def test_barrett_reduce_matches_long_division_at_full_degree():
+    mod = minimal_polynomial(get_spec("mt19937"))
+    d = mod.degree
+    ctx = _Barrett(mod)
+    rng = random.Random(19937)
+    samples = [rng.getrandbits(2 * d) for _ in range(3)]
+    samples += [
+        rng.getrandbits(d + _FFT_THRESHOLD_BITS // 2),  # short quotient: schoolbook
+        rng.getrandbits(3 * d),  # beyond the cached transforms: long division
+        mod.bits,
+        1,
+    ]
+    for bits in samples:
+        p = GF2Poly(bits)
+        assert ctx.reduce(p) == p % mod
+
+
+def _skewed_irfft(monkeypatch):
+    exact = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: exact(*args, **kw) + 0.3)
+
+
+def test_rounding_guard_rejects_an_inexact_product(monkeypatch):
+    _skewed_irfft(monkeypatch)
+    with pytest.raises(ArithmeticError, match="rounding residual"):
+        _mul_bits((1 << 5000) - 1, (1 << 3000) - 1)
+
+
+def test_rounding_guard_failure_is_an_error_line(monkeypatch, capsys):
+    _skewed_irfft(monkeypatch)
+    code = main(["jump", "--spec", "mt19937", "--steps", str(2**64 - 1)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: FFT product") and "rounding residual" in captured.err
 
 
 def test_reciprocal():
@@ -174,6 +261,29 @@ def test_jump_is_additive_far_beyond_stepping_range():
     jump_ahead(a, 2**40 + 3)
     jump_ahead(b, 2**97 + 2**40 + 14)
     assert a.state_vector() == b.state_vector()
+
+
+def test_jump_is_additive_at_full_k():
+    spec = get_spec("mt19937")
+    rng = random.Random(64)
+    a, b = rng.getrandbits(64) | 1 << 63, rng.getrandbits(64) | 1 << 63
+    twice = make_generator(spec, seed=5)
+    once = make_generator(spec, seed=5)
+    jump_ahead(twice, a)
+    jump_ahead(twice, b)
+    jump_ahead(once, a + b)
+    assert twice.state_vector() == once.state_vector()
+
+
+def test_jump_matches_stepping_just_above_k():
+    spec = get_spec("mt19937")
+    steps = spec.k + 3
+    jumper = make_generator(spec, seed=21)
+    walker = make_generator(spec, seed=21)
+    jump_ahead(jumper, steps)
+    for _ in range(steps):
+        walker.step()
+    assert jumper.state_vector() == walker.state_vector()
 
 
 def test_jump_polynomial_reduces_mod_minpoly():
