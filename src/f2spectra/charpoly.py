@@ -439,27 +439,3 @@ def brute_charpoly(mat: Sequence[Sequence[int]] | BitMatrix) -> ZPoly:
             raise ArithmeticError("interpolation produced a non-integer coefficient")
         out.append(int(c))
     return ZPoly.from_dense(out)
-
-
-def fl_charpoly(mat: Sequence[Sequence[int]] | BitMatrix) -> ZPoly:
-    """det(tI - M) by the Faddeev-LeVerrier recurrence; cross-oracle for
-    ``brute_charpoly`` at small dimensions (cost grows as dim^4)."""
-    mat = _as_dense(mat)
-    dim = len(mat)
-    coeffs = [0] * (dim + 1)
-    coeffs[dim] = 1
-    aux = [[0] * dim for _ in range(dim)]  # M_0 = 0
-    for kk in range(1, dim + 1):
-        # M_k = A M_{k-1} + c_{n-k+1} I ; c_{n-k} = -tr(A M_k) / k
-        for i in range(dim):
-            aux[i][i] += coeffs[dim - kk + 1]
-        prod = [
-            [sum(mat[i][l] * aux[l][j] for l in range(dim)) for j in range(dim)]
-            for i in range(dim)
-        ]
-        tr = sum(prod[i][i] for i in range(dim))
-        if tr % kk:
-            raise ArithmeticError("non-integer trace step")
-        coeffs[dim - kk] = -tr // kk
-        aux = prod
-    return ZPoly.from_dense(coeffs)

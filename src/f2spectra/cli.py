@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import random
 import sys
@@ -131,6 +132,17 @@ def _int_arg(text: str, minimum: int = 0) -> int:
 def _positive_int_arg(text: str) -> int:
     """Count that must be at least 1, such as a number of trials or outputs."""
     return _int_arg(text, minimum=1)
+
+
+def _nonnegative_float_arg(text: str) -> float:
+    """Finite real number >= 0, such as a band half-width in sigmas."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
 
 
 # -- subcommands -------------------------------------------------------------
@@ -547,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-n", type=int, default=None,
                      help="normalized iterations (default: 2000 sweep, 8000 replay)")
     sub.add_argument("--seed-file", help="replay this stored state instead of sweeping")
-    sub.add_argument("--band-sigmas", type=float, default=DEFAULT_BAND_SIGMAS,
+    sub.add_argument("--band-sigmas", type=_nonnegative_float_arg, default=DEFAULT_BAND_SIGMAS,
                      help="half-width of the balance band (default 2.0)")
     sub.add_argument("--out", help="trace CSV path")
     sub.set_defaults(func=cmd_zeroland)

@@ -227,40 +227,6 @@ def _resolve_word_size(source: str) -> int:
     return 1
 
 
-def real_matpow(mat: BitMatrix, n: int) -> np.ndarray:
-    """The n-th power of the 0/1 matrix over the integers, carried in
-    float64.
-
-    Square-and-multiply with an exactness guard: every intermediate
-    entry must stay below 2^53, where float64 still represents integers
-    exactly.  Raises OverflowError once entries outgrow that range.
-    """
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    base = to_real_matrix(mat, order="C")
-
-    def checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = a @ b
-        if float(out.max(initial=0.0)) >= 2.0**53:
-            raise OverflowError(
-                "integer matrix power exceeds exact float64 range (2^53)"
-            )
-        return out
-
-    result: np.ndarray | None = None
-    square = base
-    e = n
-    while True:
-        if e & 1:
-            result = square.copy() if result is None else checked(result, square)
-        e >>= 1
-        if not e:
-            break
-        square = checked(square, square)
-    assert result is not None
-    return result
-
-
 # -- tabular views ----------------------------------------------------------
 
 

@@ -1,0 +1,173 @@
+"""Reference implementations that only the tests use.
+
+Each one computes a quantity the library computes faster, or checks a
+library result, by a plainer route; the tests compare the two.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence, TextIO
+
+import numpy as np
+
+from f2spectra.bitlinalg import BitMatrix, BitVector
+from f2spectra.charpoly import ZPoly
+from f2spectra.spectral import to_real_matrix
+
+
+# -- GF(2) linear algebra ------------------------------------------------------
+
+
+def transpose_unpacked(m: BitMatrix, chunk: int = 2048) -> BitMatrix:
+    """Bit transpose by unpacking row chunks to one byte per bit and
+    packing the transposed view; the oracle for ``bitlinalg.transpose``."""
+    out = BitMatrix.zeros(m.cols, m.rows)
+    out_bytes = out.storage.view(np.uint8).reshape(m.cols, -1)
+    src_bytes = m.storage.view(np.uint8).reshape(m.rows, -1)
+    for lo in range(0, m.rows, chunk):
+        hi = min(lo + chunk, m.rows)
+        bits = np.unpackbits(src_bytes[lo:hi], axis=1, bitorder="little")[:, : m.cols]
+        if (hi - lo) % 8:
+            pad = np.zeros((8 - (hi - lo) % 8, m.cols), dtype=np.uint8)
+            bits = np.vstack([bits, pad])
+        packed = np.packbits(bits.T, axis=1, bitorder="little")
+        out_bytes[:, lo >> 3 : (lo >> 3) + packed.shape[1]] = packed
+    return out
+
+
+def matvec(m: BitMatrix, v: BitVector) -> BitVector:
+    """Product ``m @ v`` over GF(2): per-row parity of a masked popcount."""
+    if v.length != m.cols:
+        raise ValueError(f"dimension mismatch: {m.cols} columns vs vector of {v.length}")
+    masked = m.storage & v.to_limbs(m.storage.shape[1])[None, :]
+    parities = (np.bitwise_count(masked).sum(axis=1) & 1).astype(np.uint8)
+    packed = np.packbits(parities, bitorder="little")
+    return BitVector(m.rows, int.from_bytes(packed.tobytes(), "little"))
+
+
+def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Product ``a @ b`` over GF(2) by XOR-accumulating rows of ``b``."""
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.cols} vs {b.rows}")
+    out = BitMatrix.zeros(a.rows, b.cols)
+    a_bits = a.to_dense().astype(bool)
+    for i in range(a.rows):
+        idx = np.nonzero(a_bits[i])[0]
+        if idx.size:
+            out.storage[i] = np.bitwise_xor.reduce(b.storage[idx], axis=0)
+    return out
+
+
+def matpow(m: BitMatrix, e: int) -> BitMatrix:
+    """Power ``m**e`` over GF(2) by square-and-multiply."""
+    if m.rows != m.cols:
+        raise ValueError("matpow needs a square matrix")
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = BitMatrix.identity(m.rows)
+    base = m
+    while e:
+        if e & 1:
+            result = matmul(result, base)
+        e >>= 1
+        if e:
+            base = matmul(base, base)
+    return result
+
+
+def rank_gf2(m: BitMatrix) -> int:
+    """Rank over GF(2) by integer-bitset Gaussian elimination."""
+    pivots: dict[int, int] = {}
+    rank = 0
+    for i in range(m.rows):
+        cur = m.row_int(i)
+        while cur:
+            msb = cur.bit_length() - 1
+            if msb in pivots:
+                cur ^= pivots[msb]
+            else:
+                pivots[msb] = cur
+                rank += 1
+                break
+    return rank
+
+
+def read_matrix(source: TextIO) -> BitMatrix:
+    """Parse the text form ``bitlinalg.write_matrix`` emits."""
+    rows: list[int] = []
+    cols = -1
+    for lineno, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if cols == -1:
+            cols = len(line)
+        elif len(line) != cols:
+            raise ValueError(f"line {lineno}: expected {cols} characters, got {len(line)}")
+        if set(line) - {"0", "1"}:
+            raise ValueError(f"line {lineno}: non-binary character")
+        rows.append(int(line[::-1], 2))
+    if cols == -1:
+        raise ValueError("empty matrix file")
+    return BitMatrix.from_int_rows(rows, cols)
+
+
+# -- integer matrices ----------------------------------------------------------
+
+
+def real_matpow(mat: BitMatrix, n: int) -> np.ndarray:
+    """The n-th power of the 0/1 matrix over the integers, carried in
+    float64.
+
+    Square-and-multiply with an exactness guard: every intermediate
+    entry must stay below 2^53, where float64 still represents integers
+    exactly.  Raises OverflowError once entries outgrow that range.
+    """
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    base = to_real_matrix(mat, order="C")
+
+    def checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = a @ b
+        if float(out.max(initial=0.0)) >= 2.0**53:
+            raise OverflowError(
+                "integer matrix power exceeds exact float64 range (2^53)"
+            )
+        return out
+
+    result: np.ndarray | None = None
+    square = base
+    e = n
+    while True:
+        if e & 1:
+            result = square.copy() if result is None else checked(result, square)
+        e >>= 1
+        if not e:
+            break
+        square = checked(square, square)
+    assert result is not None
+    return result
+
+
+def fl_charpoly(mat: Sequence[Sequence[int]]) -> ZPoly:
+    """det(tI - M) by the Faddeev-LeVerrier recurrence; cross-oracle for
+    ``charpoly.brute_charpoly`` at small dimensions (cost grows as dim^4)."""
+    mat = [[int(x) for x in row] for row in mat]
+    dim = len(mat)
+    coeffs = [0] * (dim + 1)
+    coeffs[dim] = 1
+    aux = [[0] * dim for _ in range(dim)]  # M_0 = 0
+    for kk in range(1, dim + 1):
+        # M_k = A M_{k-1} + c_{n-k+1} I ; c_{n-k} = -tr(A M_k) / k
+        for i in range(dim):
+            aux[i][i] += coeffs[dim - kk + 1]
+        prod = [
+            [sum(mat[i][l] * aux[l][j] for l in range(dim)) for j in range(dim)]
+            for i in range(dim)
+        ]
+        tr = sum(prod[i][i] for i in range(dim))
+        if tr % kk:
+            raise ArithmeticError("non-integer trace step")
+        coeffs[dim - kk] = -tr // kk
+        aux = prod
+    return ZPoly.from_dense(coeffs)

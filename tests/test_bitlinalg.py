@@ -15,14 +15,11 @@ from f2spectra.bitlinalg import (
     BitMatrix,
     BitVector,
     extract_transition_matrix,
-    matmul,
-    matpow,
-    matvec,
-    rank_gf2,
-    read_matrix,
     transpose,
     write_matrix,
 )
+
+from _oracles import matmul, matpow, matvec, rank_gf2, read_matrix, transpose_unpacked
 
 
 def _random_matrix(rows: int, cols: int, rng: random.Random) -> BitMatrix:
@@ -122,6 +119,31 @@ def test_transpose():
     assert transpose(a).to_dense().tolist() == a.to_dense().T.tolist()
 
 
+_TRANSPOSE_SIZES = (1, 7, 8, 9, 63, 64, 65, 2047, 2048, 2049, 4100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.sampled_from(_TRANSPOSE_SIZES),
+    cols=st.sampled_from(_TRANSPOSE_SIZES),
+    chunk=st.sampled_from((8, 64, 2048)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_transpose_kernel_matches_unpacked_oracle(rows, cols, chunk, seed):
+    dense = np.random.default_rng(seed).integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    m = BitMatrix.from_dense(dense)
+    t = transpose(m, chunk=chunk)
+    assert t == transpose_unpacked(m)
+    assert np.array_equal(t.to_dense(), dense.T)
+    assert transpose(t, chunk=chunk) == m
+
+
+@pytest.mark.parametrize("chunk", [0, -8, 12])
+def test_transpose_rejects_chunks_off_the_byte_grid(chunk):
+    with pytest.raises(ValueError, match="multiple of 8"):
+        transpose(BitMatrix.identity(16), chunk=chunk)
+
+
 def test_rank():
     assert rank_gf2(BitMatrix.identity(33)) == 33
     assert rank_gf2(BitMatrix.zeros(8, 12)) == 0
@@ -178,14 +200,23 @@ def test_read_matrix_rejects_garbage():
 # -- transition-matrix extraction --------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["well607b", "melg607"])
-def test_extracted_matrix_steps_the_generator(name):
+@pytest.mark.parametrize(
+    ("name", "trials"),
+    [
+        pytest.param("well607b", 20, id="well607b"),
+        pytest.param("melg607", 20, id="melg607"),
+        # full k: 32-bit words with r = 31 dead bits, and 64-bit words plus the lung
+        pytest.param("mt19937", 3, id="mt19937"),
+        pytest.param("melg19937", 3, id="melg19937"),
+    ],
+)
+def test_extracted_matrix_steps_the_generator(name, trials):
     spec = get_spec(name)
     mat = extract_transition_matrix(spec)
     assert mat.rows == mat.cols == spec.k
     gen = make_generator(spec)
     rng = random.Random(8)
-    for _ in range(20):
+    for _ in range(trials):
         x = BitVector.random(spec.k, rng)
         gen.set_state_vector(x)
         gen.step()

@@ -20,13 +20,14 @@ from f2spectra.charpoly import (
     binomial_power,
     brute_charpoly,
     det_int,
-    fl_charpoly,
     mt_charpoly,
     mt_step_matrix,
     phi_A,
     tgfsr_charpoly,
     twist_companion_matrix,
 )
+
+from _oracles import fl_charpoly
 
 TOY_MT8 = GeneratorSpec(
     name="toy-mt8",

@@ -280,6 +280,25 @@ def test_counts_accept_their_minimum(capsys):
     assert code == 0 and json.loads(stdout)["warmup"] == 0
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "wide"])
+def test_bad_band_sigmas_name_the_flag(capsys, value):
+    code, stdout, stderr = run(capsys, "zeroland", "--spec", "well607b", "--max-n", "400",
+                               "--band-sigmas", value)
+    assert code == 2
+    assert stdout == ""
+    assert "error: argument --band-sigmas:" in stderr
+
+
+@pytest.mark.parametrize(
+    ("extra", "expected"), [(["--band-sigmas", "0"], 0.0), ([], 2.0)], ids=["zero", "default"]
+)
+def test_band_sigmas_accepts_zero_and_the_default(capsys, extra, expected):
+    code, stdout, _ = run(capsys, "zeroland", "--spec", "well607b", "--max-n", "400",
+                          "--json", *extra)
+    assert code == 0
+    assert json.loads(stdout)["band_sigmas"] == expected
+
+
 def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("F2SPECTRA_THREADS", "2")
     code, stdout, _ = run(

@@ -20,10 +20,11 @@ from f2spectra.spectral import (
     entropy,
     eigenvalues,
     power_spectrum,
-    real_matpow,
     spectrum_csv,
     to_real_matrix,
 )
+
+from _oracles import real_matpow
 
 
 def _random_bitmatrix(dim: int, seed: int) -> BitMatrix:
