@@ -29,15 +29,16 @@ in it and both matter:
   integer characteristic polynomials differ exactly when m = 1 and a
   is odd.
 * The assembled matrix is the transpose of the canonical dynamics mod
-  2 (``mt_step_matrix``), so it acts on state row vectors; transposing
-  does not change characteristic polynomials.
+  2 (``mt_step_matrix`` in ``tests/_oracles.py``), so it acts on state
+  row vectors; transposing does not change characteristic polynomials.
 
-Everything here is verifiable: ``mt_step_matrix`` builds the transition
-matrix in canonical coordinates directly from the block structure (it
-must equal the probe-extracted matrix of a matching generator), and
-``brute_charpoly`` computes exact integer characteristic polynomials by
-Bareiss determinant evaluation plus Lagrange interpolation, giving an
-independent oracle for every formula above at small dimensions.
+Everything here is verifiable: ``tests/_oracles.py::mt_step_matrix``
+builds the transition matrix in canonical coordinates directly from the
+block structure (it must equal the probe-extracted matrix of a matching
+generator), and ``brute_charpoly`` computes exact integer characteristic
+polynomials by Bareiss determinant evaluation plus Lagrange
+interpolation, giving an independent oracle for every formula above at
+small dimensions.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def assemble_block_matrix(spec: BlockSpec) -> list[list[int]]:
     at scalar row (n-1-m)w, column 0.  Entries are summed over the
     integers, so the m = 1 tap straddle can produce entries equal to 2;
     everywhere else the matrix is 0/1.  Reduced mod 2 it is the
-    transpose of ``mt_step_matrix``.
+    transpose of ``tests/_oracles.py::mt_step_matrix``.
     """
     n, m, w, r, a = spec.n, spec.m, spec.w, spec.r, spec.a
     dim = spec.dim
@@ -314,44 +315,6 @@ def assemble_block_matrix(spec: BlockSpec) -> list[list[int]]:
         for c in range(w):
             row[c] += s_block[q][c]
     return mat
-
-
-def mt_step_matrix(spec: BlockSpec) -> BitMatrix:
-    """One-step transition matrix in canonical coordinates, (nw - r)-square.
-
-    Block j holds the j-th newest word, most significant coordinate
-    first; the last block is the oldest word truncated to its w - r live
-    coordinates.  Rows are output coordinates, so this matrix times a
-    canonical state vector is the stepped state — it must agree with the
-    probe-extracted matrix of a generator running the same recurrence.
-    """
-    n, m, w, r, a = spec.n, spec.m, spec.w, spec.r, spec.a
-    dim = spec.dim
-    rows = [0] * dim
-
-    def z_col(p: int) -> int:
-        # w-coordinate splice feeding the twist: top w-r coordinates from
-        # the oldest block, low r coordinates from the second-oldest.
-        if p < w - r:
-            return (n - 1) * w + p
-        return (n - 2) * w + p
-
-    # new block 0: twist of the splice plus the tap block n-1-m
-    for q in range(w):
-        row = 1 << ((n - 1 - m) * w + q)
-        if q >= 1:
-            row ^= 1 << z_col(q - 1)
-        if (a >> (w - 1 - q)) & 1:
-            row ^= 1 << z_col(w - 1)
-        rows[q] = row
-    # blocks 1..n-2 shift down
-    for j in range(1, n - 1):
-        for q in range(w):
-            rows[j * w + q] = 1 << ((j - 1) * w + q)
-    # the new oldest block keeps the top w-r coordinates of block n-2
-    for q in range(w - r):
-        rows[(n - 1) * w + q] = 1 << ((n - 2) * w + q)
-    return BitMatrix.from_int_rows(rows, dim)
 
 
 # -- exact brute-force characteristic polynomials -------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from ._util import resolve_threads
-from .bitlinalg import extract_transition_matrix, write_matrix
+from .bitlinalg import BitVector, extract_transition_matrix, write_matrix
 from .charpoly import (
     BlockSpec,
     assemble_block_matrix,
@@ -34,19 +34,8 @@ from .charpoly import (
     tgfsr_charpoly,
 )
 from .generators import get_spec, list_specs, make_generator
-from .gf2poly import (
-    find_low_weight_state,
-    format_minpoly,
-    jump_ahead,
-    minimal_polynomial,
-)
-from .spectral import (
-    DEFAULT_EIGEN_CAP,
-    eigenvalues,
-    entropy,
-    power_spectrum,
-    spectrum_csv,
-)
+from .gf2poly import format_minpoly, jump_ahead, minimal_polynomial
+from .spectral import DEFAULT_EIGEN_CAP, eigenvalues, entropy, spectrum_csv
 from .zeroland import (
     DEFAULT_BAND_SIGMAS,
     balanced_time,
@@ -185,8 +174,6 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         )
     mat = extract_transition_matrix(spec, threads=args.threads)
     spectrum = eigenvalues(mat, source=spec.name, cap=cap)
-    if args.power != 1:
-        spectrum = power_spectrum(spectrum, args.power)
     report = entropy(spectrum, name=spec.name)
     outputs: list[str] = []
     if args.out:
@@ -201,7 +188,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         args,
         "entropy",
         [spec.name],
-        {"power": args.power, "extended": args.extended, "out": args.out},
+        {"extended": args.extended, "out": args.out},
         outputs,
         payload,
         lines,
@@ -372,9 +359,9 @@ def cmd_zeroland(args: argparse.Namespace) -> int:
 def cmd_badseed(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec = get_spec(args.spec)
-    vector = find_low_weight_state(spec, args.d)
     gen = make_generator(spec)
-    gen.set_state_vector(vector)
+    gen.set_state_vector(BitVector.unit(spec.k, 0))
+    jump_ahead(gen, -args.d)
     text = format_seed_text(gen.get_raw_state(), spec)
     outputs: list[str] = []
     if args.out:
@@ -526,7 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_matrix)
 
     sub = add("entropy", "Eigenvalue spectrum and entropy report.", threads=True)
-    sub.add_argument("--power", type=int, default=1, help="matrix power for the spectrum (default 1)")
     sub.add_argument(
         "--extended",
         action="store_true",
@@ -564,8 +550,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", help="trace CSV path")
     sub.set_defaults(func=cmd_zeroland)
 
-    sub = add("badseed", "State that lands on the single-bit corner after d steps.")
-    sub.add_argument("--d", type=_int_arg, required=True, help="steps before the corner")
+    sub = add("badseed", "State that reaches e_0 after d steps (a backward jump from e_0).")
+    sub.add_argument("--d", type=_int_arg, required=True, help="steps before reaching e_0")
     sub.add_argument("--out", help="seed file path (default: stdout)")
     sub.set_defaults(func=cmd_badseed)
 

@@ -13,9 +13,12 @@ polynomial with the transforms of its two fixed operands computed once.
 
 ``berlekamp_massey`` recovers the minimal LFSR connection polynomial of
 a bit sequence; fed 2k+64 output bits of a k-dimensional generator it
-returns the full characteristic polynomial of the transition matrix,
-which ``jump_ahead`` then uses to advance any generator by an arbitrary
-step count via Horner evaluation of t^steps mod that polynomial.
+returns the full characteristic polynomial p of the transition matrix B.
+``jump_ahead`` moves any generator by a signed step count via Horner
+evaluation of t^steps mod p.  A backward jump needs only that B is
+invertible, which p(0) = 1 states: t^-1 mod p is then (p + 1)/t, and
+raising it to the power -steps costs as many squarings as a forward
+jump of the same length.  No period is assumed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .bitlinalg import BitVector
     from .generators import Generator, GeneratorSpec
 
 #: Arbitrary-precision unsigned integers are plain Python ints.
@@ -306,24 +308,21 @@ def output_bit_sequence(spec: "GeneratorSpec", nbits: int, seed: int = 12345) ->
     return seq
 
 
-def minimal_polynomial(
-    spec: "GeneratorSpec", seed: int = 12345, use_cache: bool = True
-) -> GF2Poly:
+def minimal_polynomial(spec: "GeneratorSpec", seed: int = 12345) -> GF2Poly:
     """Minimal polynomial of the transition matrix, via 2k+64 output bits.
 
     The returned polynomial is oriented so that it annihilates the
     transition matrix B (monic in t, constant term 1): it is the
-    reciprocal of the connection polynomial ``berlekamp_massey``
-    recovers.  It has full degree k for every bundled generator (their
-    characteristic polynomials are primitive), so it is simultaneously
-    the characteristic polynomial and annihilates every state.  Results
-    for the bundled generators ship as hex files; pass
-    ``use_cache=False`` to force recomputation.
+    reciprocal of the degree-k connection polynomial ``berlekamp_massey``
+    recovers, whose own constant term is 1.  It has full degree k for
+    every bundled generator (their characteristic polynomials are
+    primitive), so it is simultaneously the characteristic polynomial and
+    annihilates every state.  Results for the bundled generators at seed
+    12345 ship as hex files; any other seed recomputes.
     """
-    if use_cache:
-        cached = _bundled_minpoly(spec.name, seed)
-        if cached is not None:
-            return cached
+    cached = _bundled_minpoly(spec.name, seed)
+    if cached is not None:
+        return cached
     nbits = 2 * spec.k + 64
     conn = berlekamp_massey(output_bit_sequence(spec, nbits, seed), nbits)
     if conn.degree != spec.k:
@@ -385,15 +384,17 @@ def _bundled_minpoly(name: str, seed: int) -> GF2Poly | None:
 # -- jump-ahead ---------------------------------------------------------
 
 
-def jump_polynomial(
-    spec: "GeneratorSpec", steps: BigUint, minpoly: GF2Poly | None = None
-) -> GF2Poly:
-    """t^steps mod the minimal polynomial of the transition matrix."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative; to go backward, add the period")
-    if minpoly is None:
-        minpoly = minimal_polynomial(spec)
-    return GF2Poly.from_degrees([1]).pow_mod(steps, minpoly)
+def jump_polynomial(spec: "GeneratorSpec", steps: int) -> GF2Poly:
+    """t^steps mod p, the minimal polynomial of the transition matrix B.
+
+    ``steps`` may be negative.  ``minimal_polynomial`` returns p with
+    p(0) = 1, so B is invertible and t^-1 mod p = (p + 1)/t; a backward
+    jump raises that to the power -steps, at the cost of a forward jump
+    of the same length.
+    """
+    p = minimal_polynomial(spec)
+    base = GF2Poly.from_degrees([1]) if steps >= 0 else GF2Poly((p.bits ^ 1) >> 1)
+    return base.pow_mod(abs(steps), p)
 
 
 def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
@@ -426,27 +427,7 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
     gen.set_raw_state(acc.get_raw_state())  # normalizes the cursor, clears dead bits
 
 
-def jump_ahead(gen: "Generator", steps: BigUint, minpoly: GF2Poly | None = None) -> None:
-    """Advance ``gen`` by exactly ``steps`` recurrence steps in O(k) work."""
-    apply_transition_polynomial(gen, jump_polynomial(gen.spec, steps, minpoly))
-
-
-def find_low_weight_state(
-    spec: "GeneratorSpec", d: BigUint, minpoly: GF2Poly | None = None
-) -> "BitVector":
-    """The state that reaches canonical unit vector e_0 after ``d`` steps.
-
-    Jumping the weight-1 state forward by period-minus-d (the period is
-    2^k - 1) lands on the predecessor d steps back — the worst seeds for
-    the zeroland diagnostics, states whose entire trajectory stays
-    near-degenerate for d steps.
-    """
-    from .bitlinalg import BitVector
-    from .generators import make_generator
-
-    if not 0 <= d < (1 << spec.k) - 1:
-        raise ValueError("d must lie in [0, period)")
-    gen = make_generator(spec)
-    gen.set_state_vector(BitVector.unit(spec.k, 0))
-    jump_ahead(gen, (1 << spec.k) - 1 - d, minpoly)
-    return gen.state_vector()
+def jump_ahead(gen: "Generator", steps: int) -> None:
+    """Move ``gen`` by exactly ``steps`` recurrence steps in O(k) work,
+    backward when ``steps`` is negative (see ``jump_polynomial``)."""
+    apply_transition_polynomial(gen, jump_polynomial(gen.spec, steps))

@@ -13,9 +13,7 @@ and the CSV/JSON views downstream tooling consumes.
 
 The eigensolver is a standard dense nonsymmetric solve (balancing +
 Hessenberg reduction + shifted QR) provided by LAPACK through SciPy;
-everything asserted about the results is cross-checked elsewhere by
-exact integer oracles (determinant products, matrix powers) at small
-dimensions.
+the tests check it on small matrices with known spectra.
 """
 
 from __future__ import annotations
@@ -57,15 +55,10 @@ class SingularSpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full complex spectrum of a transition matrix power.
-
-    ``power`` records which matrix power the eigenvalues belong to
-    (1 for B itself, n for B^n views).
-    """
+    """Full complex spectrum of a transition matrix."""
 
     eigenvalues: np.ndarray
     source: str = ""
-    power: int = 1
 
     @property
     def k(self) -> int:
@@ -93,7 +86,6 @@ class EntropyReport:
     max_modulus: float
     count_inside: int
     count_outside: int
-    power: int
 
     def to_json(self) -> str:
         return json.dumps(
@@ -105,15 +97,14 @@ class EntropyReport:
                 "h_per_bit": self.h_per_bit,
                 "min_modulus": self.min_modulus,
                 "max_modulus": self.max_modulus,
-                "power": self.power,
             }
         )
 
 
-def to_real_matrix(mat: BitMatrix, order: str = "F") -> np.ndarray:
-    """The 0/1 matrix as float64, column-major by default so the
-    eigensolver can work in place without an extra k-square copy."""
-    out = np.empty((mat.rows, mat.cols), dtype=np.float64, order=order)
+def to_real_matrix(mat: BitMatrix) -> np.ndarray:
+    """The 0/1 matrix as float64, column-major so the eigensolver can
+    work in place without an extra k-square copy."""
+    out = np.empty((mat.rows, mat.cols), dtype=np.float64, order="F")
     packed = mat.storage.view(np.uint8).reshape(mat.rows, -1)
     for i in range(mat.rows):
         bits = np.unpackbits(packed[i], bitorder="little")
@@ -121,64 +112,30 @@ def to_real_matrix(mat: BitMatrix, order: str = "F") -> np.ndarray:
     return out
 
 
-def eigenvalues(
-    mat: BitMatrix | np.ndarray,
-    source: str = "",
-    power: int = 1,
-    cap: int = DEFAULT_EIGEN_CAP,
-) -> Spectrum:
-    """Full complex spectrum of a real square matrix.
+def eigenvalues(mat: BitMatrix, source: str = "", cap: int = DEFAULT_EIGEN_CAP) -> Spectrum:
+    """Full complex spectrum of a square 0/1 matrix, read as a real matrix.
 
-    Accepts a 0/1 ``BitMatrix`` or any real ndarray.  The ndarray is
-    consumed (overwritten) when it is float64 and column-major;
-    otherwise a working copy is made.
+    Dimensions above ``cap`` are refused: the dense solve is O(k^3).
     """
-    if isinstance(mat, BitMatrix):
-        if mat.rows != mat.cols:
-            raise ValueError("matrix must be square")
-        dim = mat.rows
-        if dim > cap:
-            raise ValueError(
-                f"dimension {dim} exceeds the eigensolve cap {cap}; "
-                "raise the cap explicitly for long dense solves"
-            )
-        work = to_real_matrix(mat)
-    else:
-        arr = np.asarray(mat)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("matrix must be square")
-        dim = arr.shape[0]
-        if dim > cap:
-            raise ValueError(
-                f"dimension {dim} exceeds the eigensolve cap {cap}; "
-                "raise the cap explicitly for long dense solves"
-            )
-        work = np.asfortranarray(arr, dtype=np.float64)
-        if work is arr:
-            work = work.copy(order="F")
+    if mat.rows != mat.cols:
+        raise ValueError("matrix must be square")
+    dim = mat.rows
+    if dim > cap:
+        raise ValueError(
+            f"dimension {dim} exceeds the eigensolve cap {cap}; "
+            "raise the cap explicitly for long dense solves"
+        )
+    work = to_real_matrix(mat)
     try:
         vals = scipy.linalg.eigvals(work, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigensolveError(f"eigensolver failed to converge at dimension {dim}") from exc
-    spectrum = Spectrum(eigenvalues=vals, source=source, power=power)
+    spectrum = Spectrum(eigenvalues=vals, source=source)
     if spectrum.k and float(np.min(np.abs(vals))) <= SINGULAR_MODULUS:
         raise SingularSpectrumError(
             "eigenvalue modulus at or below 1e-12: matrix is numerically singular"
         )
     return spectrum
-
-
-def power_spectrum(spectrum: Spectrum, n: int) -> Spectrum:
-    """Spectrum of the n-th matrix power: each eigenvalue to the n-th."""
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    if n == 1:
-        return spectrum
-    return Spectrum(
-        eigenvalues=spectrum.eigenvalues**n,
-        source=spectrum.source,
-        power=spectrum.power * n,
-    )
 
 
 def entropy(spectrum: Spectrum, w: int | None = None, name: str | None = None) -> EntropyReport:
@@ -212,7 +169,6 @@ def entropy(spectrum: Spectrum, w: int | None = None, name: str | None = None) -
         max_modulus=float(np.max(moduli)),
         count_inside=int(np.count_nonzero(inside)),
         count_outside=int(np.count_nonzero(outside)),
-        power=spectrum.power,
     )
 
 

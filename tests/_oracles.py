@@ -11,8 +11,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from f2spectra.bitlinalg import BitMatrix, BitVector
-from f2spectra.charpoly import ZPoly
-from f2spectra.spectral import to_real_matrix
+from f2spectra.charpoly import BlockSpec, ZPoly
 
 
 # -- GF(2) linear algebra ------------------------------------------------------
@@ -112,41 +111,48 @@ def read_matrix(source: TextIO) -> BitMatrix:
     return BitMatrix.from_int_rows(rows, cols)
 
 
-# -- integer matrices ----------------------------------------------------------
+# -- twisted-GFSR block structure ---------------------------------------------
 
 
-def real_matpow(mat: BitMatrix, n: int) -> np.ndarray:
-    """The n-th power of the 0/1 matrix over the integers, carried in
-    float64.
+def mt_step_matrix(spec: BlockSpec) -> BitMatrix:
+    """One-step transition matrix in canonical coordinates, (nw - r)-square.
 
-    Square-and-multiply with an exactness guard: every intermediate
-    entry must stay below 2^53, where float64 still represents integers
-    exactly.  Raises OverflowError once entries outgrow that range.
+    Block j holds the j-th newest word, most significant coordinate
+    first; the last block is the oldest word truncated to its w - r live
+    coordinates.  Rows are output coordinates, so this matrix times a
+    canonical state vector is the stepped state — it must agree with the
+    probe-extracted matrix of a generator running the same recurrence.
     """
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    base = to_real_matrix(mat, order="C")
+    n, m, w, r, a = spec.n, spec.m, spec.w, spec.r, spec.a
+    dim = spec.dim
+    rows = [0] * dim
 
-    def checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = a @ b
-        if float(out.max(initial=0.0)) >= 2.0**53:
-            raise OverflowError(
-                "integer matrix power exceeds exact float64 range (2^53)"
-            )
-        return out
+    def z_col(p: int) -> int:
+        # w-coordinate splice feeding the twist: top w-r coordinates from
+        # the oldest block, low r coordinates from the second-oldest.
+        if p < w - r:
+            return (n - 1) * w + p
+        return (n - 2) * w + p
 
-    result: np.ndarray | None = None
-    square = base
-    e = n
-    while True:
-        if e & 1:
-            result = square.copy() if result is None else checked(result, square)
-        e >>= 1
-        if not e:
-            break
-        square = checked(square, square)
-    assert result is not None
-    return result
+    # new block 0: twist of the splice plus the tap block n-1-m
+    for q in range(w):
+        row = 1 << ((n - 1 - m) * w + q)
+        if q >= 1:
+            row ^= 1 << z_col(q - 1)
+        if (a >> (w - 1 - q)) & 1:
+            row ^= 1 << z_col(w - 1)
+        rows[q] = row
+    # blocks 1..n-2 shift down
+    for j in range(1, n - 1):
+        for q in range(w):
+            rows[j * w + q] = 1 << ((j - 1) * w + q)
+    # the new oldest block keeps the top w-r coordinates of block n-2
+    for q in range(w - r):
+        rows[(n - 1) * w + q] = 1 << ((n - 2) * w + q)
+    return BitMatrix.from_int_rows(rows, dim)
+
+
+# -- integer matrices ----------------------------------------------------------
 
 
 def fl_charpoly(mat: Sequence[Sequence[int]]) -> ZPoly:

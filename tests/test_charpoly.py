@@ -21,13 +21,12 @@ from f2spectra.charpoly import (
     brute_charpoly,
     det_int,
     mt_charpoly,
-    mt_step_matrix,
     phi_A,
     tgfsr_charpoly,
     twist_companion_matrix,
 )
 
-from _oracles import fl_charpoly
+from _oracles import fl_charpoly, mt_step_matrix
 
 TOY_MT8 = GeneratorSpec(
     name="toy-mt8",

@@ -89,19 +89,8 @@ def test_entropy_json_and_csv(tmp_path, capsys):
     assert payload["name"] == "well607b"
     assert payload["k"] == 607
     assert payload["h"] == pytest.approx(26.66, abs=0.05)
-    assert payload["manifest"]["parameters"]["power"] == 1
     csv_lines = out.read_text().strip().split("\n")
     assert csv_lines[0] == "re,im,modulus" and len(csv_lines) == 608
-
-
-def test_entropy_power_flag(capsys):
-    code, stdout, _ = run(capsys, "entropy", "--spec", "well607b", "--json", "--power", "3")
-    base_code, base_out, _ = run(capsys, "entropy", "--spec", "well607b", "--json")
-    assert code == base_code == 0
-    powered = json.loads(stdout)
-    base = json.loads(base_out)
-    assert powered["power"] == 3
-    assert powered["h"] == pytest.approx(3 * base["h"], rel=1e-9)
 
 
 def test_entropy_cap_requires_extended_flag(capsys):
@@ -183,6 +172,22 @@ def test_badseed_stdout_is_a_seed_file(capsys):
     assert code == 0
     state = parse_seed_text(stdout, get_spec("melg607"))
     assert state.lung is not None
+
+
+def test_badseed_d_beyond_the_period_wraps(capsys):
+    # well607b has period 2^607 - 1, so 2^607 + 5 steps back is 6 steps back
+    code, far, _ = run(capsys, "badseed", "--spec", "well607b", "--d", str(2**607 + 5))
+    assert code == 0
+    code, near, _ = run(capsys, "badseed", "--spec", "well607b", "--d", "6")
+    assert code == 0
+    assert far == near
+
+
+def test_badseed_negative_d_is_a_usage_error(capsys):
+    code, stdout, stderr = run(capsys, "badseed", "--spec", "well607b", "--d", "-1")
+    assert code == 2
+    assert stdout == ""
+    assert "error: argument --d" in stderr
 
 
 def test_zeroland_missing_seed_file_fails(capsys):

@@ -19,12 +19,9 @@ from f2spectra.spectral import (
     Spectrum,
     entropy,
     eigenvalues,
-    power_spectrum,
     spectrum_csv,
     to_real_matrix,
 )
-
-from _oracles import real_matpow
 
 
 def _random_bitmatrix(dim: int, seed: int) -> BitMatrix:
@@ -49,7 +46,7 @@ def test_to_real_matrix_roundtrip():
 def test_swap_matrix_spectrum():
     spec = eigenvalues(BitMatrix.from_int_rows([0b10, 0b01], 2), source="swap")
     assert sorted(v.real for v in spec.eigenvalues) == pytest.approx([-1.0, 1.0])
-    assert spec.source == "swap" and spec.power == 1 and spec.k == 2
+    assert spec.source == "swap" and spec.k == 2
 
 
 def test_golden_ratio_entropy():
@@ -83,46 +80,6 @@ def test_singular_matrix_is_rejected():
         eigenvalues(BitMatrix.zeros(3, 3))
 
 
-def test_ndarray_input():
-    arr = np.array([[0.0, 2.0], [0.5, 0.0]])
-    spec = eigenvalues(arr)
-    assert sorted(np.abs(spec.eigenvalues)) == pytest.approx([1.0, 1.0])
-
-
-# -- powers ---------------------------------------------------------------------
-
-
-def test_power_spectrum_identity_is_noop():
-    spec = eigenvalues(_random_bitmatrix(12, 3))
-    assert power_spectrum(spec, 1) is spec
-
-
-def test_power_spectrum_matches_matrix_power():
-    m = _random_bitmatrix(16, 4)
-    base = eigenvalues(m)
-    powered = power_spectrum(base, 5)
-    assert powered.power == 5
-    direct = eigenvalues(real_matpow(m, 5), source=base.source)
-    assert sorted(np.abs(powered.eigenvalues)) == pytest.approx(
-        sorted(np.abs(direct.eigenvalues)), rel=1e-9
-    )
-
-
-def test_entropy_respects_the_power_law():
-    m = _random_bitmatrix(24, 5)
-    spec = eigenvalues(m)
-    h1 = entropy(spec, w=1).h
-    h6 = entropy(power_spectrum(spec, 6), w=1).h
-    assert h6 == pytest.approx(6 * h1, rel=1e-12)
-
-
-def test_real_matpow_guards_against_float_overflow():
-    ones = BitMatrix.from_int_rows([0b11, 0b11], 2)
-    assert real_matpow(ones, 10).max() == 2.0**9
-    with pytest.raises(OverflowError):
-        real_matpow(ones, 60)
-
-
 # -- report ----------------------------------------------------------------------
 
 
@@ -139,14 +96,14 @@ def test_entropy_json_fields():
     report = entropy(eigenvalues(BitMatrix.identity(4)), w=2, name="eye")
     payload = json.loads(report.to_json())
     assert set(payload) == {
-        "name", "k", "w", "h", "h_per_bit", "min_modulus", "max_modulus", "power",
+        "name", "k", "w", "h", "h_per_bit", "min_modulus", "max_modulus",
     }
     assert payload["name"] == "eye" and payload["k"] == 4 and payload["w"] == 2
 
 
 def test_entropy_boundary_band_is_excluded():
     values = np.array([1.0 - BOUNDARY_TOL / 2, 1.0 + BOUNDARY_TOL / 2, 0.5, 2.0])
-    spec = Spectrum(eigenvalues=values.astype(np.complex128), source="", power=1)
+    spec = Spectrum(eigenvalues=values.astype(np.complex128), source="")
     report = entropy(spec, w=1)
     assert report.count_inside == 1 and report.count_outside == 1
     assert report.h == pytest.approx(-math.log(0.5), rel=1e-12)
