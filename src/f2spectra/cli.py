@@ -1,10 +1,16 @@
 """Command-line surface: matrix, spectrum, and polynomial artifacts.
 
-Every subcommand that writes a file also writes ``<path>.manifest.json``
-next to its first output, recording the command, generator names,
-parameters, output paths, wall time, and tool version.  Runs whose only
-output is stdout carry the same manifest inline under ``--json``.
-Except for ``bench``, every command is deterministic given its flags.
+Each ``cmd_*`` function does only its own work and returns a ``Result``.
+``main`` does every step the commands share: it resolves ``--threads``
+and ``--spec``, times the command, builds the run manifest (command,
+generator names, parameters, output paths, wall time, tool version),
+writes it to ``<path>.manifest.json`` beside the first output file, and
+prints the text lines or, under ``--json``, the payload with the
+manifest inline.  ``parameters`` holds every parsed flag with its
+default resolved, except ``--spec`` (named in ``specs``) and ``--json``;
+a command whose defaults depend on its mode writes the resolved values
+back.  Except for ``bench``, every command is deterministic given its
+flags.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ import platform
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,64 +54,23 @@ from .zeroland import (
 
 MT_BLOCK = BlockSpec(n=624, m=397, w=32, r=31, a=0x9908B0DF)
 
-
-# -- run manifests -----------------------------------------------------------
+#: Namespace entries that are not run parameters: the subcommand and its
+#: handler, the output format, and ``--spec`` (the manifest's ``specs``).
+_NOT_PARAMETERS = frozenset({"command", "func", "json", "spec"})
 
 
 @dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written alongside every file artifact."""
+class Result:
+    """What a command hands back to ``main``.
 
-    command: str
-    specs: tuple[str, ...]
-    parameters: dict[str, Any]
-    outputs: tuple[str, ...]
-    wall_time_s: float
-    version: str = __version__
+    ``specs`` names the generators used by a command without ``--spec``.
+    """
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "specs": list(self.specs),
-                "parameters": self.parameters,
-                "outputs": list(self.outputs),
-                "wall_time_s": self.wall_time_s,
-                "version": self.version,
-            },
-            indent=2,
-        )
-
-
-def _finish(
-    args: argparse.Namespace,
-    command: str,
-    specs: Sequence[str],
-    parameters: dict[str, Any],
-    outputs: Sequence[str],
-    payload: dict[str, Any],
-    lines: Sequence[str],
-    started: float,
-    ok: bool = True,
-) -> int:
-    """Write the manifest, print the result, and map ``ok`` to an exit code."""
-    manifest = RunManifest(
-        command=command,
-        specs=tuple(specs),
-        parameters=parameters,
-        outputs=tuple(outputs),
-        wall_time_s=round(time.perf_counter() - started, 3),
-    )
-    if outputs:
-        Path(outputs[0] + ".manifest.json").write_text(manifest.to_json() + "\n")
-    if getattr(args, "json", False):
-        body = dict(payload)
-        body["manifest"] = json.loads(manifest.to_json())
-        print(json.dumps(body, indent=2))
-    else:
-        for line in lines:
-            print(line)
-    return 0 if ok else 1
+    payload: dict[str, Any]
+    lines: Sequence[str]
+    outputs: Sequence[str] = ()
+    ok: bool = True
+    specs: Sequence[str] = ()
 
 
 def _int_arg(text: str, minimum: int = 0) -> int:
@@ -137,36 +103,23 @@ def _nonnegative_float_arg(text: str) -> float:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_matrix(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    spec = get_spec(args.spec)
+def cmd_matrix(args: argparse.Namespace) -> Result:
+    spec = args.spec
     if args.json and not args.out:
         raise ValueError("matrix --json needs --out (the matrix itself goes to the file)")
     mat = extract_transition_matrix(spec, threads=args.threads)
-    outputs: list[str] = []
     if args.out:
         with open(args.out, "w") as sink:
             write_matrix(mat, sink)
-        outputs.append(args.out)
         lines = [f"{spec.name}: wrote {mat.rows}x{mat.cols} transition matrix to {args.out}"]
     else:
         write_matrix(mat, sys.stdout)
         lines = []
-    return _finish(
-        args,
-        "matrix",
-        [spec.name],
-        {"out": args.out, "threads": args.threads},
-        outputs,
-        {"name": spec.name, "k": mat.rows},
-        lines,
-        t0,
-    )
+    return Result({"name": spec.name, "k": mat.rows}, lines, [args.out] if args.out else [])
 
 
-def cmd_entropy(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    spec = get_spec(args.spec)
+def cmd_entropy(args: argparse.Namespace) -> Result:
+    spec = args.spec
     cap = max(DEFAULT_EIGEN_CAP, spec.k) if args.extended else DEFAULT_EIGEN_CAP
     if spec.k > cap:
         raise ValueError(
@@ -174,54 +127,32 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         )
     mat = extract_transition_matrix(spec, threads=args.threads)
     spectrum = eigenvalues(mat, source=spec.name, cap=cap)
-    report = entropy(spectrum, name=spec.name)
-    outputs: list[str] = []
+    report_json = entropy(spectrum, w=spec.w).to_json()
+    lines = [report_json]
     if args.out:
         with open(args.out, "w") as sink:
             spectrum_csv(spectrum, sink)
-        outputs.append(args.out)
-    payload = json.loads(report.to_json())
-    lines = [report.to_json()]
-    if outputs:
-        lines.append(f"wrote spectrum CSV to {outputs[0]}")
-    return _finish(
-        args,
-        "entropy",
-        [spec.name],
-        {"extended": args.extended, "out": args.out},
-        outputs,
-        payload,
-        lines,
-        t0,
-    )
+        lines.append(f"wrote spectrum CSV to {args.out}")
+    return Result(json.loads(report_json), lines, [args.out] if args.out else [])
 
 
-def cmd_minpoly(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    spec = get_spec(args.spec)
+def cmd_minpoly(args: argparse.Namespace) -> Result:
+    spec = args.spec
     poly = minimal_polynomial(spec, seed=args.seed)
-    outputs: list[str] = []
+    payload = {"name": spec.name, "degree": poly.degree, "n1": poly.weight}
+    lines = [f"{spec.name}: degree={poly.degree} N1={poly.weight}"]
     if args.out:
         Path(args.out).write_text(format_minpoly(spec.name, args.seed, poly))
-        outputs.append(args.out)
-    lines = [f"{spec.name}: degree={poly.degree} N1={poly.weight}"]
-    if outputs:
-        lines.append(f"wrote minimal polynomial to {outputs[0]}")
-    return _finish(
-        args,
-        "minpoly",
-        [spec.name],
-        {"seed": args.seed, "out": args.out},
-        outputs,
-        {"name": spec.name, "degree": poly.degree, "n1": poly.weight},
-        lines,
-        t0,
-    )
+        lines.append(f"wrote minimal polynomial to {args.out}")
+    return Result(payload, lines, [args.out] if args.out else [])
 
 
-def _appendix_a_checks(trials: int, rng: random.Random) -> list[tuple[str, bool]]:
+Checks = list[tuple[str, bool]]
+
+
+def _appendix_a_checks(trials: int, rng: random.Random) -> Checks:
     """Random narrow-word, r=0 configs: closed form against the exact charpoly."""
-    checks: list[tuple[str, bool]] = []
+    checks: Checks = []
     plus_differs = 0
     for _ in range(trials):
         n = rng.randint(2, 6)
@@ -241,9 +172,9 @@ def _appendix_a_checks(trials: int, rng: random.Random) -> list[tuple[str, bool]
     return checks
 
 
-def _appendix_b_checks(trials: int, rng: random.Random) -> list[tuple[str, bool]]:
+def _appendix_b_checks(trials: int, rng: random.Random) -> Checks:
     """Random r>=1 configs small enough for the exact determinant oracle."""
-    checks: list[tuple[str, bool]] = []
+    checks: Checks = []
     for _ in range(trials):
         w = rng.randint(2, 8)
         r = rng.randint(1, w - 1)
@@ -257,7 +188,8 @@ def _appendix_b_checks(trials: int, rng: random.Random) -> list[tuple[str, bool]
     return checks
 
 
-def _mt19937_mod2_checks() -> list[tuple[str, bool]]:
+def _mt19937_mod2_checks(trials: int, rng: random.Random) -> Checks:
+    """The full-size closed form mod 2 against Berlekamp-Massey; samples nothing."""
     phi2 = mt_charpoly(MT_BLOCK).to_gf2()
     poly = minimal_polynomial(get_spec("mt19937"))
     return [
@@ -266,18 +198,17 @@ def _mt19937_mod2_checks() -> list[tuple[str, bool]]:
     ]
 
 
-def cmd_charpoly(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    rng = random.Random(args.rng_seed)
-    if args.check == "verify-appendix-a":
-        checks = _appendix_a_checks(args.trials, rng)
-        specs: list[str] = []
-    elif args.check == "verify-appendix-b":
-        checks = _appendix_b_checks(args.trials, rng)
-        specs = []
-    else:
-        checks = _mt19937_mod2_checks()
-        specs = ["mt19937"]
+#: ``charpoly`` check name -> (checks, generators it uses).
+CHARPOLY_CHECKS: dict[str, tuple[Callable[[int, random.Random], Checks], tuple[str, ...]]] = {
+    "verify-appendix-a": (_appendix_a_checks, ()),
+    "verify-appendix-b": (_appendix_b_checks, ()),
+    "mt19937-mod2": (_mt19937_mod2_checks, ("mt19937",)),
+}
+
+
+def cmd_charpoly(args: argparse.Namespace) -> Result:
+    run_checks, specs = CHARPOLY_CHECKS[args.check]
+    checks = run_checks(args.trials, random.Random(args.rng_seed))
     ok = all(passed for _, passed in checks)
     lines = [f"{'PASS' if passed else 'FAIL'}  {name}" for name, passed in checks]
     lines.append(f"{args.check}: {'all checks passed' if ok else 'CHECKS FAILED'}")
@@ -286,110 +217,65 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
         "results": [{"name": name, "pass": passed} for name, passed in checks],
         "all_pass": ok,
     }
-    return _finish(
-        args,
-        "charpoly",
-        specs,
-        {"check": args.check, "trials": args.trials, "rng_seed": args.rng_seed},
-        [],
-        payload,
-        lines,
-        t0,
-        ok=ok,
-    )
+    return Result(payload, lines, ok=ok, specs=specs)
 
 
-def cmd_zeroland(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    spec = get_spec(args.spec)
-    outputs: list[str] = []
+def cmd_zeroland(args: argparse.Namespace) -> Result:
+    spec = args.spec
     if args.seed_file:
-        p = args.p if args.p is not None else -(-spec.k // spec.w)
-        max_n = args.max_n if args.max_n is not None else 8000
+        mode, p_default, max_n_default = "replay", -(-spec.k // spec.w), 8000
+    else:
+        mode, p_default, max_n_default = "sweep", 100, 2000
+    args.p = p = p_default if args.p is None else args.p
+    args.max_n = max_n = max_n_default if args.max_n is None else args.max_n
+    payload: dict[str, Any] = {"name": spec.name, "mode": mode, "p": p, "max_n": max_n}
+    if args.seed_file:
         trace = replay_seed(spec, args.seed_file, p=p, max_n=max_n)
         idx = int(np.argmin(trace.values))
         min_gamma = float(trace.values[idx])
         min_at = int(trace.normalized_positions()[idx])
-        payload: dict[str, Any] = {
-            "name": spec.name,
-            "mode": "replay",
-            "p": p,
-            "max_n": max_n,
-            "min_gamma": min_gamma,
-            "min_at": min_at,
-        }
+        payload.update(min_gamma=min_gamma, min_at=min_at)
         lines = [
             f"{spec.name}: replay of {args.seed_file} dips to gamma={min_gamma:.4f} "
             f"at normalized n={min_at} (window p={p})"
         ]
-        parameters: dict[str, Any] = {"seed_file": args.seed_file, "p": p, "max_n": max_n}
     else:
-        p = args.p if args.p is not None else 100
-        max_n = args.max_n if args.max_n is not None else 2000
         trace = unit_seed_sweep(spec, p=p, max_n=max_n, threads=args.threads)
         settled = balanced_time(trace, band_sigmas=args.band_sigmas)
-        payload = {
-            "name": spec.name,
-            "mode": "sweep",
-            "p": p,
-            "max_n": max_n,
-            "band_sigmas": args.band_sigmas,
-            "balanced_time": settled,
-        }
+        payload.update(band_sigmas=args.band_sigmas, balanced_time=settled)
         lines = [
             f"{spec.name}: balanced_time={settled} "
             f"(unit-seed ensemble, p={p}, max_n={max_n}, +/-{args.band_sigmas} sigma)"
         ]
-        parameters = {
-            "p": p,
-            "max_n": max_n,
-            "band_sigmas": args.band_sigmas,
-            "threads": args.threads,
-        }
     if args.out:
         with open(args.out, "w") as sink:
             trace_csv(trace, sink, band_sigmas=args.band_sigmas)
-        outputs.append(args.out)
         lines.append(f"wrote trace CSV to {args.out}")
-    return _finish(
-        args, "zeroland", [spec.name], parameters, outputs, payload, lines, t0
-    )
+    return Result(payload, lines, [args.out] if args.out else [])
 
 
-def cmd_badseed(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    spec = get_spec(args.spec)
+def cmd_badseed(args: argparse.Namespace) -> Result:
+    spec = args.spec
     gen = make_generator(spec)
     gen.set_state_vector(BitVector.unit(spec.k, 0))
     jump_ahead(gen, -args.d)
     text = format_seed_text(gen.get_raw_state(), spec)
-    outputs: list[str] = []
     if args.out:
         Path(args.out).write_text(text)
-        outputs.append(args.out)
         lines = [
             f"{spec.name}: wrote the state sitting {args.d} steps before the "
             f"single-bit corner to {args.out}"
         ]
     else:
         lines = [text.rstrip("\n")]
-    return _finish(
-        args,
-        "badseed",
-        [spec.name],
-        {"d": args.d, "out": args.out},
-        outputs,
-        {"name": spec.name, "d": args.d, "words": len(gen.get_raw_state().words)},
-        lines,
-        t0,
-    )
+    payload = {"name": spec.name, "d": args.d, "words": len(gen.get_raw_state().words)}
+    return Result(payload, lines, [args.out] if args.out else [])
 
 
-def cmd_jump(args: argparse.Namespace) -> int:
+def cmd_jump(args: argparse.Namespace) -> Result:
     if args.verify and args.steps > 2_000_000:
         raise ValueError("--verify steps one at a time; keep --steps <= 2000000 with it")
-    t0 = time.perf_counter()
-    spec = get_spec(args.spec)
+    spec = args.spec
     gen = make_generator(spec, seed=args.seed)
     jump_ahead(gen, args.steps)
     jumped = [gen.next_word() for _ in range(args.emit)]
@@ -411,17 +297,7 @@ def cmd_jump(args: argparse.Namespace) -> int:
         ok = stepped == jumped
         payload["verified"] = ok
         lines.append(f"single-step replay {'matches' if ok else 'DIFFERS'}")
-    return _finish(
-        args,
-        "jump",
-        [spec.name],
-        {"seed": args.seed, "steps": args.steps, "emit": args.emit, "verify": args.verify},
-        [],
-        payload,
-        lines,
-        t0,
-        ok=ok,
-    )
+    return Result(payload, lines, ok=ok)
 
 
 def _hardware_string() -> str:
@@ -437,8 +313,7 @@ def _hardware_string() -> str:
     return ", ".join(part for part in (platform.platform(), model or platform.processor()) if part)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_bench(args: argparse.Namespace) -> Result:
     names = list(args.specs) if args.specs else list(list_specs())
     if "mt19937" not in names:
         names.insert(0, "mt19937")
@@ -468,16 +343,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"x{row['throughput_vs_mt19937']:.2f} vs mt19937"
         for row in rows
     ]
-    return _finish(
-        args,
-        "bench",
-        names,
-        {"doubles": args.doubles, "warmup": args.warmup},
-        [],
-        payload,
-        lines,
-        t0,
-    )
+    return Result(payload, lines, specs=names)
 
 
 # -- parser ------------------------------------------------------------------
@@ -500,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if threads:
             sub.add_argument(
                 "--threads",
-                type=int,
+                type=_positive_int_arg,
                 default=None,
                 help="worker threads (default: F2SPECTRA_THREADS or single-threaded)",
             )
@@ -527,11 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_minpoly)
 
     sub = add("charpoly", "Exact block-matrix characteristic-polynomial checks.", spec=False)
-    sub.add_argument(
-        "check",
-        choices=["verify-appendix-a", "verify-appendix-b", "mt19937-mod2"],
-        help="which identity to verify",
-    )
+    sub.add_argument("check", choices=list(CHARPOLY_CHECKS), help="which identity to verify")
     sub.add_argument("--trials", type=_positive_int_arg, default=20,
                      help="random configs per run (default 20)")
     sub.add_argument("--rng-seed", type=int, default=2026, help="config sampler seed (default 2026)")
@@ -576,6 +438,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift Python's 4300-digit cap on int <-> decimal text for one run.
+
+    Step counts and seeds are exact integers of any size: a step count at
+    the scale of the period 2^19937 - 1 has 6002 decimal digits.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no cap
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code; never raises ``SystemExit``.
 
@@ -584,18 +464,43 @@ def main(argv: Sequence[str] | None = None) -> int:
     ``error:`` lines go to stderr), and 1 for a failed check or a runtime
     error reported as an ``error:`` line on stderr.
     """
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits after --help, --version or a usage error
-        return 0 if exc.code is None else int(exc.code)
-    try:
-        if "threads" in vars(args):
-            args.threads = resolve_threads(args.threads)
-        return args.func(args)
-    except (ValueError, KeyError, OSError, ArithmeticError, RuntimeError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 1
+    with _unlimited_int_digits():
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits after --help, --version or a usage error
+            return 0 if exc.code is None else int(exc.code)
+        try:
+            has_spec = "spec" in vars(args)
+            if "threads" in vars(args):
+                args.threads = resolve_threads(args.threads)
+            if has_spec:
+                args.spec = get_spec(args.spec)
+            started = time.perf_counter()
+            result = args.func(args)
+            manifest = {
+                "command": args.command,
+                "specs": [args.spec.name] if has_spec else list(result.specs),
+                "parameters": {
+                    key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS
+                },
+                "outputs": list(result.outputs),
+                "wall_time_s": round(time.perf_counter() - started, 3),
+                "version": __version__,
+            }
+            if result.outputs:
+                manifest_path = Path(result.outputs[0] + ".manifest.json")
+                manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+            if args.json:
+                print(json.dumps({**result.payload, "manifest": manifest}, indent=2))
+            else:
+                for line in result.lines:
+                    print(line)
+            return 0 if result.ok else 1
+        except (ValueError, KeyError, OSError, ArithmeticError, RuntimeError) as exc:
+            # a KeyError's str() quotes its message; an OSError's adds errno text and the path
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"error: {message}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -40,10 +40,6 @@ SINGULAR_MODULUS = 1e-12
 BOUNDARY_TOL = 1e-12
 
 
-class EigensolveError(RuntimeError):
-    """The dense eigensolver failed to converge."""
-
-
 class SingularSpectrumError(ValueError):
     """An eigenvalue modulus is ~0: the matrix is numerically singular.
 
@@ -126,10 +122,7 @@ def eigenvalues(mat: BitMatrix, source: str = "", cap: int = DEFAULT_EIGEN_CAP) 
             "raise the cap explicitly for long dense solves"
         )
     work = to_real_matrix(mat)
-    try:
-        vals = scipy.linalg.eigvals(work, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigensolveError(f"eigensolver failed to converge at dimension {dim}") from exc
+    vals = scipy.linalg.eigvals(work, overwrite_a=True, check_finite=False)
     spectrum = Spectrum(eigenvalues=vals, source=source)
     if spectrum.k and float(np.min(np.abs(vals))) <= SINGULAR_MODULUS:
         raise SingularSpectrumError(
@@ -138,17 +131,13 @@ def eigenvalues(mat: BitMatrix, source: str = "", cap: int = DEFAULT_EIGEN_CAP) 
     return spectrum
 
 
-def entropy(spectrum: Spectrum, w: int | None = None, name: str | None = None) -> EntropyReport:
+def entropy(spectrum: Spectrum, w: int, name: str | None = None) -> EntropyReport:
     """Entropy report: h = - sum of ln|lambda| over contracting eigenvalues.
 
-    ``w`` is the word size used for the per-bit rate; when omitted it is
-    resolved from the source generator name, falling back to 1 for
-    anonymous matrices.
+    ``w`` is the generator's word size, used for the per-bit rate.
     """
     if spectrum.k == 0:
         raise ValueError("spectrum is empty")
-    if w is None:
-        w = _resolve_word_size(spectrum.source)
     if w < 1:
         raise ValueError("word size must be >= 1")
     moduli = spectrum.moduli()
@@ -170,17 +159,6 @@ def entropy(spectrum: Spectrum, w: int | None = None, name: str | None = None) -
         count_inside=int(np.count_nonzero(inside)),
         count_outside=int(np.count_nonzero(outside)),
     )
-
-
-def _resolve_word_size(source: str) -> int:
-    if source:
-        from .generators import get_spec
-
-        try:
-            return get_spec(source).w
-        except KeyError:
-            pass
-    return 1
 
 
 # -- tabular views ----------------------------------------------------------

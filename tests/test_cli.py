@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from f2spectra import __version__, cli, get_spec
+import f2spectra
+from f2spectra import __version__, cli, extract_transition_matrix, get_spec, make_generator
 from f2spectra.cli import main
-from f2spectra.gf2poly import parse_minpoly
-from f2spectra.zeroland import parse_seed_text
+from f2spectra.gf2poly import jump_ahead, parse_minpoly
+from f2spectra.spectral import eigenvalues, entropy
+from f2spectra.zeroland import parse_seed_text, replay_seed
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -195,6 +202,16 @@ def test_zeroland_missing_seed_file_fails(capsys):
         capsys, "zeroland", "--spec", "well607b", "--seed-file", "/nosuch/file"
     )
     assert code == 1 and stderr.startswith("error:")
+    assert "No such file or directory" in stderr and "/nosuch/file" in stderr
+
+
+def test_unwritable_out_names_the_path(capsys):
+    code, stdout, stderr = run(
+        capsys, "minpoly", "--spec", "well607b", "--out", "/nosuch/dir/x.hex"
+    )
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error:")
+    assert "No such file or directory" in stderr and "/nosuch/dir/x.hex" in stderr
 
 
 def test_jump_verify(capsys):
@@ -264,8 +281,10 @@ def test_bench_contract(capsys):
         (["jump", "--spec", "well607b", "--steps", "3", "--emit", "0"], "--emit"),
         (["bench", "--specs", "well607b", "--doubles", "0"], "--doubles"),
         (["bench", "--specs", "well607b", "--warmup", "-1"], "--warmup"),
+        (["zeroland", "--spec", "well607b", "--threads", "0"], "--threads"),
     ],
-    ids=["trials-0", "trials-negative", "emit-negative", "emit-0", "doubles-0", "warmup-negative"],
+    ids=["trials-0", "trials-negative", "emit-negative", "emit-0", "doubles-0", "warmup-negative",
+         "threads-0"],
 )
 def test_out_of_range_counts_name_the_flag(capsys, argv, flag):
     code, stdout, stderr = run(capsys, *argv)
@@ -336,3 +355,114 @@ def test_library_arithmetic_and_runtime_errors_are_error_lines(capsys, monkeypat
     code, _, stderr = run(capsys, "minpoly", "--spec", "well607b")
     assert code == 1
     assert stderr == f"error: {exc.args[0]}\n"
+
+
+def test_integers_beyond_4300_digits_work_in_decimal_and_hex(tmp_path, capsys, monkeypatch):
+    # Python refuses int <-> decimal text beyond 4300 digits by default
+    decimal = "1" + "0" * 4400
+    cap = sys.get_int_max_str_digits()
+    texts = {}
+    for form, text in [("dec", decimal), ("hex", hex(10**4400))]:
+        (tmp_path / form).mkdir()
+        monkeypatch.chdir(tmp_path / form)
+        code, _, stderr = run(capsys, "minpoly", "--spec", "well607b", "--seed", text,
+                              "--out", "mp.hex")
+        assert code == 0, stderr
+        manifest = Path("mp.hex.manifest.json").read_text()
+        texts[form] = (Path("mp.hex").read_text(), re.sub(r'"wall_time_s": [^,]*', "", manifest))
+    assert texts["dec"] == texts["hex"]
+    assert f"seed={decimal} " in texts["dec"][0]
+    assert sys.get_int_max_str_digits() == cap  # restored after the run
+
+
+# -- the manifest contract, one run of each command ----------------------------
+
+
+MANIFEST_KEYS = {"command", "specs", "parameters", "outputs", "wall_time_s", "version"}
+
+CONTRACT_RUNS = {
+    "matrix": (["--spec", "well607b", "--out"], ["well607b"], {"threads": 1}),
+    "entropy": (["--spec", "well607b", "--out"], ["well607b"], {"threads": 1, "extended": False}),
+    "minpoly": (["--spec", "well607b", "--out"], ["well607b"], {"seed": 12345}),
+    "charpoly": (["verify-appendix-b", "--trials", "1"], [],
+                 {"check": "verify-appendix-b", "trials": 1, "rng_seed": 2026}),
+    "zeroland": (["--spec", "well607b", "--max-n", "400", "--out"], ["well607b"],
+                 {"threads": 1, "p": 100, "max_n": 400, "seed_file": None, "band_sigmas": 2.0}),
+    "badseed": (["--spec", "well607b", "--d", "150", "--out"], ["well607b"], {"d": 150}),
+    "jump": (["--spec", "well607b", "--steps", "3"], ["well607b"],
+             {"seed": 12345, "steps": 3, "emit": 5, "verify": False}),
+    "bench": (["--specs", "well607b", "--doubles", "10", "--warmup", "0"], ["mt19937", "well607b"],
+              {"specs": ["well607b"], "doubles": 10, "warmup": 0}),
+}
+
+
+@pytest.mark.parametrize("command", list(CONTRACT_RUNS))
+def test_manifest_contract(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv("F2SPECTRA_THREADS", raising=False)
+    flags, specs, parameters = CONTRACT_RUNS[command]
+    argv = [command, *flags]
+    if argv[-1] == "--out":
+        out = tmp_path / "artifact"
+        argv.append(str(out))
+        parameters = {**parameters, "out": str(out)}
+    code, stdout, stderr = run(capsys, *argv, "--json")
+    assert code == 0, stderr
+    manifest = json.loads(stdout)["manifest"]
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command and manifest["specs"] == specs
+    assert manifest["parameters"] == parameters
+    assert manifest["version"] == __version__
+    if "--out" in argv:
+        assert manifest["outputs"] == [str(out)]
+        on_disk = read_manifest(out)
+        assert on_disk.pop("wall_time_s") >= 0
+        assert on_disk == {key: manifest[key] for key in MANIFEST_KEYS - {"wall_time_s"}}
+    else:
+        assert manifest["outputs"] == []
+
+
+def test_payload_values_the_benchmark_reads(tmp_path, capsys):
+    spec = get_spec("well607b")
+
+    def payload(*argv):
+        code, stdout, stderr = run(capsys, *argv, "--json")
+        assert code == 0, stderr
+        return json.loads(stdout)
+
+    sweep = payload("zeroland", "--spec", "well607b", "--max-n", "400")
+    assert (sweep["p"], sweep["max_n"]) == (100, 400)
+    seed_file = tmp_path / "bad.seed"
+    assert run(capsys, "badseed", "--spec", "well607b", "--d", "150", "--out", str(seed_file))[0] == 0
+    replay = payload("zeroland", "--spec", "well607b", "--seed-file", str(seed_file))
+    assert (replay["p"], replay["max_n"]) == (19, 8000)  # window of one state, 19 words
+    assert replay["min_gamma"] == float(replay_seed(spec, seed_file, p=19, max_n=8000).values.min())
+
+    report = entropy(eigenvalues(extract_transition_matrix(spec)), w=spec.w)
+    assert payload("entropy", "--spec", "well607b")["h"] == pytest.approx(report.h, rel=1e-12)
+
+    gen = make_generator(spec, seed=12345)
+    jump_ahead(gen, 1000)
+    expected = [f"{gen.next_word():#x}" for _ in range(5)]
+    assert payload("jump", "--spec", "well607b", "--steps", "1000")["outputs"] == expected
+
+    checks = payload("charpoly", "verify-appendix-a", "--trials", "2")
+    assert checks["all_pass"] is True
+    assert [row["pass"] for row in checks["results"]] == [True] * 5  # 2 per trial + 1
+
+
+def test_module_entry_point_exit_codes():
+    src = str(Path(f2spectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def cli_run(*argv):
+        return subprocess.run([sys.executable, "-m", "f2spectra.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    usage = cli_run("jump", "--spec", "well607b")
+    assert usage.returncode == 2
+    assert usage.stdout == "" and "error: the following arguments are required" in usage.stderr
+    failure = cli_run("zeroland", "--spec", "well607b", "--seed-file", "/nosuch/file")
+    assert failure.returncode == 1
+    assert failure.stdout == "" and failure.stderr.startswith("error:")
+    for proc in (usage, failure):
+        assert "Traceback" not in proc.stderr

@@ -84,8 +84,9 @@ def test_singular_matrix_is_rejected():
 
 
 def test_entropy_resolves_word_size_from_known_source():
-    spec = eigenvalues(extract_transition_matrix(get_spec("well607b")), source="well607b")
-    report = entropy(spec)
+    gen_spec = get_spec("well607b")
+    spec = eigenvalues(extract_transition_matrix(gen_spec), source="well607b")
+    report = entropy(spec, w=gen_spec.w)
     assert report.name == "well607b"
     assert report.w == 32
     assert report.k == 607
