@@ -9,8 +9,10 @@ prints the text lines or, under ``--json``, the payload with the
 manifest inline.  ``parameters`` holds every parsed flag with its
 default resolved, except ``--spec`` (named in ``specs``) and ``--json``;
 a command whose defaults depend on its mode writes the resolved values
-back.  Except for ``bench``, every command is deterministic given its
-flags.
+back.  An integer of more than 4300 decimal digits, which a default
+``json.loads`` refuses, is written as a "0x..." string in the manifest
+and the payload.  Except for ``bench``, every command is deterministic
+given its flags.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ MT_BLOCK = BlockSpec(n=624, m=397, w=32, r=31, a=0x9908B0DF)
 #: Namespace entries that are not run parameters: the subcommand and its
 #: handler, the output format, and ``--spec`` (the manifest's ``specs``).
 _NOT_PARAMETERS = frozenset({"command", "func", "json", "spec"})
+#: Integers from here up have more decimal digits than a default
+#: ``json.loads`` reads (``sys.int_info.default_max_str_digits``, 4300).
+_JSON_INT_LIMIT = 10**4300
 
 
 @dataclass(frozen=True)
@@ -456,6 +461,18 @@ def _unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
+def _json_readable(value: Any) -> Any:
+    """``value`` with every integer too long for a default ``json.loads``
+    written as a "0x..." string, which the integer flags accept back."""
+    if isinstance(value, dict):
+        return {key: _json_readable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_readable(item) for item in value]
+    if isinstance(value, int) and abs(value) >= _JSON_INT_LIMIT:
+        return hex(value)
+    return value
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code; never raises ``SystemExit``.
 
@@ -477,7 +494,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.spec = get_spec(args.spec)
             started = time.perf_counter()
             result = args.func(args)
-            manifest = {
+            manifest = _json_readable({
                 "command": args.command,
                 "specs": [args.spec.name] if has_spec else list(result.specs),
                 "parameters": {
@@ -486,12 +503,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "outputs": list(result.outputs),
                 "wall_time_s": round(time.perf_counter() - started, 3),
                 "version": __version__,
-            }
+            })
             if result.outputs:
                 manifest_path = Path(result.outputs[0] + ".manifest.json")
                 manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
             if args.json:
-                print(json.dumps({**result.payload, "manifest": manifest}, indent=2))
+                body = _json_readable({**result.payload, "manifest": manifest})
+                print(json.dumps(body, indent=2))
             else:
                 for line in result.lines:
                     print(line)

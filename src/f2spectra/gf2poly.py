@@ -9,20 +9,27 @@ shorter operand's length, so it is recovered by rounding, and its low
 bit is the GF(2) coefficient.  Each FFT product checks its own rounding
 residual and raises ``ArithmeticError`` rather than return a wrong bit.
 Squaring only respaces bits.  ``_Barrett`` reduces modulo a fixed
-polynomial with the transforms of its two fixed operands computed once.
+polynomial with the transforms of its two fixed operands computed once,
+the second at half length; ``pow_mod`` keeps the contexts of the last
+few moduli.
 
 ``berlekamp_massey`` recovers the minimal LFSR connection polynomial of
 a bit sequence; fed 2k+64 output bits of a k-dimensional generator it
 returns the full characteristic polynomial p of the transition matrix B.
-``jump_ahead`` moves any generator by a signed step count via Horner
-evaluation of t^steps mod p.  A backward jump needs only that B is
-invertible, which p(0) = 1 states: t^-1 mod p is then (p + 1)/t, and
+``jump_ahead`` moves any generator by a signed step count: it evaluates
+g = t^steps mod p at B on the state by a sliding-window Horner walk.  A
+table of v(B) x for the 2^q polynomials v of degree below q (2^q * n
+words) lets the walk take q coefficients per ring XOR; q minimises the
+table's 2^q row XORs plus the walk's deg(g)/q, within a 2 MiB cap, which
+gives q = 9 and 1.3 MB at k = 19937.  A backward jump needs only that B
+is invertible, which p(0) = 1 states: t^-1 mod p is then (p + 1)/t, and
 raising it to the power -steps costs as many squarings as a forward
 jump of the same length.  No period is assumed.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -42,6 +49,8 @@ BigUint = int
 _FFT_THRESHOLD_BITS = 1024
 #: Largest accepted distance of an FFT coefficient from its integer.
 _ROUNDING_GUARD = 0.25
+#: Cap on the jump-ahead window table: 2 MiB leaves q = 9 (1.3 MB) at k = 19937.
+_WINDOW_TABLE_BYTES = 1 << 21
 
 
 def _fft_length(n: int) -> int:
@@ -192,7 +201,7 @@ class GF2Poly:
         """self**e mod ``mod`` by square-and-multiply (e may be huge)."""
         if e < 0:
             raise ValueError("negative exponent")
-        ctx = _Barrett(mod)
+        ctx = _barrett_context(mod)
         result = ctx.reduce(GF2Poly(1))
         if e == 0:
             return result
@@ -227,11 +236,23 @@ class _Barrett:
     of degree below 2d then reduces with two products and no division:
     ``qhat = ((p >> d) * q) >> d`` is the exact quotient p // mod, and
     ``p - qhat * mod`` the remainder.  Above ``_FFT_THRESHOLD_BITS`` the
-    spectra of q and of the modulus are computed once, at the one length
-    every product needs, so a reduce costs two forward and two inverse
-    transforms.  A quotient no longer than the threshold (after a product
-    by t, say) stays on the schoolbook loop, and inputs of degree 2d or
-    more fall back to long division.
+    spectra of q and of the modulus are computed once, each at the one
+    length its product needs, so a reduce costs two forward and two
+    inverse transforms:
+
+    - ``(p >> d) * q`` has fewer than 2d coefficients and its high half
+      is wanted, so it runs at length ``_fft_length(2d)``, where the
+      cyclic convolution never wraps around.
+    - ``qhat * mod`` runs at the shorter length m = ``_fft_length(d + 1)``,
+      so its coefficients j + m wrap onto j.  Only the low d are needed,
+      and the wrapped ones are known: the remainder has degree below d,
+      so from d up the product equals p itself.  The low half is thus
+      the wrapped result XOR ``p >> m``, masked to d bits.
+
+    A quotient no longer than the threshold (after a product by t, say)
+    stays on the schoolbook loop, and inputs of degree 2d or more fall
+    back to long division.  ``pow_mod`` takes contexts from
+    ``_barrett_context``, which keeps the last few.
     """
 
     def __init__(self, mod: GF2Poly) -> None:
@@ -242,11 +263,10 @@ class _Barrett:
         self.q = (GF2Poly.x_power(2 * self.d) // mod).bits
         self.n = 0
         if self.d > _FFT_THRESHOLD_BITS:
-            # Both products have fewer than 2d coefficients, so a cyclic
-            # convolution of this length never wraps around.
             self.n = _fft_length(2 * self.d)
+            self.m = _fft_length(self.d + 1)
             self.q_spectrum = _spectrum(self.q, self.n)
-            self.mod_spectrum = _spectrum(mod.bits, self.n)
+            self.mod_spectrum = _spectrum(mod.bits, self.m)
 
     def reduce(self, p: GF2Poly) -> GF2Poly:
         d = self.d
@@ -256,19 +276,28 @@ class _Barrett:
             return p % self.mod
         hi = r >> d
         if self.n and hi.bit_length() > _FFT_THRESHOLD_BITS:
-            n = self.n
+            n, m = self.n, self.m
             spectrum = _spectrum(hi, n)
             spectrum *= self.q_spectrum
-            qhat = _product_bits(spectrum, n)[d:]
-            spectrum = np.fft.rfft(qhat, n)
+            qhat = _product_bits(spectrum, n)[d : 2 * d]
+            spectrum = np.fft.rfft(qhat, m)
             spectrum *= self.mod_spectrum
-            r ^= _from_bit_vector(_product_bits(spectrum, n))
-        elif hi:
+            low = _from_bit_vector(_product_bits(spectrum, m)) ^ (r >> m)
+            return GF2Poly((r ^ low) & ((1 << d) - 1))
+        if hi:
             qhat = _mul_bits(hi, self.q) >> d
             r ^= _mul_bits(qhat, mb)
         while r.bit_length() - 1 >= d:
             r ^= mb << (r.bit_length() - 1 - d)
         return GF2Poly(r)
+
+
+@lru_cache(maxsize=8)
+def _barrett_context(mod: GF2Poly) -> _Barrett:
+    """Barrett context of ``mod``, kept for the last eight moduli (one per
+    bundled generator): at k = 19937 its long division and two transforms
+    take 2 to 27 ms, depending on the modulus's weight."""
+    return _Barrett(mod)
 
 
 def berlekamp_massey(bits: int, nbits: int) -> GF2Poly:
@@ -397,33 +426,74 @@ def jump_polynomial(spec: "GeneratorSpec", steps: int) -> GF2Poly:
     return base.pow_mod(abs(steps), p)
 
 
-def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
-    """Replace the generator state x by poly(B) x, Horner style.
+def _window_table(gen: "Generator", degree: int) -> np.ndarray:
+    """Row v holds v(B) x0 for every polynomial v of degree below q, the
+    window width for applying a polynomial of ``degree``.
 
-    Each Horner stage is one ordinary generator step on an accumulator
-    plus an optional XOR of the saved start state, so the cost is
-    deg(poly) steps regardless of the jump count encoded in ``poly``.
-    Dead bits introduced by whole-word XORs never feed live coordinates
-    and are cleared at the end.
+    x0 is the state of ``gen``, in cursor-0 storage order with the lung,
+    if any, as the last column.  Row 2^j is B^j x0, taken from q steps of
+    a copy; the rows between 2^j and 2^(j+1) are the rows below 2^j, each
+    XORed with it.  The table costs 2^q row XORs and the walk one ring XOR
+    per window, (degree + 1)/q of them; q minimises the sum, capped so the
+    table fits in ``_WINDOW_TABLE_BYTES``.
+    """
+    from .generators import make_generator
+    from .generators.base import word_dtype
+
+    spec = gen.spec
+    dtype = np.dtype(word_dtype(spec))
+    cols = spec.n + (1 if spec.has_lung else 0)
+    widths = [q for q in range(1, 17) if cols * dtype.itemsize << q <= _WINDOW_TABLE_BYTES]
+    q = min(widths or [1], key=lambda q: (1 << q) + (degree + 1) / q)
+    walker = make_generator(spec)
+    walker.set_raw_state(gen.get_raw_state())
+    table = np.zeros((1 << q, cols), dtype=dtype)
+    for j in range(q):
+        c = walker.cursor
+        row = walker.st[c:] + walker.st[:c] + ([walker.lung] if spec.has_lung else [])
+        np.bitwise_xor(table[: 1 << j], np.array(row, dtype=dtype), out=table[1 << j : 2 << j])
+        walker.step()
+    return table
+
+
+def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
+    """Replace the generator state x by poly(B) x, by a sliding-window Horner
+    walk (Haramoto et al., INFORMS J. Comput. 2008, section 3).
+
+    ``_window_table`` holds v(B) x for every v of degree below q, 2^q rows
+    of one ring (plus lung) each: 2^q * n words, about 1.3 MB at
+    k = 19937.  The walk takes the coefficients of ``poly`` q at a time
+    from the top: q ordinary generator steps of an accumulator, then one
+    XOR of the table row the window selects, rotated to the accumulator's
+    cursor.  So the cost is deg(poly) steps plus deg(poly)/q ring XORs,
+    regardless of the jump count encoded in ``poly``; q grows with the
+    degree of ``poly``.  Dead bits introduced by whole-word XORs never feed
+    live coordinates and are cleared at the end.
     """
     from .generators import make_generator
 
     spec = gen.spec
     n = spec.n
-    has_lung = spec.has_lung
-    # Every family keeps consecutive logical words consecutive in storage,
-    # so a ring at cursor c holds the words of its cursor-0 form rotated
-    # right by c: x0 is the start state in cursor-0 storage order.
-    x0 = gen.st[gen.cursor :] + gen.st[: gen.cursor]
-    x_lung = gen.lung
+    table = _window_table(gen, poly.degree)
+    window = len(table) - 1
+    q = window.bit_length()
+    bits = poly.bits
     acc = make_generator(spec)  # zero state
-    for i in range(poly.degree, -1, -1):
-        acc.step()
-        if poly.coeff(i):
+    for i in range(poly.degree // q * q, -1, -q):
+        for _ in range(q):
+            acc.step()
+        v = (bits >> i) & window
+        if v:
+            # A ring at cursor c holds its cursor-0 form rotated right by c:
+            # every family keeps consecutive logical words consecutive in storage.
             c = n - acc.cursor
-            acc.st = [a ^ b for a, b in zip(acc.st, x0[c:] + x0[:c])]
-            if has_lung:
-                acc.lung ^= x_lung
+            row = table[v]
+            ring = np.concatenate((row[c:n], row[:c]))
+            # array.array reads a list of ints about twice as fast as np.array
+            ring ^= np.frombuffer(array(table.dtype.char, acc.st), dtype=table.dtype)
+            acc.st = ring.tolist()
+            if spec.has_lung:
+                acc.lung ^= int(row[n])
     gen.set_raw_state(acc.get_raw_state())  # normalizes the cursor, clears dead bits
 
 

@@ -12,6 +12,8 @@ import numpy as np
 
 from f2spectra.bitlinalg import BitMatrix, BitVector
 from f2spectra.charpoly import BlockSpec, ZPoly
+from f2spectra.generators import Generator, make_generator
+from f2spectra.gf2poly import GF2Poly
 
 
 # -- GF(2) linear algebra ------------------------------------------------------
@@ -109,6 +111,32 @@ def read_matrix(source: TextIO) -> BitMatrix:
     if cols == -1:
         raise ValueError("empty matrix file")
     return BitMatrix.from_int_rows(rows, cols)
+
+
+# -- jump-ahead ------------------------------------------------------------------
+
+
+def horner_apply(gen: Generator, poly: GF2Poly) -> None:
+    """Replace the state x by poly(B) x one coefficient at a time; the
+    oracle for ``gf2poly.apply_transition_polynomial``.
+
+    Each Horner stage is one generator step of an accumulator plus, for a
+    set coefficient, an XOR of the start state rotated to the
+    accumulator's cursor.
+    """
+    spec = gen.spec
+    n = spec.n
+    x0 = gen.st[gen.cursor :] + gen.st[: gen.cursor]  # cursor-0 storage order
+    x_lung = gen.lung
+    acc = make_generator(spec)  # zero state
+    for i in range(poly.degree, -1, -1):
+        acc.step()
+        if poly.coeff(i):
+            c = n - acc.cursor
+            acc.st = [a ^ b for a, b in zip(acc.st, x0[c:] + x0[:c])]
+            if spec.has_lung:
+                acc.lung ^= x_lung
+    gen.set_raw_state(acc.get_raw_state())
 
 
 # -- twisted-GFSR block structure ---------------------------------------------

@@ -375,6 +375,27 @@ def test_integers_beyond_4300_digits_work_in_decimal_and_hex(tmp_path, capsys, m
     assert sys.get_int_max_str_digits() == cap  # restored after the run
 
 
+def test_integers_beyond_4300_digits_read_back_with_the_default_cap(tmp_path, capsys, monkeypatch):
+    big = 10**4400 + 7
+    decimal = "1" + "0" * 4399 + "7"  # str(big) itself exceeds the default cap
+    monkeypatch.chdir(tmp_path)
+    code, _, stderr = run(capsys, "minpoly", "--spec", "well607b", "--seed", decimal,
+                          "--out", "mp.hex")
+    assert code == 0, stderr
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    manifest = read_manifest(tmp_path / "mp.hex")  # a plain json.loads
+    assert manifest["parameters"]["seed"] == hex(big)
+    code, stdout, stderr = run(capsys, "jump", "--spec", "well607b", "--steps", decimal,
+                               "--seed", decimal, "--emit", "1", "--json")
+    assert code == 0, stderr
+    payload = json.loads(stdout)
+    assert payload["steps"] == payload["seed"] == hex(big)
+    assert payload["manifest"]["parameters"]["steps"] == hex(big)
+    assert int(payload["steps"], 16) == big  # the flags accept the hex form back
+    code, stdout, _ = run(capsys, "jump", "--spec", "well607b", "--steps", "10", "--json")
+    assert json.loads(stdout)["steps"] == 10  # shorter integers stay numbers
+
+
 # -- the manifest contract, one run of each command ----------------------------
 
 

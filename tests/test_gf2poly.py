@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from _oracles import horner_apply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from f2spectra.gf2poly import (
     _Barrett,
     _fft_length,
     _mul_bits,
+    _window_table,
     apply_transition_polynomial,
     berlekamp_massey,
     format_minpoly,
@@ -133,10 +135,23 @@ def test_fft_length_is_the_smallest_smooth_size():
     assert _fft_length(2 * 19937) == 40960
 
 
-def test_barrett_reduce_matches_long_division_at_full_degree():
+def test_barrett_reduce_matches_long_division_at_full_degree(monkeypatch):
     mod = minimal_polynomial(get_spec("mt19937"))
     d = mod.degree
     ctx = _Barrett(mod)
+    lengths: list[int] = []
+    exact = np.fft.irfft
+
+    def recording(spectrum, n, *args, **kw):
+        lengths.append(n)
+        return exact(spectrum, n, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfft", recording)
+    ctx.reduce(GF2Poly(random.Random(2).getrandbits(2 * d)))
+    # the quotient product needs its high half unwrapped; the remainder
+    # product only its low d coefficients
+    assert lengths == [_fft_length(2 * d), _fft_length(d + 1)]
+    assert _fft_length(d + 1) < _fft_length(2 * d)
     rng = random.Random(19937)
     samples = [rng.getrandbits(2 * d) for _ in range(3)]
     samples += [
@@ -150,6 +165,21 @@ def test_barrett_reduce_matches_long_division_at_full_degree():
         assert ctx.reduce(p) == p % mod
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(min_value=_FFT_THRESHOLD_BITS + 1, max_value=1100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_barrett_reduce_matches_long_division_just_above_the_fft_threshold(d, seed):
+    rng = random.Random(seed)
+    mod = GF2Poly(1 << d | rng.getrandbits(d) | 1)
+    ctx = _Barrett(mod)
+    assert ctx.n  # both products run on the FFT
+    for bits in (rng.getrandbits(2 * d), rng.getrandbits(2 * d - 1) | 1 << (2 * d - 2)):
+        p = GF2Poly(bits)
+        assert ctx.reduce(p) == p % mod
+
+
 def _skewed_irfft(monkeypatch):
     exact = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: exact(*args, **kw) + 0.3)
@@ -159,6 +189,22 @@ def test_rounding_guard_rejects_an_inexact_product(monkeypatch):
     _skewed_irfft(monkeypatch)
     with pytest.raises(ArithmeticError, match="rounding residual"):
         _mul_bits((1 << 5000) - 1, (1 << 3000) - 1)
+
+
+def test_rounding_guard_checks_the_half_length_product(monkeypatch):
+    mod = minimal_polynomial(get_spec("mt19937"))
+    d = mod.degree
+    ctx = _Barrett(mod)
+    exact = np.fft.irfft
+    half = _fft_length(d + 1)
+
+    def skew_half_length(spectrum, n, *args, **kw):
+        out = exact(spectrum, n, *args, **kw)
+        return out + 0.3 if n == half else out
+
+    monkeypatch.setattr(np.fft, "irfft", skew_half_length)
+    with pytest.raises(ArithmeticError, match=f"length {half} is not exact"):
+        ctx.reduce(GF2Poly(random.Random(3).getrandbits(2 * d)))
 
 
 def test_rounding_guard_failure_is_an_error_line(monkeypatch, capsys):
@@ -275,20 +321,72 @@ def test_jump_is_additive_at_full_k():
 
 
 def test_jump_matches_stepping_just_above_k():
-    spec = get_spec("mt19937")
-    steps = spec.k + 3
-    jumper = make_generator(spec, seed=21)
-    walker = make_generator(spec, seed=21)
-    jump_ahead(jumper, steps)
-    for _ in range(steps):
-        walker.step()
-    assert jumper.state_vector() == walker.state_vector()
+    # one generator per family: WELL writes two words per step, MELG has a lung
+    for name in ["mt19937", "well19937a", "melg19937"]:
+        spec = get_spec(name)
+        steps = spec.k + 3
+        jumper = make_generator(spec, seed=21)
+        walker = make_generator(spec, seed=21)
+        jump_ahead(jumper, steps)
+        for _ in range(steps):
+            walker.step()
+        assert jumper.state_vector() == walker.state_vector(), name
 
 
 def test_jump_polynomial_reduces_mod_minpoly():
     spec = get_spec("well607b")
     poly = jump_polynomial(spec, 2**80)
     assert poly.degree < spec.k
+
+
+def _window_width(gen, degree: int) -> int:
+    return len(_window_table(gen, degree)).bit_length() - 1
+
+
+def _apply_cases(spec, gen) -> list[GF2Poly]:
+    """0, 1, t, degrees around the full-size window width q, a top window
+    of one coefficient and a full one, windows that are all zero between
+    the top and the bottom ones, and a random polynomial of degree k - 1.
+
+    Only the last is dense at full degree: the oracle's cost grows with
+    the weight.
+    """
+    k = spec.k
+    q = _window_width(gen, k - 1)
+    rng = random.Random(k)
+    top = k - 1 - (k - 1) % q  # a multiple of q: its window holds one coefficient
+    degrees = [q - 1, q, q + 1, top, top - 1]
+    cases = [0, 1, 2] + [1 << e | rng.getrandbits(min(e, 3 * q)) for e in degrees]
+    cases.append(1 << (k - 1) | rng.getrandbits(q))
+    cases.append(rng.getrandbits(k - 1) | 1 << (k - 1))
+    return [GF2Poly(bits) for bits in cases]
+
+
+def _stepped(spec):
+    gen = make_generator(spec, seed=17)
+    for _ in range(3):  # a non-zero cursor, and a lung that has moved
+        gen.step()
+    return gen
+
+
+@pytest.mark.parametrize("name", sorted(N1_TABLE))
+def test_window_apply_matches_horner_oracle(name):
+    spec = get_spec(name)
+    assert _stepped(spec).cursor != 0
+    for poly in _apply_cases(spec, _stepped(spec)):
+        fast, slow = _stepped(spec), _stepped(spec)
+        apply_transition_polynomial(fast, poly)
+        horner_apply(slow, poly)
+        assert fast.get_raw_state() == slow.get_raw_state(), poly
+
+
+def test_window_width_follows_the_degree():
+    gen = make_generator(get_spec("mt19937"), seed=1)
+    assert _window_width(gen, -1) == 1
+    assert _window_width(gen, 0) == 1
+    widths = [_window_width(gen, e) for e in (10, 100, 1000, 19936)]
+    assert widths == sorted(widths) and widths[-1] == 9
+    assert _window_table(gen, 19936).nbytes < 1.5e6
 
 
 def test_apply_polynomial_x_is_one_step():
