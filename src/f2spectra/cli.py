@@ -508,7 +508,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 manifest_path = Path(result.outputs[0] + ".manifest.json")
                 manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
             if args.json:
-                body = _json_readable({**result.payload, "manifest": manifest})
+                body = {**_json_readable(result.payload), "manifest": manifest}
                 print(json.dumps(body, indent=2))
             else:
                 for line in result.lines:

@@ -10,8 +10,7 @@ bit is the GF(2) coefficient.  Each FFT product checks its own rounding
 residual and raises ``ArithmeticError`` rather than return a wrong bit.
 Squaring only respaces bits.  ``_Barrett`` reduces modulo a fixed
 polynomial with the transforms of its two fixed operands computed once,
-the second at half length; ``pow_mod`` keeps the contexts of the last
-few moduli.
+the second at half length; ``pow_mod`` builds one per call.
 
 ``berlekamp_massey`` recovers the minimal LFSR connection polynomial of
 a bit sequence; fed 2k+64 output bits of a k-dimensional generator it
@@ -20,8 +19,8 @@ returns the full characteristic polynomial p of the transition matrix B.
 g = t^steps mod p at B on the state by a sliding-window Horner walk.  A
 table of v(B) x for the 2^q polynomials v of degree below q (2^q * n
 words) lets the walk take q coefficients per ring XOR; q minimises the
-table's 2^q row XORs plus the walk's deg(g)/q, within a 2 MiB cap, which
-gives q = 9 and 1.3 MB at k = 19937.  A backward jump needs only that B
+table's 2^q row XORs plus the walk's deg(g)/q, which gives q = 9 and
+1.3 MB at k = 19937.  A backward jump needs only that B
 is invertible, which p(0) = 1 states: t^-1 mod p is then (p + 1)/t, and
 raising it to the power -steps costs as many squarings as a forward
 jump of the same length.  No period is assumed.
@@ -49,8 +48,6 @@ BigUint = int
 _FFT_THRESHOLD_BITS = 1024
 #: Largest accepted distance of an FFT coefficient from its integer.
 _ROUNDING_GUARD = 0.25
-#: Cap on the jump-ahead window table: 2 MiB leaves q = 9 (1.3 MB) at k = 19937.
-_WINDOW_TABLE_BYTES = 1 << 21
 
 
 def _fft_length(n: int) -> int:
@@ -201,7 +198,7 @@ class GF2Poly:
         """self**e mod ``mod`` by square-and-multiply (e may be huge)."""
         if e < 0:
             raise ValueError("negative exponent")
-        ctx = _barrett_context(mod)
+        ctx = _Barrett(mod)
         result = ctx.reduce(GF2Poly(1))
         if e == 0:
             return result
@@ -251,8 +248,7 @@ class _Barrett:
 
     A quotient no longer than the threshold (after a product by t, say)
     stays on the schoolbook loop, and inputs of degree 2d or more fall
-    back to long division.  ``pow_mod`` takes contexts from
-    ``_barrett_context``, which keeps the last few.
+    back to long division.
     """
 
     def __init__(self, mod: GF2Poly) -> None:
@@ -290,14 +286,6 @@ class _Barrett:
         while r.bit_length() - 1 >= d:
             r ^= mb << (r.bit_length() - 1 - d)
         return GF2Poly(r)
-
-
-@lru_cache(maxsize=8)
-def _barrett_context(mod: GF2Poly) -> _Barrett:
-    """Barrett context of ``mod``, kept for the last eight moduli (one per
-    bundled generator): at k = 19937 its long division and two transforms
-    take 2 to 27 ms, depending on the modulus's weight."""
-    return _Barrett(mod)
 
 
 def berlekamp_massey(bits: int, nbits: int) -> GF2Poly:
@@ -434,8 +422,7 @@ def _window_table(gen: "Generator", degree: int) -> np.ndarray:
     if any, as the last column.  Row 2^j is B^j x0, taken from q steps of
     a copy; the rows between 2^j and 2^(j+1) are the rows below 2^j, each
     XORed with it.  The table costs 2^q row XORs and the walk one ring XOR
-    per window, (degree + 1)/q of them; q minimises the sum, capped so the
-    table fits in ``_WINDOW_TABLE_BYTES``.
+    per window, (degree + 1)/q of them; q minimises the sum.
     """
     from .generators import make_generator
     from .generators.base import word_dtype
@@ -443,8 +430,7 @@ def _window_table(gen: "Generator", degree: int) -> np.ndarray:
     spec = gen.spec
     dtype = np.dtype(word_dtype(spec))
     cols = spec.n + (1 if spec.has_lung else 0)
-    widths = [q for q in range(1, 17) if cols * dtype.itemsize << q <= _WINDOW_TABLE_BYTES]
-    q = min(widths or [1], key=lambda q: (1 << q) + (degree + 1) / q)
+    q = min(range(1, 17), key=lambda q: (1 << q) + (degree + 1) / q)
     walker = make_generator(spec)
     walker.set_raw_state(gen.get_raw_state())
     table = np.zeros((1 << q, cols), dtype=dtype)
