@@ -4,24 +4,27 @@ A BitVector wraps an arbitrary-precision integer; coefficient i is bit i
 of ``value``.  A BitMatrix stores one packed row per run of little-endian
 64-bit limbs, so the 19937-square transition matrices stay around 50 MB.
 
-The transition-matrix extractor probes a generator with every canonical
-basis vector, steps once, and transposes the stacked images into the
-rows of B; ``B @ x == raw_step(x)`` is the property everything
-downstream relies on.  ``transpose`` works on 8x8 bit blocks: it packs
-eight rows' worth of one byte column into a uint64 and transposes it with
-three delta swaps (mask, shift, XOR), one chunk of rows at a time, so
-its working memory beyond the output is a few copies of one chunk.
+The transition-matrix extractor takes B's nonzeros from one sparse probe
+of the state grid (``generators.ensemble.probe_grid``): every stored bit
+is stepped once as a unit vector and the set bits of its image are
+listed as (row, col) pairs.  B has about k + 600 nonzeros at k = 19937,
+so the pairs whose row and column are canonical coordinates are set
+straight into the packed rows, with no dense probe matrix and no
+transpose; ``B @ x == raw_step(x)`` is the property everything
+downstream relies on.
+
+``transpose`` works on 8x8 bit blocks: it packs eight rows' worth of one
+byte column into a uint64 and transposes it with three delta swaps (mask,
+shift, XOR), one chunk of rows at a time, so its working memory beyond
+the output is a few copies of one chunk.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
-
-from ._util import resolve_threads
 
 _LIMB = 64
 
@@ -235,25 +238,21 @@ def write_matrix(m: BitMatrix, sink: TextIO) -> None:
 def extract_transition_matrix(spec, threads: int | None = None) -> BitMatrix:
     """The k-square matrix B with ``B @ x == raw_step(x)`` for every state x.
 
-    Probes every canonical basis vector through one generator step (all
-    probes advanced in lockstep by the vectorized ensemble engine) and
-    transposes the stacked images into columns.
+    One sparse probe of the state grid (``ensemble.probe_grid``, on
+    ``threads`` workers) lists B's nonzeros; those in canonical rows and
+    columns are set straight into the packed rows.
     """
-    from .generators.ensemble import probe_images
+    from .generators.base import canonical_grid, grid_size
+    from .generators.ensemble import probe_grid
 
-    threads = resolve_threads(threads)
-    k = spec.k
-    if threads <= 1:
-        images = probe_images(spec, 0, k)
-    else:
-        bounds = [(i * k) // threads for i in range(threads + 1)]
-        images = np.empty((k, _limbs_for(k)), dtype=np.uint64)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(probe_images, spec, bounds[t], bounds[t + 1])
-                for t in range(threads)
-            ]
-            for t, fut in enumerate(futures):
-                images[bounds[t] : bounds[t + 1]] = fut.result()
-    probe_matrix = BitMatrix(k, k, images)
-    return transpose(probe_matrix)
+    rows, cols, _ = probe_grid(spec, threads)
+    canon = np.full(grid_size(spec), -1, dtype=np.int64)
+    canon[canonical_grid(spec)] = np.arange(spec.k)
+    rows, cols = canon[rows], canon[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    m = BitMatrix.zeros(spec.k, spec.k)
+    limbs = m.storage.shape[1]
+    bit = np.uint64(1) << (cols & 63).astype(np.uint64)
+    np.bitwise_or.at(m.storage.reshape(-1), rows * limbs + (cols >> 6), bit)
+    return m

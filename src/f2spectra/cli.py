@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from ._util import resolve_threads
+from ._util import LONG_INT, resolve_threads
 from .bitlinalg import BitVector, extract_transition_matrix, write_matrix
 from .charpoly import (
     BlockSpec,
@@ -59,9 +59,6 @@ MT_BLOCK = BlockSpec(n=624, m=397, w=32, r=31, a=0x9908B0DF)
 #: Namespace entries that are not run parameters: the subcommand and its
 #: handler, the output format, and ``--spec`` (the manifest's ``specs``).
 _NOT_PARAMETERS = frozenset({"command", "func", "json", "spec"})
-#: Integers from here up have more decimal digits than a default
-#: ``json.loads`` reads (``sys.int_info.default_max_str_digits``, 4300).
-_JSON_INT_LIMIT = 10**4300
 
 
 @dataclass(frozen=True)
@@ -373,7 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=_positive_int_arg,
                 default=None,
-                help="worker threads (default: F2SPECTRA_THREADS or single-threaded)",
+                help="worker threads for the one-step probe of the state bits "
+                     "(default: F2SPECTRA_THREADS or single-threaded); the rest of "
+                     "the command runs on one thread",
             )
         sub.add_argument("--json", action="store_true", help="machine-readable JSON on stdout")
         return sub
@@ -468,7 +467,7 @@ def _json_readable(value: Any) -> Any:
         return {key: _json_readable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_readable(item) for item in value]
-    if isinstance(value, int) and abs(value) >= _JSON_INT_LIMIT:
+    if isinstance(value, int) and abs(value) >= LONG_INT:
         return hex(value)
     return value
 

@@ -16,6 +16,12 @@ lung).  ``canonical_layout`` is that definition; ``pack_rows`` and
 canonical vectors, used by ``Ensemble.state_rows`` and, one lane at a
 time, by ``Generator.state_vector``/``set_state_vector``.
 
+The *state grid* is the same enumeration with the dead bits kept: k + r
+coordinates, of which the canonical ones are ``canonical_grid``.  No
+bundled recurrence reads the dead bits, but an output map may (a MELG
+lag of 1 reads the whole oldest word), so the one-step probes of
+``ensemble`` work on the grid.
+
 Each family's recurrence (its step, output and logical-word index) is a
 ``Recurrence`` subclass in ``mt.py``, ``well.py`` or ``melg.py``.  It runs
 unchanged on the scalar ``Generator`` below, whose ring ``st`` is a list
@@ -137,19 +143,42 @@ def canonical_layout(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(words, dtype=np.int64), np.array(bits, dtype=np.int64)
 
 
+def _grid_positions(spec: GeneratorSpec, width: int) -> np.ndarray:
+    """Position of each canonical coordinate in a grid of ``width``-bit
+    slots: the logical words newest first, then the lung, each most
+    significant bit first."""
+    wds, bts = canonical_layout(spec)
+    return np.where(wds == LUNG_WORD, spec.n, spec.n - 1 - wds) * width + (width - 1 - bts)
+
+
+def grid_size(spec: GeneratorSpec) -> int:
+    """Number of state-grid coordinates: every bit of every word, k + r."""
+    return (spec.n + (1 if spec.has_lung else 0)) * spec.w
+
+
+@lru_cache(maxsize=None)
+def canonical_grid(spec: GeneratorSpec) -> np.ndarray:
+    """State-grid coordinate of each canonical coordinate.
+
+    The state grid holds every bit of every word, dead bits included: the
+    logical words newest first, then the lung, w bits each, most
+    significant bit first.  Canonical order is grid order with the r dead
+    bits (grid coordinates n*w - r .. n*w - 1) left out.
+    """
+    return _grid_positions(spec, spec.w)
+
+
 @lru_cache(maxsize=None)
 def _grid_runs(spec: GeneratorSpec) -> tuple[tuple[int, int], ...]:
-    """Where the canonical coordinates sit in the bit grid of all words.
+    """Where the canonical coordinates sit in the bit grid of all storage words.
 
-    The grid holds the logical words newest first, then the lung, each as
-    a full storage word, most-significant bit first.  Canonical order
-    follows grid order, so the coordinates fill a few runs [start, stop)
-    of consecutive grid bits: one gap for the dead bits, plus one per
-    word when words are narrower than their storage.
+    That grid is the state grid of ``canonical_grid`` with each word
+    widened to its storage word.  Canonical order follows grid order, so
+    the coordinates fill a few runs [start, stop) of consecutive grid
+    bits: one gap for the dead bits, plus one per word when words are
+    narrower than their storage.
     """
-    wds, bts = canonical_layout(spec)
-    sw = np.dtype(word_dtype(spec)).itemsize * 8
-    pos = np.where(wds == LUNG_WORD, spec.n, spec.n - 1 - wds) * sw + (sw - 1 - bts)
+    pos = _grid_positions(spec, np.dtype(word_dtype(spec)).itemsize * 8)
     cuts = np.flatnonzero(np.diff(pos) != 1) + 1
     starts = pos[np.r_[0, cuts]]
     stops = pos[np.r_[cuts - 1, len(pos) - 1]] + 1

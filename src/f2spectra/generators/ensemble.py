@@ -1,25 +1,41 @@
-"""Vectorized lockstep ensembles: many generator instances as word arrays.
+"""Vectorized lockstep ensembles and the one-step probe of the state grid.
 
 Storage is one (n, E) ring array ``st`` (plus an (E,) lung row for MELG):
 slot [j, e] is ring word j of ensemble member e.  Callers step it and
 read its outputs through ``ens.rec``: the family's own ``Recurrence`` from
 ``mt.py``, ``well.py`` or ``melg.py``, with its constants cast to the
-array's word type, acting on whole rows at once.  That makes basis-vector
-probing of transition matrices and ensemble output-weight traces cheap.
-An output may be a view of a ring row (WELL emits its newest word), so
-use it before the next step.
+array's word type, acting on whole rows at once.  An output may be a view
+of a ring row (WELL emits its newest word), so use it before the next
+step.
+
+``probe_images`` starts one member on each unit vector of the state grid
+(every stored bit, dead bits included; see ``base.canonical_grid``), reads
+each member's output word, steps once and lists the set bits of the
+images.  That yields the one-step matrix of the grid as sparse (row, col)
+pairs, about k + 600 of them at k = 19937, and the output map T as one
+word per grid coordinate, with no k x k probe matrix ever built.
+``probe_grid`` runs it over the whole grid on worker threads; it is the
+package's only thread pool, and both transition-matrix extraction and
+the zeroland sweep read it.
 
 ``state_rows`` emits every member's canonical state vector through
 ``base.pack_rows``, the same codec the scalar generators use, as packed
-little-endian uint64 limbs — the row format BitMatrix uses.
+little-endian uint64 limbs (the row format BitMatrix uses).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
+from .._util import resolve_threads
 from . import recurrence
-from .base import LUNG_WORD, GeneratorSpec, canonical_layout, pack_rows, word_dtype
+from .base import GeneratorSpec, grid_size, pack_rows, word_dtype
+
+#: Ring words per block of probe members: bounds a block's ring array to
+#: 4-8 MB at k = 19937.
+_PROBE_WORDS = 1 << 20
 
 
 class Ensemble:
@@ -39,20 +55,17 @@ class Ensemble:
         return cls(spec, np.zeros((spec.n, size), dtype=dt), lung)
 
     @classmethod
-    def from_unit_vectors(cls, spec: GeneratorSpec, lo: int, hi: int) -> "Ensemble":
-        """Member e holds canonical basis vector lo+e as its state."""
-        if not 0 <= lo <= hi <= spec.k:
-            raise ValueError(f"bad canonical range [{lo}, {hi})")
-        ens = cls.zeros(spec, hi - lo)
-        wds, bts = canonical_layout(spec)
-        wds, bts = wds[lo:hi], bts[lo:hi]
-        lanes = np.arange(hi - lo)
+    def from_grid_units(cls, spec: GeneratorSpec, grid: np.ndarray) -> "Ensemble":
+        """Member e holds the unit vector of state-grid coordinate grid[e]."""
+        ens = cls.zeros(spec, len(grid))
         dt = word_dtype(spec)
-        ring = wds != LUNG_WORD
-        ens.st[ens.rec.index(0, wds[ring]), lanes[ring]] = dt(1) << bts[ring].astype(dt)
+        word, bit = np.divmod(grid, spec.w)
+        ones = dt(1) << (spec.w - 1 - bit).astype(dt)
+        lanes = np.arange(len(grid))
+        ring = word < spec.n
+        ens.st[ens.rec.index(0, spec.n - 1 - word[ring]), lanes[ring]] = ones[ring]
         if spec.has_lung:
-            out = ~ring
-            ens.lung[lanes[out]] = dt(1) << bts[out].astype(dt)
+            ens.lung[lanes[~ring]] = ones[~ring]
         return ens
 
     # -- layout -----------------------------------------------------------
@@ -62,18 +75,64 @@ class Ensemble:
         order = self.rec.index(self.cursor, np.arange(self.spec.n))
         return pack_rows(self.spec, self.st[order], self.lung)
 
+    def grid_bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(state-grid coordinate, member) of every set state bit."""
+        spec = self.spec
+        n, w = spec.n, spec.w
+        grid_word = np.empty(n, dtype=np.int64)  # storage row -> grid word
+        grid_word[self.rec.index(self.cursor, np.arange(n))] = np.arange(n - 1, -1, -1)
+        # flatnonzero of a bool mask is several times faster than nonzero of words
+        row, member = np.divmod(np.flatnonzero(self.st != 0), self.st.shape[1])
+        word, values = grid_word[row], self.st[row, member]
+        if self.lung is not None:
+            lung = np.flatnonzero(self.lung)
+            word = np.concatenate((word, np.full(len(lung), n)))
+            member = np.concatenate((member, lung))
+            values = np.concatenate((values, self.lung[lung]))
+        msb_first = values.astype(values.dtype.newbyteorder(">")).view(np.uint8)
+        bits = np.unpackbits(msb_first.reshape(len(values), -1), axis=1)
+        which, pos = np.nonzero(bits)  # pos counts from the storage word's top bit
+        pad = values.dtype.itemsize * 8 - w
+        return word[which] * w + pos - pad, member[which]
 
-def probe_images(spec: GeneratorSpec, lo: int, hi: int, block: int = 512) -> np.ndarray:
-    """One-step images of canonical basis vectors lo..hi-1, as packed rows.
 
-    Lanes go ``block`` at a time; a block's unpacked state bits take
-    block * k bytes, about 10 MB at k = 19937.
+def probe_images(
+    spec: GeneratorSpec, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step of the state-grid unit vectors lo..hi-1.
+
+    Returns ``(rows, cols, outputs)``: B[rows[i], cols[i]] = 1 lists the
+    set bits of the images (grid coordinates, B's nonzeros in columns
+    lo..hi-1), and ``outputs[e]`` is the output word of unit vector lo+e
+    before the step, that is column lo+e of the output map T.
     """
-    limbs = (spec.k + 63) // 64
-    out = np.empty((hi - lo, limbs), dtype=np.uint64)
+    block = max(1, _PROBE_WORDS // (spec.n + 1))
+    rows, cols, outputs = [], [], []
     for blo in range(lo, hi, block):
         bhi = min(blo + block, hi)
-        ens = Ensemble.from_unit_vectors(spec, blo, bhi)
+        ens = Ensemble.from_grid_units(spec, np.arange(blo, bhi))
+        outputs.append(np.array(ens.rec.output(ens)))  # a copy: it may view a ring row
         ens.rec.step(ens)
-        out[blo - lo : bhi - lo] = ens.state_rows()
-    return out
+        r, c = ens.grid_bits()
+        rows.append(r)
+        cols.append(c + blo)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(outputs)
+
+
+def probe_grid(
+    spec: GeneratorSpec, threads: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``probe_images`` over the whole state grid.
+
+    ``threads`` workers (default: ``resolve_threads``) each probe one
+    contiguous lane range; the parts are joined in lane order, so the
+    result does not depend on the thread count.
+    """
+    threads = resolve_threads(threads)
+    size = grid_size(spec)
+    if threads == 1:
+        return probe_images(spec, 0, size)
+    bounds = [size * t // threads for t in range(threads + 1)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(lambda lo, hi: probe_images(spec, lo, hi), bounds[:-1], bounds[1:]))
+    return tuple(np.concatenate(part) for part in zip(*parts))

@@ -36,6 +36,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._util import LONG_INT
+
 if TYPE_CHECKING:
     from .generators import Generator, GeneratorSpec
 
@@ -354,11 +356,22 @@ def minimal_polynomial(spec: "GeneratorSpec", seed: int = 12345) -> GF2Poly:
 
 
 def format_minpoly(name: str, seed: int, poly: GF2Poly) -> str:
+    """File text: a header, then the coefficients in hex.  A seed too long
+    for a default ``int()`` to read back in decimal is written as "0x..."."""
+    seed_text = hex(seed) if abs(seed) >= LONG_INT else str(seed)
     return (
         "# minimal polynomial over GF(2); hex bit i = coefficient of t^i\n"
-        f"# generator={name} seed={seed} degree={poly.degree} weight={poly.weight}\n"
+        f"# generator={name} seed={seed_text} degree={poly.degree} weight={poly.weight}\n"
         f"{poly.to_hex()}\n"
     )
+
+
+def _header_value(text: str) -> int | str:
+    if text.lstrip("-").isdigit():
+        return int(text)
+    if text.startswith("0x"):
+        return int(text, 16)
+    return text
 
 
 def parse_minpoly(text: str) -> tuple[dict[str, int | str], GF2Poly]:
@@ -372,7 +385,7 @@ def parse_minpoly(text: str) -> tuple[dict[str, int | str], GF2Poly]:
             for token in line[1:].split():
                 if "=" in token:
                     key, value = token.split("=", 1)
-                    meta[key] = int(value) if value.lstrip("-").isdigit() else value
+                    meta[key] = _header_value(value)
             continue
         if poly is not None:
             raise ValueError("multiple polynomial payload lines")

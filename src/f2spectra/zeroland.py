@@ -9,9 +9,23 @@ output Hamming weights,
     gamma_{n,p} = (1 / (p k w)) * sum_{i=n}^{n+p-1} sum_{j=1}^{k} H(y_i^(j)),
 
 taken over an ensemble of k initial states (one per unit vector of the
-state space) or a single trajectory (k = 1) replayed from a stored
+state space, the measure of Panneton, L'Ecuyer & Matsumoto, "Improved
+long-period generators based on linear recurrences modulo 2", ACM TOMS
+32 (2006)) or a single trajectory (k = 1) replayed from a stored
 seed.  For balanced output gamma is approximately normal with mean 1/2
 and variance 1/(4 p k w).
+
+The ensemble sweep steps no lanes.  Lane j's output after i steps is
+T B^i e_j, with T the output map and B the one-step matrix, so the
+ensemble total at step i is the weight of the k canonical columns of
+U_i = T B^i, one w-bit word per column.  The adjoint recurrence
+U_{i+1} = U_i B moves those columns instead of the k lanes: B shifts
+all but a few hundred coordinates by one word, so a step rewrites only
+those few columns of U.  U has a column for every coordinate of the
+state grid (``generators.base.canonical_grid``), dead bits included: an
+output may read the dead bits (a MELG lag of 1 reads the whole oldest
+word), so leaving them out of U changes the totals even though no lane
+starts there.
 
 Word-size normalization: to compare 32- and 64-bit generators on one
 axis, one iteration of a 64-bit generator counts as two normalized
@@ -30,16 +44,12 @@ from typing import TextIO
 
 import numpy as np
 
-from ._util import resolve_threads
 from .generators import GeneratorSpec, get_spec, make_generator
 from .generators.base import Generator, GeneratorState
-from .generators.ensemble import Ensemble
+from .generators.ensemble import probe_grid
 
 #: Band half-width used by trace exports, in sigma units.
 DEFAULT_BAND_SIGMAS = 2.0
-
-#: Lanes per ensemble block when sweeps are split across workers.
-SWEEP_BLOCK = 4096
 
 
 def hamming(word: int) -> int:
@@ -90,13 +100,64 @@ def _window_means(totals: np.ndarray, p: int, per_step_bits: int) -> np.ndarray:
     return sums / float(p * per_step_bits)
 
 
-def _ensemble_weight_totals(spec: GeneratorSpec, lo: int, hi: int, steps: int) -> np.ndarray:
-    ens = Ensemble.from_unit_vectors(spec, lo, hi)
-    rec = ens.rec
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a 2-D word array."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+def _adjoint_weight_totals(spec: GeneratorSpec, steps: int, threads: int | None) -> np.ndarray:
+    """Total output weight of the k unit-vector lanes after 1..steps steps.
+
+    U_i[j] = T B^i e_j over the state grid, one word per coordinate j, so
+    U_0 = T, U_{i+1}[j] is the XOR of U_i[r] over the rows r of B's column
+    j, and a step's total is the weight of U_i over the canonical j.
+    B = S ^ R, where S moves every coordinate down by delta (the commonest
+    positive row - col offset of B's nonzeros) and R holds the rest,
+    including the entries that cancel S where B lacks them.  U lives in
+    the window buf[off : off + size] of a buffer of twice that size, zero
+    beyond the window, so S is ``off += delta`` and a step rewrites only
+    R's columns.  The window's weight changes by the words that leave it
+    and by the rewritten words; the dead-bit columns, which hold no lane,
+    are taken off each total.  Weights are counted once per run of steps
+    between two moves of the window back to the front of the buffer.
+    """
+    rows, cols, u = probe_grid(spec, threads)
+    size = len(u)
+    offsets = rows - cols
+    delta = 1 + int(np.argmax(np.bincount(offsets[offsets > 0], minlength=2)[1:]))
+    shifted = np.arange(size - delta)
+    r_codes = np.setxor1d(cols * size + rows, shifted * size + shifted + delta)
+    r_cols, r_rows = np.divmod(r_codes, size)  # sorted by column
+    touched, starts = np.unique(r_cols, return_index=True)
+    dead = slice(spec.n * spec.w - spec.r, spec.n * spec.w)
+    buf = np.zeros(2 * size, dtype=u.dtype)
+    buf[:size] = u
+    run = size // delta
+    leave = np.empty((run, delta), dtype=u.dtype)
+    old = np.empty((run, len(touched)), dtype=u.dtype)
+    new = np.empty_like(old)
+    dead_words = np.empty((run, spec.r), dtype=u.dtype)
     totals = np.empty(steps, dtype=np.int64)
-    for i in range(steps):
-        rec.step(ens)
-        totals[i] = int(np.sum(np.bitwise_count(rec.output(ens)), dtype=np.int64))
+    weight = int(np.bitwise_count(u).sum())
+    for done in range(0, steps, run):
+        count = min(run, steps - done)
+        off = 0
+        for i in range(count):
+            window = buf[off : off + size]
+            fix = np.bitwise_xor.reduceat(window[r_rows], starts)
+            leave[i] = window[:delta]
+            off += delta
+            window = buf[off : off + size]
+            old[i] = window[touched]
+            np.bitwise_xor(old[i], fix, out=new[i])
+            window[touched] = new[i]
+            dead_words[i] = window[dead]
+        change = _popcounts(new[:count]) - _popcounts(old[:count]) - _popcounts(leave[:count])
+        running = weight + np.cumsum(change)
+        totals[done : done + count] = running - _popcounts(dead_words[:count])
+        weight = int(running[-1])
+        buf[:size] = buf[off : off + size]
+        buf[size:] = 0
     return totals
 
 
@@ -110,8 +171,9 @@ def unit_seed_sweep(
 
     ``p`` and ``max_n`` are in normalized iterations; for 64-bit
     generators they are halved internally (both must be even there).
-    The sweep runs in lane blocks, optionally across worker threads,
-    and block totals are reduced in index order, so the trace is
+    The totals come from the output map evolved by the adjoint
+    (``_adjoint_weight_totals``); ``threads`` workers run its one-step
+    probe, whose parts are joined in lane order, so the trace is
     bit-identical for every thread count.
     """
     nu = _normalization(spec)
@@ -120,22 +182,8 @@ def unit_seed_sweep(
     if p % nu or max_n % nu:
         raise ValueError(f"p and max_n must be multiples of {nu} for w={spec.w}")
     p_act = p // nu
-    steps = max_n // nu
     k = spec.k
-    nthreads = resolve_threads(threads)
-    blocks = [(lo, min(lo + SWEEP_BLOCK, k)) for lo in range(0, k, SWEEP_BLOCK)]
-    totals = np.zeros(steps, dtype=np.int64)
-    if nthreads > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            for part in pool.map(
-                lambda b: _ensemble_weight_totals(spec, b[0], b[1], steps), blocks
-            ):
-                totals += part
-    else:
-        for lo, hi in blocks:
-            totals += _ensemble_weight_totals(spec, lo, hi, steps)
+    totals = _adjoint_weight_totals(spec, max_n // nu, threads)
     values = _window_means(totals, p_act, k * spec.w)
     return ZerolandTrace(
         values=values,

@@ -12,8 +12,13 @@ import numpy as np
 
 from f2spectra.bitlinalg import BitMatrix, BitVector
 from f2spectra.charpoly import BlockSpec, ZPoly
-from f2spectra.generators import Generator, make_generator
+from f2spectra.generators import Generator, GeneratorSpec, make_generator
+from f2spectra.generators.base import canonical_grid
+from f2spectra.generators.ensemble import Ensemble
 from f2spectra.gf2poly import GF2Poly
+
+#: Unit-vector lanes per ensemble block: bounds an oracle's working memory.
+_LANES = 2048
 
 
 # -- GF(2) linear algebra ------------------------------------------------------
@@ -93,6 +98,24 @@ def rank_gf2(m: BitMatrix) -> int:
     return rank
 
 
+def _unit_vectors(spec: GeneratorSpec, lo: int, hi: int) -> Ensemble:
+    """Ensemble whose member e holds canonical basis vector lo+e."""
+    return Ensemble.from_grid_units(spec, canonical_grid(spec)[lo:hi])
+
+
+def dense_transition_matrix(spec: GeneratorSpec) -> BitMatrix:
+    """B by the dense route: every canonical unit vector stepped once in an
+    ``Ensemble``, the images packed as rows by ``state_rows``, then
+    transposed; the oracle for ``bitlinalg.extract_transition_matrix``."""
+    images = np.empty((spec.k, (spec.k + 63) // 64), dtype=np.uint64)
+    for lo in range(0, spec.k, _LANES):
+        hi = min(lo + _LANES, spec.k)
+        ens = _unit_vectors(spec, lo, hi)
+        ens.rec.step(ens)
+        images[lo:hi] = ens.state_rows()
+    return transpose_unpacked(BitMatrix(spec.k, spec.k, images))
+
+
 def read_matrix(source: TextIO) -> BitMatrix:
     """Parse the text form ``bitlinalg.write_matrix`` emits."""
     rows: list[int] = []
@@ -137,6 +160,22 @@ def horner_apply(gen: Generator, poly: GF2Poly) -> None:
             if spec.has_lung:
                 acc.lung ^= x_lung
     gen.set_raw_state(acc.get_raw_state())
+
+
+# -- zeroland --------------------------------------------------------------------
+
+
+def ensemble_weight_totals(spec: GeneratorSpec, steps: int) -> np.ndarray:
+    """Total output weight of the k unit-vector lanes after 1..steps steps,
+    by stepping all k lanes in ensembles; the oracle for the adjoint sweep
+    of ``zeroland.unit_seed_sweep``."""
+    totals = np.zeros(steps, dtype=np.int64)
+    for lo in range(0, spec.k, _LANES):
+        ens = _unit_vectors(spec, lo, min(lo + _LANES, spec.k))
+        for i in range(steps):
+            ens.rec.step(ens)
+            totals[i] += int(np.bitwise_count(ens.rec.output(ens)).sum(dtype=np.int64))
+    return totals
 
 
 # -- twisted-GFSR block structure ---------------------------------------------

@@ -18,8 +18,18 @@ from f2spectra.bitlinalg import (
     transpose,
     write_matrix,
 )
+from f2spectra.generators import GENERATOR_NAMES
 
-from _oracles import matmul, matpow, matvec, rank_gf2, read_matrix, transpose_unpacked
+from _oracles import (
+    dense_transition_matrix,
+    matmul,
+    matpow,
+    matvec,
+    rank_gf2,
+    read_matrix,
+    transpose_unpacked,
+)
+from _toys import TOY_MT8
 
 
 def _random_matrix(rows: int, cols: int, rng: random.Random) -> BitMatrix:
@@ -205,8 +215,12 @@ def test_read_matrix_rejects_garbage():
     [
         pytest.param("well607b", 20, id="well607b"),
         pytest.param("melg607", 20, id="melg607"),
-        # full k: 32-bit words with r = 31 dead bits, and 64-bit words plus the lung
+        # full k: 32-bit words with r = 31 dead bits, 64-bit words, two words
+        # written per step, and 64-bit words plus the lung
         pytest.param("mt19937", 3, id="mt19937"),
+        pytest.param("mt19937-64id1", 3, id="mt19937-64id1"),
+        pytest.param("mt19937-64id3", 3, id="mt19937-64id3"),
+        pytest.param("well19937a", 3, id="well19937a"),
         pytest.param("melg19937", 3, id="melg19937"),
     ],
 )
@@ -221,6 +235,13 @@ def test_extracted_matrix_steps_the_generator(name, trials):
         gen.set_state_vector(x)
         gen.step()
         assert matvec(mat, x) == gen.state_vector()
+
+
+@pytest.mark.parametrize(
+    "spec", [*(get_spec(name) for name in GENERATOR_NAMES), TOY_MT8], ids=lambda s: s.name
+)
+def test_extraction_matches_dense_oracle(spec):
+    assert extract_transition_matrix(spec) == dense_transition_matrix(spec)
 
 
 def test_extraction_thread_count_is_irrelevant():

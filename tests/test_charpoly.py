@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f2spectra import Family, GeneratorSpec
 from f2spectra.bitlinalg import extract_transition_matrix, transpose
 from f2spectra.charpoly import (
     ORACLE_DIM_LIMIT,
@@ -27,19 +26,7 @@ from f2spectra.charpoly import (
 )
 
 from _oracles import fl_charpoly, mt_step_matrix
-
-TOY_MT8 = GeneratorSpec(
-    name="toy-mt8",
-    family=Family.MT32,
-    w=8,
-    n=3,
-    r=2,
-    init_f=1812433253,
-    init_shift=30,
-    a=0xB1,
-    m=1,
-    temper=(3, 0xD7, 2, 0x75, 3, 0x16, 1),
-)
+from _toys import TOY_MT8
 
 
 # -- integer polynomials ------------------------------------------------------

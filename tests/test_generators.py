@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2spectra import (
-    Family,
-    GeneratorSpec,
     GeneratorState,
     get_spec,
     list_specs,
@@ -20,6 +18,8 @@ from f2spectra import (
 from f2spectra.bitlinalg import BitVector
 from f2spectra.generators.base import unpack_rows
 from f2spectra.generators.ensemble import Ensemble
+
+from _toys import TOY_MELG, TOY_MT8  # small widths keep the exhaustive checks fast
 
 ALL_NAMES = (
     "mt19937",
@@ -109,34 +109,6 @@ REGRESSION_GOLDENS = {
 }
 
 # Small widths keep the exhaustive/property checks fast.
-TOY_MT8 = GeneratorSpec(
-    name="toy-mt8",
-    family=Family.MT32,
-    w=8,
-    n=3,
-    r=2,
-    init_f=1812433253,
-    init_shift=30,
-    a=0xB1,
-    m=1,
-    temper=(3, 0xD7, 2, 0x75, 3, 0x16, 1),
-)
-TOY_MELG = GeneratorSpec(
-    name="toy-melg",
-    family=Family.MELG,
-    w=64,
-    n=4,
-    r=33,
-    init_f=6364136223846793005,
-    init_shift=62,
-    a=0x5C32E06DF730FC42,
-    m=2,
-    lag=1,
-    s1=23,
-    s2=33,
-    s3=16,
-    b=0x66EDC62A6BF8C826,
-)
 
 
 def test_bundled_catalog():

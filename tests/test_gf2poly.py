@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -281,6 +282,23 @@ def test_minpoly_file_roundtrip(tmp_path):
     assert parsed == poly
     assert header["generator"] == spec.name
     assert header["seed"] == 12345
+
+
+def test_minpoly_file_roundtrip_of_a_seed_beyond_4300_digits():
+    # Python's default cap on int <-> decimal text is in force while the
+    # file is written and read back.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        poly = minimal_polynomial(get_spec("well607b"))
+        for seed in (10**4300 - 1, 10**4300, 10**4400 + 7):
+            text = format_minpoly("well607b", seed, poly)
+            header, parsed = parse_minpoly(text)
+            assert header["seed"] == seed and parsed == poly
+        assert "seed=0x" in text
+        assert "seed=0x" not in format_minpoly("well607b", 10**4300 - 1, poly)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- jump-ahead ---------------------------------------------------------------

@@ -7,8 +7,10 @@ import io
 import numpy as np
 import pytest
 
-from f2spectra import Family, GeneratorSpec, get_spec, make_generator
+from f2spectra import get_spec, make_generator
 from f2spectra.bitlinalg import BitVector
+from f2spectra.generators import GENERATOR_NAMES
+from f2spectra.generators.ensemble import probe_grid
 from f2spectra.gf2poly import jump_ahead
 from f2spectra.zeroland import (
     ZerolandTrace,
@@ -23,34 +25,8 @@ from f2spectra.zeroland import (
     unit_seed_sweep,
 )
 
-TOY_MT8 = GeneratorSpec(
-    name="toy-mt8",
-    family=Family.MT32,
-    w=8,
-    n=3,
-    r=2,
-    init_f=1812433253,
-    init_shift=30,
-    a=0xB1,
-    m=1,
-    temper=(3, 0xD7, 2, 0x75, 3, 0x16, 1),
-)
-TOY_MELG = GeneratorSpec(
-    name="toy-melg",
-    family=Family.MELG,
-    w=64,
-    n=4,
-    r=33,
-    init_f=6364136223846793005,
-    init_shift=62,
-    a=0x5C32E06DF730FC42,
-    m=2,
-    lag=1,
-    s1=23,
-    s2=33,
-    s3=16,
-    b=0x66EDC62A6BF8C826,
-)
+from _oracles import ensemble_weight_totals
+from _toys import TOY_MELG, TOY_MT8, TOY_WELL_DEAD_TAP
 
 
 def test_hamming():
@@ -110,6 +86,31 @@ def test_sweep_rejects_odd_arguments_for_64_bit():
         unit_seed_sweep(TOY_MELG, p=7, max_n=60)
     with pytest.raises(ValueError):
         unit_seed_sweep(TOY_MELG, p=8, max_n=61)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*(get_spec(name) for name in GENERATOR_NAMES), TOY_MT8, TOY_MELG, TOY_WELL_DEAD_TAP],
+    ids=lambda s: s.name,
+)
+def test_adjoint_sweep_matches_ensemble_oracle(spec):
+    # 700 steps move the sweep's window back to the front of its buffer
+    # once at delta = 32 and twice at delta = 64 (k = 19937); the toys
+    # move it every few steps.
+    nu = 2 if spec.w == 64 else 1
+    steps = 700
+    trace = unit_seed_sweep(spec, p=nu, max_n=nu * steps)
+    expect = ensemble_weight_totals(spec, steps) / float(spec.k * spec.w)
+    assert trace.values.tolist() == expect.tolist()
+
+
+def test_dead_tap_toy_reads_its_dead_bits():
+    # The premise of its sweep test: B has nonzeros in the dead-bit
+    # columns, so those columns of the sweep's U fill up and must be left
+    # out of the totals.
+    spec = TOY_WELL_DEAD_TAP
+    _, cols, _ = probe_grid(spec)
+    assert spec.r and np.any(cols >= spec.n * spec.w - spec.r)
 
 
 def test_sweep_thread_count_is_irrelevant():
