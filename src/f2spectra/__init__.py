@@ -4,7 +4,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .bitlinalg import BitMatrix, BitVector, extract_transition_matrix
+from .bitlinalg import BitMatrix, BitVector, SparseBitMatrix, extract_transition_matrix
 from .generators import (
     Family,
     Generator,
@@ -23,6 +23,7 @@ __all__ = [
     "Generator",
     "GeneratorSpec",
     "GeneratorState",
+    "SparseBitMatrix",
     "extract_transition_matrix",
     "get_spec",
     "list_specs",

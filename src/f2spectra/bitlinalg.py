@@ -2,16 +2,20 @@
 
 A BitVector wraps an arbitrary-precision integer; coefficient i is bit i
 of ``value``.  A BitMatrix stores one packed row per run of little-endian
-64-bit limbs, so the 19937-square transition matrices stay around 50 MB.
+64-bit limbs; the block matrices of ``charpoly`` and the tests' oracles
+use it.
 
-The transition-matrix extractor takes B's nonzeros from one sparse probe
-of the state grid (``generators.ensemble.probe_grid``): every stored bit
-is stepped once as a unit vector and the set bits of its image are
-listed as (row, col) pairs.  B has about k + 600 nonzeros at k = 19937,
-so the pairs whose row and column are canonical coordinates are set
-straight into the packed rows, with no dense probe matrix and no
-transpose; ``B @ x == raw_step(x)`` is the property everything
-downstream relies on.
+A SparseBitMatrix holds a matrix as its nonzeros, sorted by (row, col).
+The transition matrix B of every bundled generator is almost a pure
+shift, with about k + 600 nonzeros at k = 19937, so in this form it
+takes about 320 KB where packed rows would take 50 MB.  The extractor
+takes B's nonzeros from one sparse probe of the state grid
+(``generators.ensemble.probe_grid``): every stored bit is stepped once
+as a unit vector and the set bits of its image are listed as (row, col)
+pairs, of which those in canonical rows and columns are kept.
+``B @ x == raw_step(x)`` is the property everything downstream relies
+on.  ``write_matrix`` streams each text row straight from the nonzeros:
+slices of one all-zeros line joined around the row's "1"s.
 
 ``transpose`` works on 8x8 bit blocks: it packs eight rows' worth of one
 byte column into a uint64 and transposes it with three delta swaps (mask,
@@ -170,6 +174,47 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
+class SparseBitMatrix:
+    """GF(2) matrix held as its nonzeros.
+
+    Entry e says that bit (``row_index[e]``, ``col_index[e]``) is 1.  Both
+    are int64 arrays, and the pairs are distinct and sorted by (row, col):
+    each row's nonzeros are one run, and equal matrices have equal arrays.
+    """
+
+    __slots__ = ("rows", "cols", "row_index", "col_index")
+
+    def __init__(self, rows: int, cols: int, row_index, col_index) -> None:
+        row_index = np.asarray(row_index, dtype=np.int64)
+        col_index = np.asarray(col_index, dtype=np.int64)
+        if row_index.ndim != 1 or row_index.shape != col_index.shape:
+            raise ValueError("row and column indices must be 1-d arrays of one length")
+        if row_index.size:
+            if (row_index.min() < 0 or row_index.max() >= rows
+                    or col_index.min() < 0 or col_index.max() >= cols):
+                raise ValueError(f"nonzero outside the {rows}x{cols} matrix")
+            key = row_index * cols + col_index
+            if np.any(key[1:] <= key[:-1]):
+                raise ValueError("nonzeros must be distinct and sorted by (row, col)")
+        self.rows = rows
+        self.cols = cols
+        self.row_index = row_index
+        self.col_index = col_index
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SparseBitMatrix):
+            return NotImplemented
+        return (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and bool(np.array_equal(self.row_index, other.row_index))
+            and bool(np.array_equal(self.col_index, other.col_index))
+        )
+
+    def __repr__(self) -> str:
+        return f"SparseBitMatrix({self.rows}x{self.cols}, {self.row_index.size} nonzeros)"
+
+
 # -- transpose ---------------------------------------------------------
 
 #: (shift, mask) of the three delta swaps that transpose an 8x8 bit block
@@ -223,24 +268,34 @@ def transpose(m: BitMatrix, chunk: int = 2048) -> BitMatrix:
 # -- serialization -----------------------------------------------------
 
 
-def write_matrix(m: BitMatrix, sink: TextIO) -> None:
-    """Text form: one line of '0'/'1' per row, column index ascending."""
-    src_bytes = m.storage.view(np.uint8).reshape(m.rows, -1)
+def write_matrix(m: SparseBitMatrix, sink: TextIO) -> None:
+    """Text form: one line of '0'/'1' per row, column index ascending.
+
+    Each line is built from the row's nonzeros alone, as slices of one
+    all-zeros line joined by "1"s, and written before its newline.
+    """
+    zeros = "0" * m.cols
+    bounds = np.searchsorted(m.row_index, np.arange(m.rows + 1)).tolist()
+    cols = m.col_index.tolist()
     for i in range(m.rows):
-        bits = np.unpackbits(src_bytes[i], bitorder="little")[: m.cols]
-        sink.write((bits + ord("0")).astype(np.uint8).tobytes().decode("ascii"))
+        pieces, start = [], 0
+        for c in cols[bounds[i] : bounds[i + 1]]:
+            pieces.append(zeros[start:c])
+            start = c + 1
+        pieces.append(zeros[start:])
+        sink.write("1".join(pieces))
         sink.write("\n")
 
 
 # -- transition-matrix extraction --------------------------------------
 
 
-def extract_transition_matrix(spec, threads: int | None = None) -> BitMatrix:
+def extract_transition_matrix(spec, threads: int | None = None) -> SparseBitMatrix:
     """The k-square matrix B with ``B @ x == raw_step(x)`` for every state x.
 
     One sparse probe of the state grid (``ensemble.probe_grid``, on
     ``threads`` workers) lists B's nonzeros; those in canonical rows and
-    columns are set straight into the packed rows.
+    columns, renumbered to canonical coordinates, are B.
     """
     from .generators.base import canonical_grid, grid_size
     from .generators.ensemble import probe_grid
@@ -251,8 +306,5 @@ def extract_transition_matrix(spec, threads: int | None = None) -> BitMatrix:
     rows, cols = canon[rows], canon[cols]
     keep = (rows >= 0) & (cols >= 0)
     rows, cols = rows[keep], cols[keep]
-    m = BitMatrix.zeros(spec.k, spec.k)
-    limbs = m.storage.shape[1]
-    bit = np.uint64(1) << (cols & 63).astype(np.uint64)
-    np.bitwise_or.at(m.storage.reshape(-1), rows * limbs + (cols >> 6), bit)
-    return m
+    order = np.lexsort((cols, rows))
+    return SparseBitMatrix(spec.k, spec.k, rows[order], cols[order])

@@ -10,7 +10,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from f2spectra.bitlinalg import BitMatrix, BitVector
+from f2spectra.bitlinalg import BitMatrix, BitVector, SparseBitMatrix
 from f2spectra.charpoly import BlockSpec, ZPoly
 from f2spectra.generators import Generator, GeneratorSpec, make_generator
 from f2spectra.generators.base import canonical_grid
@@ -39,6 +39,22 @@ def transpose_unpacked(m: BitMatrix, chunk: int = 2048) -> BitMatrix:
         packed = np.packbits(bits.T, axis=1, bitorder="little")
         out_bytes[:, lo >> 3 : (lo >> 3) + packed.shape[1]] = packed
     return out
+
+
+def packed(m: SparseBitMatrix) -> BitMatrix:
+    """The same matrix as packed rows, each nonzero XORed into its bit."""
+    out = BitMatrix.zeros(m.rows, m.cols)
+    limbs = out.storage.shape[1]
+    bit = np.uint64(1) << (m.col_index & 63).astype(np.uint64)
+    np.bitwise_xor.at(out.storage.reshape(-1), m.row_index * limbs + (m.col_index >> 6), bit)
+    return out
+
+
+def sparse(dense) -> SparseBitMatrix:
+    """The nonzeros of a 0/1 array, in row-major order."""
+    dense = np.asarray(dense)
+    rows, cols = np.nonzero(dense)
+    return SparseBitMatrix(dense.shape[0], dense.shape[1], rows, cols)
 
 
 def matvec(m: BitMatrix, v: BitVector) -> BitVector:
@@ -114,6 +130,16 @@ def dense_transition_matrix(spec: GeneratorSpec) -> BitMatrix:
         ens.rec.step(ens)
         images[lo:hi] = ens.state_rows()
     return transpose_unpacked(BitMatrix(spec.k, spec.k, images))
+
+
+def write_matrix_unpacked(m: BitMatrix, sink: TextIO) -> None:
+    """Each packed row unpacked to one byte per bit and written as '0'/'1'
+    text, then a newline; the oracle for ``bitlinalg.write_matrix``."""
+    src_bytes = m.storage.view(np.uint8).reshape(m.rows, -1)
+    for i in range(m.rows):
+        bits = np.unpackbits(src_bytes[i], bitorder="little")[: m.cols]
+        sink.write((bits + ord("0")).astype(np.uint8).tobytes().decode("ascii"))
+        sink.write("\n")
 
 
 def read_matrix(source: TextIO) -> BitMatrix:

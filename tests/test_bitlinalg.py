@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import random
 
@@ -14,6 +15,7 @@ from f2spectra import get_spec, make_generator
 from f2spectra.bitlinalg import (
     BitMatrix,
     BitVector,
+    SparseBitMatrix,
     extract_transition_matrix,
     transpose,
     write_matrix,
@@ -25,11 +27,16 @@ from _oracles import (
     matmul,
     matpow,
     matvec,
+    packed,
     rank_gf2,
     read_matrix,
+    sparse,
     transpose_unpacked,
+    write_matrix_unpacked,
 )
-from _toys import TOY_MT8
+from _toys import TOY_MELG, TOY_MT8, TOY_WELL_DEAD_TAP
+
+_TOYS = (TOY_MT8, TOY_MELG, TOY_WELL_DEAD_TAP)
 
 
 def _random_matrix(rows: int, cols: int, rng: random.Random) -> BitMatrix:
@@ -187,14 +194,92 @@ def test_rank_agrees_with_numpy_gauss(rows, cols, seed):
     assert rank_gf2(m) == rank
 
 
+# -- sparse matrices ---------------------------------------------------------
+
+
+def test_sparse_matrix_matches_its_packed_form():
+    rng = random.Random(7)
+    m = _random_matrix(23, 70, rng)
+    s = sparse(m.to_dense())
+    assert (s.rows, s.cols) == (23, 70)
+    assert s.row_index.dtype == s.col_index.dtype == np.int64
+    assert packed(s) == m
+    assert s == sparse(m.to_dense()) and s != sparse(np.eye(23, 70, dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    ("rows", "cols", "message"),
+    [
+        ([0, 0], [1, 1], "distinct"),
+        ([1, 0], [0, 1], "sorted"),
+        ([0, 0], [2, 1], "sorted"),
+        ([0, 3], [0, 0], "outside"),
+        ([0, 1], [0, -1], "outside"),
+        ([[0]], [[0]], "1-d"),
+        ([0, 1], [0], "1-d"),
+    ],
+)
+def test_sparse_matrix_rejects_non_canonical_nonzeros(rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        SparseBitMatrix(3, 3, rows, cols)
+
+
 # -- serialization -----------------------------------------------------------
+
+
+class _DigestSink:
+    """Text sink that keeps a digest of the text and each write's length,
+    so two writers of a k = 19937 matrix compare without holding it."""
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+        self.writes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.digest.update(text.encode("ascii"))
+        self.writes.append(len(text))
+        return len(text)
+
+    def seen(self) -> tuple[str, list[int]]:
+        return self.digest.hexdigest(), self.writes
+
+
+def _assert_writers_agree(m: SparseBitMatrix) -> None:
+    ours, oracle = _DigestSink(), _DigestSink()
+    write_matrix(m, ours)
+    write_matrix_unpacked(packed(m), oracle)
+    assert ours.seen() == oracle.seen()
+
+
+@pytest.mark.parametrize(
+    "spec", [*(get_spec(name) for name in GENERATOR_NAMES), *_TOYS], ids=lambda s: s.name
+)
+def test_write_matrix_matches_unpacked_oracle(spec):
+    _assert_writers_agree(extract_transition_matrix(spec))
+
+
+def test_write_matrix_matches_unpacked_oracle_on_row_corners():
+    # row 1 is empty, rows 0 and 2 hold the first and last columns, and
+    # row 3 has nonzeros in the first, a middle, and the last limb
+    dense = np.zeros((5, 130), dtype=np.uint8)
+    dense[0, 0] = dense[2, 129] = 1
+    dense[3, [0, 1, 63, 64, 65, 127, 128, 129]] = 1
+    dense[4, 77] = 1
+    m = sparse(dense)
+    _assert_writers_agree(m)
+    sink = io.StringIO()
+    write_matrix(m, sink)
+    lines = sink.getvalue().split("\n")
+    assert lines[1] == "0" * 130
+    assert lines[0] == "1" + "0" * 129 and lines[2] == "0" * 129 + "1"
+    assert len(lines) == 6 and lines[5] == ""
 
 
 def test_text_roundtrip():
     rng = random.Random(6)
     m = _random_matrix(19, 67, rng)
     sink = io.StringIO()
-    write_matrix(m, sink)
+    write_matrix(sparse(m.to_dense()), sink)
     assert read_matrix(io.StringIO(sink.getvalue())) == m
     lines = sink.getvalue().strip("\n").split("\n")
     assert len(lines) == 19 and set("".join(lines)) <= {"0", "1"}
@@ -228,28 +313,31 @@ def test_extracted_matrix_steps_the_generator(name, trials):
     spec = get_spec(name)
     mat = extract_transition_matrix(spec)
     assert mat.rows == mat.cols == spec.k
+    dense = packed(mat)
     gen = make_generator(spec)
     rng = random.Random(8)
     for _ in range(trials):
         x = BitVector.random(spec.k, rng)
         gen.set_state_vector(x)
         gen.step()
-        assert matvec(mat, x) == gen.state_vector()
+        assert matvec(dense, x) == gen.state_vector()
 
 
 @pytest.mark.parametrize(
-    "spec", [*(get_spec(name) for name in GENERATOR_NAMES), TOY_MT8], ids=lambda s: s.name
+    "spec", [*(get_spec(name) for name in GENERATOR_NAMES), *_TOYS], ids=lambda s: s.name
 )
 def test_extraction_matches_dense_oracle(spec):
-    assert extract_transition_matrix(spec) == dense_transition_matrix(spec)
+    assert packed(extract_transition_matrix(spec)) == dense_transition_matrix(spec)
 
 
 def test_extraction_thread_count_is_irrelevant():
     spec = get_spec("well1024a")
-    assert extract_transition_matrix(spec, threads=2) == extract_transition_matrix(spec)
+    one, two = extract_transition_matrix(spec), extract_transition_matrix(spec, threads=2)
+    assert two == one
+    assert packed(two) == packed(one)
 
 
 def test_transition_matrix_is_invertible():
     # every bundled recurrence permutes its nonzero states
     spec = get_spec("well607b")
-    assert rank_gf2(extract_transition_matrix(spec)) == spec.k
+    assert rank_gf2(packed(extract_transition_matrix(spec))) == spec.k

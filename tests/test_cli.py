@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -488,3 +490,65 @@ def test_module_entry_point_exit_codes():
     assert failure.stdout == "" and failure.stderr.startswith("error:")
     for proc in (usage, failure):
         assert "Traceback" not in proc.stderr
+
+
+#: Runs each command in a fresh interpreter and prints, after each, whether
+#: SciPy has been imported.
+_IMPORT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from f2spectra import cli
+seen = [["import", 0, "scipy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append([" ".join(argv), code, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_entropy_imports_scipy(tmp_path):
+    seed = str(tmp_path / "bad.seed")
+    commands = [
+        ["jump", "--spec", "well607b", "--steps", "1000"],
+        ["matrix", "--spec", "well607b"],
+        ["minpoly", "--spec", "well607b"],
+        ["zeroland", "--spec", "well607b", "--max-n", "400"],
+        ["badseed", "--spec", "well607b", "--d", "150", "--out", seed],
+        ["zeroland", "--spec", "well607b", "--seed-file", seed, "--max-n", "50"],
+        ["bench", "--specs", "well607b", "--doubles", "1000", "--warmup", "0"],
+        ["charpoly", "verify-appendix-a", "--trials", "2"],
+        ["entropy", "--spec", "well607b"],
+    ]
+    src = str(Path(f2spectra.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert [code for _, code, _ in seen] == [0] * len(seen), seen
+    *before, (last, _, loaded) = seen
+    assert [name for name, _, loaded in before if loaded] == []
+    assert last.startswith("entropy") and loaded
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_matrix_at_full_k_allocates_under_16_mb():
+    # the nonzeros of B take about 320 KB; packed rows alone took 50 MB
+    tracemalloc.start()
+    try:
+        with redirect_stdout(_Discard()):
+            code = main(["matrix", "--spec", "mt19937"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from f2spectra import get_spec
-from f2spectra.bitlinalg import BitMatrix, extract_transition_matrix
+from f2spectra.bitlinalg import BitMatrix, SparseBitMatrix, extract_transition_matrix
 from f2spectra.spectral import (
     BOUNDARY_TOL,
     DEFAULT_EIGEN_CAP,
@@ -23,10 +23,16 @@ from f2spectra.spectral import (
     to_real_matrix,
 )
 
+from _oracles import dense_transition_matrix, sparse
+
 
 def _random_bitmatrix(dim: int, seed: int) -> BitMatrix:
     rng = random.Random(seed)
     return BitMatrix.from_int_rows((rng.getrandbits(dim) for _ in range(dim)), dim)
+
+
+def _identity(dim: int) -> SparseBitMatrix:
+    return SparseBitMatrix(dim, dim, np.arange(dim), np.arange(dim))
 
 
 # -- dense conversion ----------------------------------------------------------
@@ -34,24 +40,31 @@ def _random_bitmatrix(dim: int, seed: int) -> BitMatrix:
 
 def test_to_real_matrix_roundtrip():
     m = _random_bitmatrix(70, 13)
-    dense = to_real_matrix(m)
+    dense = to_real_matrix(sparse(m.to_dense()))
     assert dense.dtype == np.float64
     assert dense.flags["F_CONTIGUOUS"]
     assert dense.astype(np.uint8).tolist() == m.to_dense().tolist()
+
+
+@pytest.mark.parametrize("name", ["well607b", "well1024a", "melg607"])
+def test_to_real_matrix_matches_dense_oracle(name):
+    spec = get_spec(name)
+    real = to_real_matrix(extract_transition_matrix(spec))
+    assert np.array_equal(real, dense_transition_matrix(spec).to_dense().astype(np.float64))
 
 
 # -- eigensolves ----------------------------------------------------------------
 
 
 def test_swap_matrix_spectrum():
-    spec = eigenvalues(BitMatrix.from_int_rows([0b10, 0b01], 2), source="swap")
+    spec = eigenvalues(sparse([[0, 1], [1, 0]]), source="swap")
     assert sorted(v.real for v in spec.eigenvalues) == pytest.approx([-1.0, 1.0])
     assert spec.source == "swap" and spec.k == 2
 
 
 def test_golden_ratio_entropy():
     # [[1,1],[1,0]] contracts along one direction at rate 1/phi
-    spec = eigenvalues(BitMatrix.from_int_rows([0b11, 0b01], 2))
+    spec = eigenvalues(sparse([[1, 1], [1, 0]]))
     report = entropy(spec, w=2)
     golden = (1 + math.sqrt(5)) / 2
     assert report.h == pytest.approx(math.log(golden), abs=1e-12)
@@ -61,14 +74,14 @@ def test_golden_ratio_entropy():
 
 
 def test_identity_has_zero_entropy_and_empty_tails():
-    report = entropy(eigenvalues(BitMatrix.identity(8)), w=1)
+    report = entropy(eigenvalues(_identity(8)), w=1)
     assert report.h == 0.0
     assert report.count_inside == 0 and report.count_outside == 0
     assert report.min_modulus == pytest.approx(1.0)
 
 
 def test_eigenvalue_cap():
-    big = BitMatrix.identity(DEFAULT_EIGEN_CAP + 1)
+    big = _identity(DEFAULT_EIGEN_CAP + 1)
     with pytest.raises(ValueError):
         eigenvalues(big)
     spec = eigenvalues(big, cap=DEFAULT_EIGEN_CAP + 1)
@@ -77,7 +90,7 @@ def test_eigenvalue_cap():
 
 def test_singular_matrix_is_rejected():
     with pytest.raises(SingularSpectrumError):
-        eigenvalues(BitMatrix.zeros(3, 3))
+        eigenvalues(SparseBitMatrix(3, 3, [], []))
 
 
 # -- report ----------------------------------------------------------------------
@@ -94,7 +107,7 @@ def test_entropy_resolves_word_size_from_known_source():
 
 
 def test_entropy_json_fields():
-    report = entropy(eigenvalues(BitMatrix.identity(4)), w=2, name="eye")
+    report = entropy(eigenvalues(_identity(4)), w=2, name="eye")
     payload = json.loads(report.to_json())
     assert set(payload) == {
         "name", "k", "w", "h", "h_per_bit", "min_modulus", "max_modulus",
@@ -114,7 +127,7 @@ def test_entropy_boundary_band_is_excluded():
 
 
 def test_spectrum_csv_parses_back():
-    spec = eigenvalues(_random_bitmatrix(10, 9))
+    spec = eigenvalues(sparse(_random_bitmatrix(10, 9).to_dense()))
     sink = io.StringIO()
     spectrum_csv(spec, sink)
     lines = sink.getvalue().strip().split("\n")
