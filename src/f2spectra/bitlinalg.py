@@ -2,8 +2,7 @@
 
 A BitVector wraps an arbitrary-precision integer; coefficient i is bit i
 of ``value``.  A BitMatrix stores one packed row per run of little-endian
-64-bit limbs; the block matrices of ``charpoly`` and the tests' oracles
-use it.
+64-bit limbs; ``transpose`` and the tests' oracles use it.
 
 A SparseBitMatrix holds a matrix as its nonzeros, sorted by (row, col).
 The transition matrix B of every bundled generator is almost a pure
@@ -297,12 +296,11 @@ def extract_transition_matrix(spec, threads: int | None = None) -> SparseBitMatr
     ``threads`` workers) lists B's nonzeros; those in canonical rows and
     columns, renumbered to canonical coordinates, are B.
     """
-    from .generators.base import canonical_grid, grid_size
+    from .generators.base import grid_canonical
     from .generators.ensemble import probe_grid
 
     rows, cols, _ = probe_grid(spec, threads)
-    canon = np.full(grid_size(spec), -1, dtype=np.int64)
-    canon[canonical_grid(spec)] = np.arange(spec.k)
+    canon = grid_canonical(spec)
     rows, cols = canon[rows], canon[cols]
     keep = (rows >= 0) & (cols >= 0)
     rows, cols = rows[keep], cols[keep]

@@ -48,8 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bitlinalg import BitMatrix
-
 ORACLE_DIM_LIMIT = 64
 
 
@@ -253,17 +251,13 @@ def mt_charpoly(spec: BlockSpec) -> ZPoly:
 # -- block matrices ---------------------------------------------------------
 
 
-def twist_companion_matrix(a: int, w: int) -> BitMatrix:
-    """The w-square twist block A in companion orientation: ones on the
-    superdiagonal, bottom row a_(w-1) .. a_0 left to right.  Its
-    characteristic polynomial is ``phi_A(a, w)``."""
-    mat_rows = [0] * w
-    for i in range(w - 1):
-        mat_rows[i] = 1 << (i + 1)
-    for j in range(w):
-        if (a >> (w - 1 - j)) & 1:
-            mat_rows[w - 1] |= 1 << j
-    return BitMatrix.from_int_rows(mat_rows, w)
+def twist_companion_matrix(a: int, w: int) -> list[list[int]]:
+    """The w-square twist block A in companion orientation, as 0/1 rows:
+    ones on the superdiagonal, bottom row a_(w-1) .. a_0 left to right.
+    Its characteristic polynomial is ``phi_A(a, w)``."""
+    mat = [[int(j == i + 1) for j in range(w)] for i in range(w - 1)]
+    mat.append([(a >> (w - 1 - j)) & 1 for j in range(w)])
+    return mat
 
 
 def assemble_block_matrix(spec: BlockSpec) -> list[list[int]]:
@@ -307,7 +301,7 @@ def assemble_block_matrix(spec: BlockSpec) -> list[list[int]]:
     for q in range(w):
         mat[base + q][q] += 1
     # twist block S = P A in the last block row
-    dense_a = twist_companion_matrix(a, w).to_dense().tolist()
+    dense_a = twist_companion_matrix(a, w)
     s_block = [dense_a[w - r + i] for i in range(r)] + [dense_a[i] for i in range(w - r)]
     last = row_start(n - 1)
     for q in range(w):
@@ -351,16 +345,9 @@ def det_int(mat: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _as_dense(mat: Sequence[Sequence[int]] | BitMatrix) -> list[list[int]]:
-    if isinstance(mat, BitMatrix):
-        return mat.to_dense().tolist()
-    return [[int(x) for x in row] for row in mat]
-
-
-def brute_charpoly(mat: Sequence[Sequence[int]] | BitMatrix) -> ZPoly:
+def brute_charpoly(mat: Sequence[Sequence[int]]) -> ZPoly:
     """det(tI - M) exactly, by determinant evaluation at integer points
     and Lagrange interpolation (all arithmetic exact)."""
-    mat = _as_dense(mat)
     dim = len(mat)
     if dim > ORACLE_DIM_LIMIT:
         raise ValueError(f"matrix dimension {dim} exceeds oracle limit {ORACLE_DIM_LIMIT}")

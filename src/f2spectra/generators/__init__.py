@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .base import Family, Generator, GeneratorSpec, GeneratorState, Recurrence, canonical_layout
+from .base import Family, Generator, GeneratorSpec, GeneratorState, Recurrence
 from .melg import Melg
 from .mt import Mt
 from .well import Well
@@ -21,7 +21,6 @@ __all__ = [
     "GeneratorSpec",
     "GeneratorState",
     "GENERATOR_NAMES",
-    "canonical_layout",
     "get_spec",
     "list_specs",
     "make_generator",

@@ -1,26 +1,27 @@
-"""Generator specs, the canonical state-bit layout and its codec.
+"""Generator specs, the state-bit layout and its codec.
 
 Every generator here updates a ring of n w-bit words (plus, for the MELG
 family, one extra w-bit "lung" word) by an F2-linear recurrence, so the
-full state is a vector over GF(2).  The canonical coordinates used
-throughout the package enumerate that vector as:
+full state is a vector over GF(2).  The package reads it in one order,
+the *state grid*:
 
-    newest ring word first, oldest ring word last, most-significant bit
-    first within each word; the r dead low bits of the oldest word (the
-    bits the recurrence never reads) are skipped; the lung, when
-    present, contributes its w bits last.
+    newest ring word first, oldest ring word last, then the lung when
+    present; w bits per word, most-significant bit first.
 
-That yields exactly k coordinates, k = n*w - r (+ w when there is a
-lung).  ``canonical_layout`` is that definition; ``pack_rows`` and
-``unpack_rows`` beside it are the one codec between word arrays and
-canonical vectors, used by ``Ensemble.state_rows`` and, one lane at a
-time, by ``Generator.state_vector``/``set_state_vector``.
-
-The *state grid* is the same enumeration with the dead bits kept: k + r
-coordinates, of which the canonical ones are ``canonical_grid``.  No
+That is (n + 1 if lung else n) * w coordinates.  The r low bits of the
+oldest word, grid coordinates n*w - r .. n*w - 1 (``dead_bits``), are
+dead: the recurrence never reads them.  The *canonical coordinates* are
+the grid with that one range left out, k = n*w - r (+ w with a lung) of
+them; ``canonical_grid`` and ``grid_canonical`` map between the two.  No
 bundled recurrence reads the dead bits, but an output map may (a MELG
 lag of 1 reads the whole oldest word), so the one-step probes of
 ``ensemble`` work on the grid.
+
+``grid_bits`` and its inverse ``set_grid_bits`` are the one codec
+between word arrays and grid coordinates.  They act on an (n, E) ring of
+E states; ``Generator.state_vector``/``set_state_vector`` pass the
+scalar ring as a 1-member array, and ``canonical_rows`` turns grid bits
+into packed canonical vectors for them and for ``Ensemble.state_rows``.
 
 Each family's recurrence (its step, output and logical-word index) is a
 ``Recurrence`` subclass in ``mt.py``, ``well.py`` or ``melg.py``.  It runs
@@ -40,9 +41,6 @@ from typing import Callable
 import numpy as np
 
 from ..bitlinalg import BitVector
-
-#: Sentinel "logical word index" marking lung coordinates in the layout.
-LUNG_WORD = -1
 
 _INV32 = 1.0 / 4294967296.0  # 2^-32
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
@@ -121,108 +119,96 @@ def word_dtype(spec: GeneratorSpec) -> type:
     return np.uint32 if spec.w == 32 else np.uint64
 
 
-@lru_cache(maxsize=None)
-def canonical_layout(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Map canonical index -> (logical word, bit position), as two arrays.
-
-    Logical word 0 is the oldest ring word and n-1 the newest; LUNG_WORD
-    marks lung coordinates.  Both arrays have length ``spec.k``.
-    """
-    words: list[int] = []
-    bits: list[int] = []
-    for j in range(spec.n - 1, -1, -1):
-        low = spec.r if j == 0 else 0
-        for bpos in range(spec.w - 1, low - 1, -1):
-            words.append(j)
-            bits.append(bpos)
-    if spec.has_lung:
-        for bpos in range(spec.w - 1, -1, -1):
-            words.append(LUNG_WORD)
-            bits.append(bpos)
-    assert len(words) == spec.k
-    return np.array(words, dtype=np.int64), np.array(bits, dtype=np.int64)
-
-
-def _grid_positions(spec: GeneratorSpec, width: int) -> np.ndarray:
-    """Position of each canonical coordinate in a grid of ``width``-bit
-    slots: the logical words newest first, then the lung, each most
-    significant bit first."""
-    wds, bts = canonical_layout(spec)
-    return np.where(wds == LUNG_WORD, spec.n, spec.n - 1 - wds) * width + (width - 1 - bts)
-
-
 def grid_size(spec: GeneratorSpec) -> int:
     """Number of state-grid coordinates: every bit of every word, k + r."""
     return (spec.n + (1 if spec.has_lung else 0)) * spec.w
 
 
+def dead_bits(spec: GeneratorSpec) -> slice:
+    """State-grid coordinates of the r dead bits: the low bits of the
+    oldest ring word, which sits last among the ring words."""
+    return slice(spec.n * spec.w - spec.r, spec.n * spec.w)
+
+
 @lru_cache(maxsize=None)
 def canonical_grid(spec: GeneratorSpec) -> np.ndarray:
-    """State-grid coordinate of each canonical coordinate.
-
-    The state grid holds every bit of every word, dead bits included: the
-    logical words newest first, then the lung, w bits each, most
-    significant bit first.  Canonical order is grid order with the r dead
-    bits (grid coordinates n*w - r .. n*w - 1) left out.
-    """
-    return _grid_positions(spec, spec.w)
+    """State-grid coordinate of each canonical coordinate: the grid
+    without its dead bits."""
+    grid = np.delete(np.arange(grid_size(spec)), dead_bits(spec))
+    grid.flags.writeable = False
+    return grid
 
 
 @lru_cache(maxsize=None)
-def _grid_runs(spec: GeneratorSpec) -> tuple[tuple[int, int], ...]:
-    """Where the canonical coordinates sit in the bit grid of all storage words.
+def grid_canonical(spec: GeneratorSpec) -> np.ndarray:
+    """Canonical coordinate of each state-grid coordinate, -1 for a dead bit."""
+    canon = np.full(grid_size(spec), -1, dtype=np.int64)
+    canon[canonical_grid(spec)] = np.arange(spec.k)
+    canon.flags.writeable = False
+    return canon
 
-    That grid is the state grid of ``canonical_grid`` with each word
-    widened to its storage word.  Canonical order follows grid order, so
-    the coordinates fill a few runs [start, stop) of consecutive grid
-    bits: one gap for the dead bits, plus one per word when words are
-    narrower than their storage.
+
+def grid_bits(
+    rec: Recurrence, st: np.ndarray, cursor: int, lung: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(state-grid coordinate, member) of every set bit of E states.
+
+    ``st`` is an (n, E) ring at ``cursor``, laid out by ``rec.index``, and
+    ``lung`` an (E,) row, or None without a lung.
     """
-    pos = _grid_positions(spec, np.dtype(word_dtype(spec)).itemsize * 8)
-    cuts = np.flatnonzero(np.diff(pos) != 1) + 1
-    starts = pos[np.r_[0, cuts]]
-    stops = pos[np.r_[cuts - 1, len(pos) - 1]] + 1
-    return tuple(zip(starts.tolist(), stops.tolist()))
+    n, w = rec.n, rec.spec.w
+    grid_word = np.empty(n, dtype=np.int64)  # storage row -> grid word
+    grid_word[rec.index(cursor, np.arange(n))] = np.arange(n - 1, -1, -1)
+    # flatnonzero of a bool mask is several times faster than nonzero of words
+    row, member = np.divmod(np.flatnonzero(st != 0), st.shape[1])
+    word, values = grid_word[row], st[row, member]
+    if lung is not None:
+        lung_members = np.flatnonzero(lung)
+        word = np.concatenate((word, np.full(len(lung_members), n)))
+        member = np.concatenate((member, lung_members))
+        values = np.concatenate((values, lung[lung_members]))
+    msb_first = values.astype(values.dtype.newbyteorder(">")).view(np.uint8)
+    bits = np.unpackbits(msb_first.reshape(-1, values.dtype.itemsize), axis=1)
+    which, pos = np.nonzero(bits)  # pos counts from the storage word's top bit
+    pad = values.dtype.itemsize * 8 - w
+    return word[which] * w + pos - pad, member[which]
 
 
-def pack_rows(spec: GeneratorSpec, words: np.ndarray, lung: np.ndarray | None) -> np.ndarray:
+def set_grid_bits(
+    rec: Recurrence, st: np.ndarray, lung: np.ndarray | None,
+    grid: np.ndarray, member: np.ndarray,
+) -> None:
+    """Inverse of ``grid_bits``: set bit ``grid[i]`` of member ``member[i]``.
+
+    ``st`` is a C-contiguous (n, E) ring at cursor 0; a member may take
+    any number of bits.
+    """
+    n, w = rec.n, rec.spec.w
+    word, bit = np.divmod(grid, w)
+    ones = st.dtype.type(1) << (w - 1 - bit).astype(st.dtype)
+    ring = word < n
+    flat = rec.index(0, n - 1 - word[ring]) * st.shape[1] + member[ring]
+    np.bitwise_or.at(st.reshape(-1), flat, ones[ring])
+    if lung is not None:
+        np.bitwise_or.at(lung, member[~ring], ones[~ring])
+
+
+def canonical_rows(
+    rec: Recurrence, st: np.ndarray, cursor: int, lung: np.ndarray | None
+) -> np.ndarray:
     """Canonical state vectors of E states, one packed uint64-limb row each.
 
-    ``words`` is an (n, E) array whose row j is logical word j (0 = oldest)
-    of every state; ``lung`` is an (E,) array, or None without a lung.
-    Rows use the BitMatrix format: canonical bit c is bit c % 64 of limb
-    c // 64.
+    The arguments are those of ``grid_bits``.  Rows use the BitMatrix
+    format: canonical bit c is bit c % 64 of limb c // 64.
     """
-    cols = list(words[::-1]) + ([lung] if spec.has_lung else [])
-    grid = np.stack(cols, axis=1).astype(np.dtype(word_dtype(spec)).newbyteorder(">"))
-    size = grid.shape[0]
-    bits = np.unpackbits(grid.view(np.uint8).reshape(size, -1), axis=1)
-    k = 0
-    for a, b in _grid_runs(spec):  # close the gaps in place, left to right
-        if a != k:
-            bits[:, k : k + b - a] = bits[:, a:b]
-        k += b - a
-    packed = np.packbits(bits[:, :k], axis=1, bitorder="little")
-    limbs = (spec.k + 63) // 64
-    rows = np.zeros((size, limbs), dtype=np.uint64)
-    rows.view(np.uint8)[:, : packed.shape[1]] = packed
+    grid, member = grid_bits(rec, st, cursor, lung)
+    canon = grid_canonical(rec.spec)[grid]
+    live = canon >= 0
+    canon, member = canon[live], member[live]
+    rows = np.zeros((st.shape[1], (rec.spec.k + 63) // 64), dtype=np.uint64)
+    ones = np.uint64(1) << (canon & 63).astype(np.uint64)
+    np.bitwise_or.at(rows.reshape(-1), member * rows.shape[1] + (canon >> 6), ones)
     return rows
-
-
-def unpack_rows(spec: GeneratorSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverse of ``pack_rows``: (words, lung) holding the states in ``rows``."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    size = rows.shape[0]
-    canon = np.unpackbits(rows.view(np.uint8), axis=1, count=spec.k, bitorder="little")
-    dt = np.dtype(word_dtype(spec))
-    slots = spec.n + (1 if spec.has_lung else 0)
-    bits = np.zeros((size, slots * dt.itemsize * 8), dtype=np.uint8)
-    c = 0
-    for a, b in _grid_runs(spec):
-        bits[:, a:b] = canon[:, c : c + b - a]
-        c += b - a
-    grid = np.packbits(bits, axis=1).view(dt.newbyteorder(">")).astype(dt)
-    return grid[:, spec.n - 1 :: -1].T, (grid[:, spec.n] if spec.has_lung else None)
 
 
 class Recurrence(ABC):
@@ -332,18 +318,20 @@ class Generator:
     def state_vector(self) -> BitVector:
         spec = self.spec
         dt = word_dtype(spec)
-        order = self.rec.index(self.cursor, np.arange(spec.n))
-        words = np.array(self.st, dtype=dt)[order, None]
+        st = np.array(self.st, dtype=dt)[:, None]  # the ring as a 1-member ensemble
         lung = np.array([self.lung], dtype=dt) if spec.has_lung else None
-        return BitVector.from_limbs(pack_rows(spec, words, lung)[0], spec.k)
+        return BitVector.from_limbs(canonical_rows(self.rec, st, self.cursor, lung)[0], spec.k)
 
     def set_state_vector(self, v: BitVector) -> None:
         spec = self.spec
         if v.length != spec.k:
             raise ValueError(f"expected {spec.k} bits, got {v.length}")
-        words, lung = unpack_rows(spec, v.to_limbs()[None, :])
-        st = np.empty(spec.n, dtype=words.dtype)
-        st[self.rec.index(0, np.arange(spec.n))] = words[:, 0]
-        self.st = st.tolist()
+        dt = word_dtype(spec)
+        st = np.zeros((spec.n, 1), dtype=dt)
+        lung = np.zeros(1, dtype=dt) if spec.has_lung else None
+        bits = np.unpackbits(v.to_limbs().view(np.uint8), count=spec.k, bitorder="little")
+        grid = canonical_grid(spec)[np.flatnonzero(bits)]
+        set_grid_bits(self.rec, st, lung, grid, np.zeros(len(grid), dtype=np.int64))
+        self.st = st[:, 0].tolist()
         self.cursor = 0
         self.lung = int(lung[0]) if spec.has_lung else None

@@ -18,8 +18,9 @@ word per grid coordinate, with no k x k probe matrix ever built.
 package's only thread pool, and both transition-matrix extraction and
 the zeroland sweep read it.
 
-``state_rows`` emits every member's canonical state vector through
-``base.pack_rows``, the same codec the scalar generators use, as packed
+Members are read and written through ``base.grid_bits`` and
+``base.set_grid_bits``, the codec the scalar generators use too;
+``state_rows`` emits every member's canonical state vector as packed
 little-endian uint64 limbs (the row format BitMatrix uses).
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .._util import resolve_threads
 from . import recurrence
-from .base import GeneratorSpec, grid_size, pack_rows, word_dtype
+from .base import GeneratorSpec, canonical_rows, grid_bits, grid_size, set_grid_bits, word_dtype
 
 #: Ring words per block of probe members: bounds a block's ring array to
 #: 4-8 MB at k = 19937.
@@ -58,42 +59,14 @@ class Ensemble:
     def from_grid_units(cls, spec: GeneratorSpec, grid: np.ndarray) -> "Ensemble":
         """Member e holds the unit vector of state-grid coordinate grid[e]."""
         ens = cls.zeros(spec, len(grid))
-        dt = word_dtype(spec)
-        word, bit = np.divmod(grid, spec.w)
-        ones = dt(1) << (spec.w - 1 - bit).astype(dt)
-        lanes = np.arange(len(grid))
-        ring = word < spec.n
-        ens.st[ens.rec.index(0, spec.n - 1 - word[ring]), lanes[ring]] = ones[ring]
-        if spec.has_lung:
-            ens.lung[lanes[~ring]] = ones[~ring]
+        set_grid_bits(ens.rec, ens.st, ens.lung, grid, np.arange(len(grid)))
         return ens
 
     # -- layout -----------------------------------------------------------
 
     def state_rows(self) -> np.ndarray:
         """Canonical state vectors, one packed uint64-limb row per member."""
-        order = self.rec.index(self.cursor, np.arange(self.spec.n))
-        return pack_rows(self.spec, self.st[order], self.lung)
-
-    def grid_bits(self) -> tuple[np.ndarray, np.ndarray]:
-        """(state-grid coordinate, member) of every set state bit."""
-        spec = self.spec
-        n, w = spec.n, spec.w
-        grid_word = np.empty(n, dtype=np.int64)  # storage row -> grid word
-        grid_word[self.rec.index(self.cursor, np.arange(n))] = np.arange(n - 1, -1, -1)
-        # flatnonzero of a bool mask is several times faster than nonzero of words
-        row, member = np.divmod(np.flatnonzero(self.st != 0), self.st.shape[1])
-        word, values = grid_word[row], self.st[row, member]
-        if self.lung is not None:
-            lung = np.flatnonzero(self.lung)
-            word = np.concatenate((word, np.full(len(lung), n)))
-            member = np.concatenate((member, lung))
-            values = np.concatenate((values, self.lung[lung]))
-        msb_first = values.astype(values.dtype.newbyteorder(">")).view(np.uint8)
-        bits = np.unpackbits(msb_first.reshape(len(values), -1), axis=1)
-        which, pos = np.nonzero(bits)  # pos counts from the storage word's top bit
-        pad = values.dtype.itemsize * 8 - w
-        return word[which] * w + pos - pad, member[which]
+        return canonical_rows(self.rec, self.st, self.cursor, self.lung)
 
 
 def probe_images(
@@ -113,7 +86,7 @@ def probe_images(
         ens = Ensemble.from_grid_units(spec, np.arange(blo, bhi))
         outputs.append(np.array(ens.rec.output(ens)))  # a copy: it may view a ring row
         ens.rec.step(ens)
-        r, c = ens.grid_bits()
+        r, c = grid_bits(ens.rec, ens.st, ens.cursor, ens.lung)
         rows.append(r)
         cols.append(c + blo)
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(outputs)

@@ -12,11 +12,10 @@ computes full dense spectra, the entropy
 and the CSV/JSON views downstream tooling consumes.
 
 The eigensolver is a standard dense nonsymmetric solve (balancing +
-Hessenberg reduction + shifted QR) provided by LAPACK through SciPy;
-the tests check it on small matrices with known spectra.  SciPy is
-imported on the first eigensolve, not with this module: the import adds
-about 0.3 s and 28 MB to a process, and ``entropy`` is the only command
-that solves, so every other command starts without it.
+Hessenberg reduction + shifted QR), LAPACK's ``dgeev`` through
+``numpy.linalg.eigvals``; the tests check it on small matrices with
+known spectra.  numpy always solves a copy of its input, so a solve
+holds two k-square float64 matrices (16 MB at k = 1024).
 """
 
 from __future__ import annotations
@@ -100,8 +99,8 @@ class EntropyReport:
 
 
 def to_real_matrix(mat: SparseBitMatrix) -> np.ndarray:
-    """The 0/1 matrix as float64, column-major so the eigensolver can
-    work in place without an extra k-square copy: the nonzeros are
+    """The 0/1 matrix as float64, column-major (LAPACK's layout, so the
+    eigensolver's copy of it is a plain block copy): the nonzeros are
     scattered into a zeroed matrix."""
     out = np.zeros((mat.rows, mat.cols), dtype=np.float64, order="F")
     out[mat.row_index, mat.col_index] = 1.0
@@ -123,10 +122,7 @@ def eigenvalues(
             f"dimension {dim} exceeds the eigensolve cap {cap}; "
             "raise the cap explicitly for long dense solves"
         )
-    import scipy.linalg
-
-    work = to_real_matrix(mat)
-    vals = scipy.linalg.eigvals(work, overwrite_a=True, check_finite=False)
+    vals = np.linalg.eigvals(to_real_matrix(mat)).astype(np.complex128, copy=False)
     spectrum = Spectrum(eigenvalues=vals, source=source)
     if spectrum.k and float(np.min(np.abs(vals))) <= SINGULAR_MODULUS:
         raise SingularSpectrumError(

@@ -33,6 +33,10 @@ iterations and window lengths given in normalized units are halved
 internally.  Traces store the actual window length ``p`` used, their
 ``normalization`` factor (1 or 2), and index positions in actual
 iterations; the normalized axis is ``normalization * index``.
+
+Argument errors name ``p`` and ``max_n`` by the ``zeroland`` command's
+flags, ``--p`` and ``--max-n``, which pass them through unchanged, and
+give both values as resolved.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import TextIO
 import numpy as np
 
 from .generators import GeneratorSpec, get_spec, make_generator
-from .generators.base import Generator, GeneratorState
+from .generators.base import Generator, GeneratorState, dead_bits
 from .generators.ensemble import probe_grid
 
 #: Band half-width used by trace exports, in sigma units.
@@ -129,7 +133,7 @@ def _adjoint_weight_totals(spec: GeneratorSpec, steps: int, threads: int | None)
     r_codes = np.setxor1d(cols * size + rows, shifted * size + shifted + delta)
     r_cols, r_rows = np.divmod(r_codes, size)  # sorted by column
     touched, starts = np.unique(r_cols, return_index=True)
-    dead = slice(spec.n * spec.w - spec.r, spec.n * spec.w)
+    dead = dead_bits(spec)
     buf = np.zeros(2 * size, dtype=u.dtype)
     buf[:size] = u
     run = size // delta
@@ -178,9 +182,12 @@ def unit_seed_sweep(
     """
     nu = _normalization(spec)
     if p < 1 or max_n < p:
-        raise ValueError("need 1 <= p <= max_n")
+        raise ValueError(f"need 1 <= --p <= --max-n, got --p {p} and --max-n {max_n}")
     if p % nu or max_n % nu:
-        raise ValueError(f"p and max_n must be multiples of {nu} for w={spec.w}")
+        raise ValueError(
+            f"--p and --max-n must be multiples of {nu} for w={spec.w}, "
+            f"got --p {p} and --max-n {max_n}"
+        )
     p_act = p // nu
     k = spec.k
     totals = _adjoint_weight_totals(spec, max_n // nu, threads)
@@ -204,12 +211,14 @@ def trajectory_trace(gen: Generator, p: int, max_n: int) -> ZerolandTrace:
     spec = gen.spec
     nu = _normalization(spec)
     if p < 1:
-        raise ValueError("need p >= 1")
+        raise ValueError(f"need --p >= 1, got --p {p}")
     if max_n % nu:
-        raise ValueError(f"max_n must be a multiple of {nu} for w={spec.w}")
+        raise ValueError(f"--max-n must be a multiple of {nu} for w={spec.w}, got --max-n {max_n}")
     steps = max_n // nu
     if steps < p:
-        raise ValueError("max_n too short for the window length")
+        raise ValueError(
+            f"--max-n {max_n} gives {steps} actual iterations, fewer than the window --p {p}"
+        )
     totals = np.empty(steps, dtype=np.int64)
     for i in range(steps):
         totals[i] = hamming(gen.next_word())

@@ -18,7 +18,7 @@ from f2spectra import __version__, cli, extract_transition_matrix, get_spec, mak
 from f2spectra.cli import main
 from f2spectra.gf2poly import jump_ahead, parse_minpoly
 from f2spectra.spectral import eigenvalues, entropy
-from f2spectra.zeroland import parse_seed_text, replay_seed
+from f2spectra.zeroland import format_seed_text, parse_seed_text, replay_seed
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -205,6 +205,29 @@ def test_zeroland_missing_seed_file_fails(capsys):
     )
     assert code == 1 and stderr.startswith("error:")
     assert "No such file or directory" in stderr and "/nosuch/file" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["--spec", "well607b", "--max-n", "50"], ["--p 100", "--max-n 50"]),
+        (["--spec", "melg607", "--p", "7", "--max-n", "60"],
+         ["multiples of 2", "--p 7", "--max-n 60"]),
+        (["--spec", "well607b", "--seed-file", "SEED", "--max-n", "5"], ["--max-n 5", "--p 19"]),
+    ],
+    ids=["sweep-default-p-above-max-n", "sweep-odd-for-64-bit", "replay-too-short"],
+)
+def test_zeroland_window_errors_name_both_flags(capsys, tmp_path, argv, values):
+    seed_file = tmp_path / "state.seed"
+    seed_file.write_text(format_seed_text(make_generator("well607b", seed=1).get_raw_state(),
+                                          get_spec("well607b")))
+    code, stdout, stderr = run(
+        capsys, "zeroland", *(str(seed_file) if arg == "SEED" else arg for arg in argv)
+    )
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error:")
+    for text in values:
+        assert text in stderr, stderr
 
 
 def test_unwritable_out_names_the_path(capsys):
@@ -507,7 +530,7 @@ print(json.dumps(seen))
 """
 
 
-def test_only_entropy_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     seed = str(tmp_path / "bad.seed")
     commands = [
         ["jump", "--spec", "well607b", "--steps", "1000"],
@@ -528,9 +551,7 @@ def test_only_entropy_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert [code for _, code, _ in seen] == [0] * len(seen), seen
-    *before, (last, _, loaded) = seen
-    assert [name for name, _, loaded in before if loaded] == []
-    assert last.startswith("entropy") and loaded
+    assert [name for name, _, loaded in seen if loaded] == []
 
 
 class _Discard:

@@ -16,10 +16,18 @@ from f2spectra import (
     make_generator,
 )
 from f2spectra.bitlinalg import BitVector
-from f2spectra.generators.base import unpack_rows
+from f2spectra.generators.base import (
+    canonical_grid,
+    dead_bits,
+    grid_bits,
+    grid_canonical,
+    grid_size,
+    set_grid_bits,
+)
 from f2spectra.generators.ensemble import Ensemble
 
-from _toys import TOY_MELG, TOY_MT8  # small widths keep the exhaustive checks fast
+# small widths keep the exhaustive checks fast
+from _toys import TOY_MELG, TOY_MT8, TOY_WELL_DEAD_TAP
 
 ALL_NAMES = (
     "mt19937",
@@ -217,9 +225,12 @@ def _per_bit_state_vector(gen) -> BitVector:
     )
 
 
-@pytest.mark.parametrize(
-    "spec", [*(get_spec(name) for name in ALL_NAMES), TOY_MT8, TOY_MELG], ids=lambda s: s.name
-)
+ALL_SPECS_AND_TOYS = [
+    *(get_spec(name) for name in ALL_NAMES), TOY_MT8, TOY_MELG, TOY_WELL_DEAD_TAP
+]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_codec_matches_per_bit_reference(spec):
     gen = make_generator(spec, seed=21)
     for _ in range(17):  # off-zero cursor
@@ -283,21 +294,77 @@ def test_zero_state_is_fixed(name):
     assert gen.state_vector().popcount() == 0
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_ensemble_lanes_match_scalar_generators(name):
-    # Three scalar streams, loaded into one ensemble through the shared
-    # codec, must emit the same words (tempering, lags) and end in the
-    # same canonical states.
-    spec = get_spec(name)
+def _ensemble_of(gens) -> Ensemble:
+    """Ensemble whose member e holds the raw words of ``gens[e]``, at cursor 0."""
+    spec = gens[0].spec
+    ens = Ensemble.zeros(spec, len(gens))
+    for e, gen in enumerate(gens):
+        for j in range(spec.n):  # logical word j; WELL keeps its newest at the cursor
+            ens.st[ens.rec.index(0, j), e] = gen.st[gen.rec.index(gen.cursor, j)]
+        if spec.has_lung:
+            ens.lung[e] = gen.lung
+    return ens
+
+
+def _unequal_cursors(spec):
     gens = [make_generator(spec, seed=seed) for seed in (1, 2, 3)]
     for lead, gen in enumerate(gens):
-        for _ in range(7 * lead):  # unequal cursors
+        for _ in range(7 * lead):
             gen.step()
-    words, lung = unpack_rows(spec, np.stack([gen.state_vector().to_limbs() for gen in gens]))
-    ens = Ensemble.zeros(spec, len(gens))
-    ens.st[ens.rec.index(0, np.arange(spec.n))] = words
-    if spec.has_lung:
-        ens.lung[:] = lung
+    return gens
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
+def test_state_rows_match_per_bit_reference(spec):
+    gens = _unequal_cursors(spec)
+    ens = _ensemble_of(gens)
+    for _ in range(5):  # an off-zero ensemble cursor too
+        ens.rec.step(ens)
+        for gen in gens:
+            gen.step()
+    rows = [BitVector.from_limbs(row, spec.k) for row in ens.state_rows()]
+    assert rows == [_per_bit_state_vector(gen) for gen in gens]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
+def test_grid_codec_roundtrips_many_bits_per_member(spec):
+    rng = np.random.default_rng(spec.k)
+    pairs = np.unique(rng.integers(0, [grid_size(spec), 4], size=(300, 2)), axis=0)
+    ens = Ensemble.zeros(spec, 4)
+    set_grid_bits(ens.rec, ens.st, ens.lung, pairs[:, 0], pairs[:, 1])
+    grid, member = grid_bits(ens.rec, ens.st, ens.cursor, ens.lung)
+    assert np.array_equal(np.unique(np.stack([grid, member], axis=1), axis=0), pairs)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
+def test_dead_range_is_the_only_gap_in_the_grid(spec):
+    canon = grid_canonical(spec)
+    assert np.array_equal(np.flatnonzero(canon < 0), np.arange(grid_size(spec))[dead_bits(spec)])
+    assert np.array_equal(canon[canonical_grid(spec)], np.arange(spec.k))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
+def test_zero_states_through_the_grid_codec(spec):
+    ens = Ensemble.zeros(spec, 3)
+    grid, member = grid_bits(ens.rec, ens.st, ens.cursor, ens.lung)
+    assert grid.size == member.size == 0
+    set_grid_bits(ens.rec, ens.st, ens.lung, grid, member)
+    assert not ens.st.any() and (ens.lung is None or not ens.lung.any())
+    assert not ens.state_rows().any()
+    gen = make_generator(spec, seed=1)
+    gen.set_state_vector(BitVector.zeros(spec.k))
+    assert gen.st == [0] * spec.n and gen.lung in (None, 0)
+    assert gen.state_vector() == BitVector.zeros(spec.k)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_ensemble_lanes_match_scalar_generators(name):
+    # Three scalar streams, loaded into one ensemble as raw words, must
+    # emit the same words (tempering, lags) and end in the same canonical
+    # states.
+    spec = get_spec(name)
+    gens = _unequal_cursors(spec)
+    ens = _ensemble_of(gens)
     for _ in range(500):
         ens.rec.step(ens)
         assert ens.rec.output(ens).tolist() == [gen.next_word() for gen in gens]
