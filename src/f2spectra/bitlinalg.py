@@ -16,10 +16,9 @@ pairs, of which those in canonical rows and columns are kept.
 on.  ``write_matrix`` streams each text row straight from the nonzeros:
 slices of one all-zeros line joined around the row's "1"s.
 
-``transpose`` works on 8x8 bit blocks: it packs eight rows' worth of one
-byte column into a uint64 and transposes it with three delta swaps (mask,
-shift, XOR), one chunk of rows at a time, so its working memory beyond
-the output is a few copies of one chunk.
+``transpose`` unpacks a chunk of rows to one byte per bit at a time and
+packs the transposed view, so its working memory beyond the output is
+a few copies of one unpacked chunk.
 """
 
 from __future__ import annotations
@@ -216,51 +215,24 @@ class SparseBitMatrix:
 
 # -- transpose ---------------------------------------------------------
 
-#: (shift, mask) of the three delta swaps that transpose an 8x8 bit block
-#: held in one uint64 (byte r is block row r, bit c of it is column c);
-#: Warren, *Hacker's Delight*, 2nd ed., section 7-3.
-_DELTA_SWAPS = tuple(
-    (np.uint64(shift), np.uint64(mask))
-    for shift, mask in (
-        (7, 0x00AA00AA00AA00AA),
-        (14, 0x0000CCCC0000CCCC),
-        (28, 0x00000000F0F0F0F0),
-    )
-)
+#: Rows ``transpose`` unpacks at a time: 40 MB of bytes at 19937 columns.
+_TRANSPOSE_CHUNK = 2048
 
 
-def transpose(m: BitMatrix, chunk: int = 2048) -> BitMatrix:
-    """The bit transpose of ``m``, by 8x8 block delta swaps.
+def transpose(m: BitMatrix) -> BitMatrix:
+    """The bit transpose of ``m``.
 
-    Rows are taken ``chunk`` at a time (a multiple of 8) and split into
-    8-row groups, the last one padded with zero rows.  Each group's byte
-    column becomes one uint64 whose byte r is the group's row r; three
-    mask-shift-XOR rounds transpose that 8x8 block in place, so byte c
-    then holds column c of the block, and the bytes are scattered to the
-    output's rows.  Besides the output, a chunk holds four temporaries
-    the size of its packed rows: about 20 MB at 2048 rows of 19937 bits.
+    ``_TRANSPOSE_CHUNK`` rows at a time are unpacked to one byte per bit,
+    and the transposed view is packed into the output's columns; the
+    last chunk's final byte is padded with zero bits.
     """
-    if chunk <= 0 or chunk % 8:
-        raise ValueError(f"chunk must be a positive multiple of 8, got {chunk}")
     out = BitMatrix.zeros(m.cols, m.rows)
     out_bytes = out.storage.view(np.uint8).reshape(m.cols, -1)
     src_bytes = m.storage.view(np.uint8).reshape(m.rows, -1)
-    nbytes = src_bytes.shape[1]
-    for lo in range(0, m.rows, chunk):
-        hi = min(lo + chunk, m.rows)
-        groups = (hi - lo + 7) >> 3
-        rows = np.zeros((groups * 8, nbytes), dtype=np.uint8)
-        rows[: hi - lo] = src_bytes[lo:hi]
-        x = rows.reshape(groups, 8, nbytes).transpose(0, 2, 1).copy().view(np.uint64)
-        for shift, mask in _DELTA_SWAPS:
-            t = x >> shift
-            t ^= x
-            t &= mask
-            x ^= t
-            t <<= shift
-            x ^= t
-        cols = x.view(np.uint8).reshape(groups, nbytes, 8).transpose(1, 2, 0)
-        out_bytes[:, lo >> 3 : (lo >> 3) + groups] = cols.reshape(8 * nbytes, groups)[: m.cols]
+    for lo in range(0, m.rows, _TRANSPOSE_CHUNK):
+        bits = np.unpackbits(src_bytes[lo : lo + _TRANSPOSE_CHUNK], axis=1, bitorder="little")
+        packed = np.packbits(bits[:, : m.cols].T, axis=1, bitorder="little")
+        out_bytes[:, lo >> 3 : (lo >> 3) + packed.shape[1]] = packed
     return out
 
 

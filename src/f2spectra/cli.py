@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from ._util import LONG_INT, resolve_threads
+from ._util import resolve_threads
 from .bitlinalg import BitVector, extract_transition_matrix, write_matrix
 from .charpoly import (
     BlockSpec,
@@ -55,6 +55,10 @@ from .zeroland import (
 )
 
 MT_BLOCK = BlockSpec(n=624, m=397, w=32, r=31, a=0x9908B0DF)
+
+#: Integers from here up have more decimal digits than a default ``int()``
+#: converts (``sys.int_info.default_max_str_digits``), so JSON holds them in hex.
+LONG_INT = 10**4300
 
 #: Namespace entries that are not run parameters: the subcommand and its
 #: handler, the output format, and ``--spec`` (the manifest's ``specs``).
@@ -383,6 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_matrix)
 
     sub = add("entropy", "Eigenvalue spectrum and entropy report.", threads=True)
+    sub.epilog = ("The last digits of h and of the CSV depend on OpenBLAS's thread count; "
+                  "OPENBLAS_NUM_THREADS=1 reproduces them.")
     sub.add_argument(
         "--extended",
         action="store_true",
@@ -446,8 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _unlimited_int_digits() -> Iterator[None]:
     """Lift Python's 4300-digit cap on int <-> decimal text for one run.
 
-    Step counts and seeds are exact integers of any size: a step count at
-    the scale of the period 2^19937 - 1 has 6002 decimal digits.
+    ``--steps`` and ``--d`` are exact integers of any size: a step count
+    at the scale of the period 2^19937 - 1 has 6002 decimal digits.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no cap
         yield

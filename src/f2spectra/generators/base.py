@@ -259,11 +259,15 @@ class Generator:
     # -- seeding -------------------------------------------------------
 
     def seed(self, seed: int) -> None:
-        """Knuth-style multiplicative fill; the lung continues the fill."""
+        """Knuth-style multiplicative fill from a w-bit seed; the lung continues it."""
         spec = self.spec
         mask = spec.word_mask
+        if not 0 <= seed <= mask:
+            raise ValueError(
+                f"{spec.name} seeds are {spec.w}-bit words in [0, 2^{spec.w}), got {seed:#x}"
+            )
         st = self.st
-        st[0] = seed & mask
+        st[0] = seed
         for i in range(1, spec.n):
             prev = st[i - 1]
             st[i] = (spec.init_f * (prev ^ (prev >> spec.init_shift)) + i) & mask

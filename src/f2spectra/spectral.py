@@ -16,6 +16,10 @@ Hessenberg reduction + shifted QR), LAPACK's ``dgeev`` through
 ``numpy.linalg.eigvals``; the tests check it on small matrices with
 known spectra.  numpy always solves a copy of its input, so a solve
 holds two k-square float64 matrices (16 MB at k = 1024).
+
+The last digits of the eigenvalues, so of h and of the spectrum CSV,
+depend on OpenBLAS's thread count, which the manifest does not record;
+``OPENBLAS_NUM_THREADS=1``, the benchmark's setting, reproduces them.
 """
 
 from __future__ import annotations

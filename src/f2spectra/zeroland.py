@@ -255,6 +255,13 @@ def balanced_time(trace: ZerolandTrace, band_sigmas: float = DEFAULT_BAND_SIGMAS
 # -- stored seeds -----------------------------------------------------------
 
 
+def _seed_word(literal: str, lineno: int) -> int:
+    try:
+        return int(literal, 0)
+    except ValueError:
+        raise ValueError(f"line {lineno}: not an integer: {literal!r}") from None
+
+
 def parse_seed_text(text: str, spec: GeneratorSpec) -> GeneratorState:
     """Seed file body -> full generator state.
 
@@ -271,11 +278,11 @@ def parse_seed_text(text: str, spec: GeneratorSpec) -> GeneratorState:
         if line.startswith("lung="):
             if lung is not None:
                 raise ValueError(f"line {lineno}: duplicate lung entry")
-            lung = int(line[len("lung="):], 0)
+            lung = _seed_word(line[len("lung="):], lineno)
             continue
         if lung is not None:
             raise ValueError(f"line {lineno}: state words after the lung entry")
-        words.append(int(line, 0))
+        words.append(_seed_word(line, lineno))
     if len(words) != spec.n:
         raise ValueError(f"expected {spec.n} state words, found {len(words)}")
     if spec.has_lung and lung is None:

@@ -10,7 +10,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from f2spectra.bitlinalg import BitMatrix, BitVector, SparseBitMatrix
+from f2spectra.bitlinalg import BitMatrix, BitVector, SparseBitMatrix, transpose
 from f2spectra.charpoly import BlockSpec, ZPoly
 from f2spectra.generators import Generator, GeneratorSpec, make_generator
 from f2spectra.generators.base import canonical_grid
@@ -22,23 +22,6 @@ _LANES = 2048
 
 
 # -- GF(2) linear algebra ------------------------------------------------------
-
-
-def transpose_unpacked(m: BitMatrix, chunk: int = 2048) -> BitMatrix:
-    """Bit transpose by unpacking row chunks to one byte per bit and
-    packing the transposed view; the oracle for ``bitlinalg.transpose``."""
-    out = BitMatrix.zeros(m.cols, m.rows)
-    out_bytes = out.storage.view(np.uint8).reshape(m.cols, -1)
-    src_bytes = m.storage.view(np.uint8).reshape(m.rows, -1)
-    for lo in range(0, m.rows, chunk):
-        hi = min(lo + chunk, m.rows)
-        bits = np.unpackbits(src_bytes[lo:hi], axis=1, bitorder="little")[:, : m.cols]
-        if (hi - lo) % 8:
-            pad = np.zeros((8 - (hi - lo) % 8, m.cols), dtype=np.uint8)
-            bits = np.vstack([bits, pad])
-        packed = np.packbits(bits.T, axis=1, bitorder="little")
-        out_bytes[:, lo >> 3 : (lo >> 3) + packed.shape[1]] = packed
-    return out
 
 
 def packed(m: SparseBitMatrix) -> BitMatrix:
@@ -129,7 +112,7 @@ def dense_transition_matrix(spec: GeneratorSpec) -> BitMatrix:
         ens = _unit_vectors(spec, lo, hi)
         ens.rec.step(ens)
         images[lo:hi] = ens.state_rows()
-    return transpose_unpacked(BitMatrix(spec.k, spec.k, images))
+    return transpose(BitMatrix(spec.k, spec.k, images))
 
 
 def write_matrix_unpacked(m: BitMatrix, sink: TextIO) -> None:
@@ -248,9 +231,42 @@ def mt_step_matrix(spec: BlockSpec) -> BitMatrix:
 # -- integer matrices ----------------------------------------------------------
 
 
+def det_int(mat: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    m = [[int(x) for x in row] for row in mat]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        if m[c][c] == 0:
+            for rr in range(c + 1, n):
+                if m[rr][c]:
+                    m[c], m[rr] = m[rr], m[c]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[c][c]
+        for i in range(c + 1, n):
+            mic = m[i][c]
+            row_i = m[i]
+            row_c = m[c]
+            for j in range(c + 1, n):
+                row_i[j] = (row_i[j] * pivot - mic * row_c[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
 def fl_charpoly(mat: Sequence[Sequence[int]]) -> ZPoly:
-    """det(tI - M) by the Faddeev-LeVerrier recurrence; cross-oracle for
-    ``charpoly.brute_charpoly`` at small dimensions (cost grows as dim^4)."""
+    """det(tI - M) by the same Faddeev-LeVerrier recurrence as
+    ``charpoly.brute_charpoly``, but with dense products over every entry
+    of M; the reference for the library's sparse indexing (cost grows as
+    dim^4)."""
     mat = [[int(x) for x in row] for row in mat]
     dim = len(mat)
     coeffs = [0] * (dim + 1)

@@ -18,14 +18,13 @@ from f2spectra.charpoly import (
     assemble_block_matrix,
     binomial_power,
     brute_charpoly,
-    det_int,
     mt_charpoly,
     phi_A,
     tgfsr_charpoly,
     twist_companion_matrix,
 )
 
-from _oracles import fl_charpoly, mt_step_matrix, packed
+from _oracles import det_int, fl_charpoly, mt_step_matrix, packed
 from _toys import TOY_MT8
 
 
@@ -44,7 +43,8 @@ def test_zpoly_basic_algebra():
 
 def test_zpoly_pow_and_substitute():
     base = ZPoly.x_power(1) + ZPoly.constant(1)
-    assert (base**3).to_dense() == [1, 3, 3, 1]
+    assert (base * base * base).to_dense() == [1, 3, 3, 1]
+    assert binomial_power(1, 0, 3, sign=+1) == base * base * base
 
 
 def test_zpoly_dense_roundtrip_and_gf2():
@@ -206,6 +206,20 @@ def test_brute_charpoly_agrees_with_fl():
     for dim in (2, 4, 7):
         mat = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
         assert brute_charpoly(mat) == fl_charpoly(mat)
+    for dim in (5, 9):  # mostly zeros: rows with no nonzero, or one
+        mat = [[rng.choice((0, 0, 0, 0, 1, -2)) for _ in range(dim)] for _ in range(dim)]
+        assert brute_charpoly(mat) == fl_charpoly(mat)
+
+
+def test_brute_charpoly_matches_determinants_at_integer_points():
+    rng = random.Random(13)
+    for dim in (0, 1, 3, 6, 10):
+        mat = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+        poly = brute_charpoly(mat)
+        assert poly.degree == dim
+        for t in range(dim + 1):
+            shifted = [[t * (i == j) - mat[i][j] for j in range(dim)] for i in range(dim)]
+            assert poly.evaluate(t) == det_int(shifted)
 
 
 def test_brute_charpoly_dimension_cap():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -382,21 +381,19 @@ def test_library_arithmetic_and_runtime_errors_are_error_lines(capsys, monkeypat
     assert stderr == f"error: {exc.args[0]}\n"
 
 
-def test_integers_beyond_4300_digits_work_in_decimal_and_hex(tmp_path, capsys, monkeypatch):
-    # Python refuses int <-> decimal text beyond 4300 digits by default
-    decimal = "1" + "0" * 4400
+def test_integers_beyond_4300_digits_work_in_decimal_and_hex(capsys):
+    # Python refuses int <-> decimal text beyond 4300 digits by default;
+    # --steps and --d take integers of any size
     cap = sys.get_int_max_str_digits()
-    texts = {}
-    for form, text in [("dec", decimal), ("hex", hex(10**4400))]:
-        (tmp_path / form).mkdir()
-        monkeypatch.chdir(tmp_path / form)
-        code, _, stderr = run(capsys, "minpoly", "--spec", "well607b", "--seed", text,
-                              "--out", "mp.hex")
+    payloads = []
+    for text in ("1" + "0" * 4400, hex(10**4400)):
+        code, stdout, stderr = run(capsys, "jump", "--spec", "well607b", "--steps", text,
+                                   "--emit", "2", "--json")
         assert code == 0, stderr
-        manifest = Path("mp.hex.manifest.json").read_text()
-        texts[form] = (Path("mp.hex").read_text(), re.sub(r'"wall_time_s": [^,]*', "", manifest))
-    assert texts["dec"] == texts["hex"]
-    assert f"seed={hex(10**4400)} " in texts["dec"][0]  # hex: a default int() reads it back
+        payloads.append(json.loads(stdout))  # a default json.loads reads it
+        del payloads[-1]["manifest"]["wall_time_s"]
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["steps"] == hex(10**4400)
     assert sys.get_int_max_str_digits() == cap  # restored after the run
 
 
@@ -404,22 +401,36 @@ def test_integers_beyond_4300_digits_read_back_with_the_default_cap(tmp_path, ca
     big = 10**4400 + 7
     decimal = "1" + "0" * 4399 + "7"  # str(big) itself exceeds the default cap
     monkeypatch.chdir(tmp_path)
-    code, _, stderr = run(capsys, "minpoly", "--spec", "well607b", "--seed", decimal,
-                          "--out", "mp.hex")
+    code, stdout, stderr = run(capsys, "badseed", "--spec", "well607b", "--d", decimal,
+                               "--out", "s.seed", "--json")
     assert code == 0, stderr
     assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
-    manifest = read_manifest(tmp_path / "mp.hex")  # a plain json.loads
-    assert manifest["parameters"]["seed"] == hex(big)
-    assert parse_minpoly((tmp_path / "mp.hex").read_text())[0]["seed"] == big
-    code, stdout, stderr = run(capsys, "jump", "--spec", "well607b", "--steps", decimal,
-                               "--seed", decimal, "--emit", "1", "--json")
-    assert code == 0, stderr
     payload = json.loads(stdout)
-    assert payload["steps"] == payload["seed"] == hex(big)
-    assert payload["manifest"]["parameters"]["steps"] == hex(big)
-    assert int(payload["steps"], 16) == big  # the flags accept the hex form back
+    assert payload["d"] == read_manifest(tmp_path / "s.seed")["parameters"]["d"] == hex(big)
+    assert int(payload["d"], 16) == big  # the flags accept the hex form back
     code, stdout, _ = run(capsys, "jump", "--spec", "well607b", "--steps", "10", "--json")
-    assert json.loads(stdout)["steps"] == 10  # shorter integers stay numbers
+    payload = json.loads(stdout)
+    assert payload["steps"] == 10 and payload["seed"] == 12345  # shorter integers stay numbers
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["jump", "--spec", "mt19937", "--steps", "1", "--seed", "4294967296", "--json"],
+         "[0, 2^32)"),
+        (["minpoly", "--spec", "melg607", "--seed", "0x10000000000000000", "--out", "mp.hex"],
+         "[0, 2^64)"),
+        (["minpoly", "--spec", "well607b", "--seed", "1" + "0" * 4400, "--out", "mp.hex"],
+         "[0, 2^32)"),
+    ],
+    ids=["jump-32-bit", "minpoly-64-bit", "minpoly-4401-digits"],
+)
+def test_seeds_outside_the_word_are_errors(capsys, tmp_path, monkeypatch, argv, bound):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error:") and bound in stderr, stderr
+    assert list(tmp_path.iterdir()) == []  # no output, no manifest
 
 
 # -- the manifest contract, one run of each command ----------------------------

@@ -168,6 +168,17 @@ def test_seeding_is_deterministic_and_sensitive(name):
     assert stream_a != stream_c
 
 
+@pytest.mark.parametrize("spec", [TOY_MT8, get_spec("mt19937"), get_spec("melg607")],
+                         ids=lambda spec: f"w{spec.w}")
+def test_seeds_are_w_bit_words(spec):
+    top = make_generator(spec, seed=(1 << spec.w) - 1)
+    assert top.get_raw_state().words[0] == (1 << spec.w) - 1
+    for seed in (1 << spec.w, (1 << spec.w) + 5, -1):
+        with pytest.raises(ValueError, match=rf"^{spec.name} seeds are {spec.w}-bit words "
+                                             rf"in \[0, 2\^{spec.w}\), got"):
+            make_generator(spec, seed=seed)
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_outputs_fit_word_width(name):
     spec = get_spec(name)

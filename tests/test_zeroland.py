@@ -209,6 +209,11 @@ def test_seed_text_errors():
         parse_seed_text(good + "lung=0x1\n", spec)
     with pytest.raises(ValueError):  # lung on a lungless family
         parse_seed_text("0x1\nlung=0x2\n", get_spec("well607b"))
+    with pytest.raises(ValueError, match=r"^line 2: not an integer: '0xzz'$"):
+        parse_seed_text("0x1\n0xzz\n", spec)
+    bad_lung = good.replace(good.splitlines()[-1], "lung=0xzz")
+    with pytest.raises(ValueError, match=r"^line 11: not an integer: '0xzz'$"):
+        parse_seed_text("# comment\n" + bad_lung, spec)
 
 
 def test_bundled_bad_seeds_load():
