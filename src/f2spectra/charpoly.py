@@ -75,10 +75,6 @@ class ZPoly:
     def constant(cls, c: int) -> "ZPoly":
         return cls.from_dict({0: c})
 
-    @classmethod
-    def x_power(cls, e: int, c: int = 1) -> "ZPoly":
-        return cls.from_dict({e: c})
-
     @property
     def degree(self) -> int:
         return self.terms[-1][0] if self.terms else -1
@@ -116,16 +112,6 @@ class ZPoly:
         if c == 0:
             return ZPoly()
         return ZPoly(tuple((d, c * cc) for d, cc in self.terms))
-
-    def evaluate(self, x: int) -> int:
-        return sum(c * x**d for d, c in self.terms)
-
-    def to_dense(self) -> list[int]:
-        """Coefficient list, lowest degree first (empty for the zero poly)."""
-        out = [0] * (self.degree + 1)
-        for d, c in self.terms:
-            out[d] = c
-        return out
 
     def to_gf2(self):
         from .gf2poly import GF2Poly

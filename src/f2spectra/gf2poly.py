@@ -16,14 +16,18 @@ the second at half length; ``pow_mod`` builds one per call.
 a bit sequence; fed 2k+64 output bits of a k-dimensional generator it
 returns the full characteristic polynomial p of the transition matrix B.
 ``jump_ahead`` moves any generator by a signed step count: it evaluates
-g = t^steps mod p at B on the state by a sliding-window Horner walk.  A
-table of v(B) x for the 2^q polynomials v of degree below q (2^q * n
-words) lets the walk take q coefficients per ring XOR; q minimises the
-table's 2^q row XORs plus the walk's deg(g)/q, which gives q = 9 and
-1.3 MB at k = 19937.  A backward jump needs only that B
-is invertible, which p(0) = 1 states: t^-1 mod p is then (p + 1)/t, and
-raising it to the power -steps costs as many squarings as a forward
-jump of the same length.  No period is assumed.
+g = t^steps mod p at B on the state by a sliding-window Horner walk.  Its
+table holds J sub-tables of 2^q rows of n words (plus the lung), row v
+of sub-table j being v(B) B^(q j) x for a polynomial v of degree below
+q.  One XOR of J rows, one per sub-table, thus adds W = q J coefficients
+at once, and the walk moves the scalar ring between its list and numpy
+once per W coefficients, a round trip that costs far more than the XOR.
+q = 4 and J = 32 give W = 128 from 2^9 rows, 1.3 MB at k = 19937; the
+wider q = 9 of a single table would need the same 2^9 rows for W = 9.
+A backward jump needs only that B is invertible, which p(0) = 1 states:
+t^-1 mod p is then (p + 1)/t, and raising it to the power -steps costs
+as many squarings as a forward jump of the same length.  No period is
+assumed.
 """
 
 from __future__ import annotations
@@ -416,14 +420,24 @@ def jump_polynomial(spec: "GeneratorSpec", steps: int) -> GF2Poly:
 
 
 def _window_table(gen: "Generator", degree: int) -> np.ndarray:
-    """Row v holds v(B) x0 for every polynomial v of degree below q, the
-    window width for applying a polynomial of ``degree``.
+    """The Horner walk's table for a polynomial of ``degree``: J sub-tables
+    of 2^q rows, where row v of sub-table j holds v(B) B^(q j) x0 for every
+    polynomial v of degree below q.
 
     x0 is the state of ``gen``, in cursor-0 storage order with the lung,
-    if any, as the last column.  Row 2^j is B^j x0, taken from q steps of
-    a copy; the rows between 2^j and 2^(j+1) are the rows below 2^j, each
-    XORed with it.  The table costs 2^q row XORs and the walk one ring XOR
-    per window, (degree + 1)/q of them; q minimises the sum.
+    if any, as the last column, so the array has shape (J, 2^q, cols).
+    Row 2^b of sub-table j is B^(q j + b) x0, taken from the first q J
+    states of one walker; the rows between 2^b and 2^(b+1) are the rows
+    below 2^b, each XORed with it, in q passes over all J sub-tables at
+    once.
+
+    A window of the walk is W = q J coefficients, and it costs one XOR of
+    J selected rows, so the table's J 2^q rows buy W coefficients per ring
+    round trip at a gather of cols/q words per coefficient.  q = 4 and
+    J = 32 hold the table at 2^9 rows (1.3 MB at k = 19937) and give
+    W = 128; a larger q gathers fewer words but fits fewer sub-tables,
+    a smaller q the opposite.  Shorter polynomials take fewer sub-tables,
+    one per q coefficients, and q shrinks below 4 coefficients.
     """
     from .generators import make_generator
     from .generators.base import word_dtype
@@ -431,15 +445,24 @@ def _window_table(gen: "Generator", degree: int) -> np.ndarray:
     spec = gen.spec
     dtype = np.dtype(word_dtype(spec))
     cols = spec.n + (1 if spec.has_lung else 0)
-    q = min(range(1, 17), key=lambda q: (1 << q) + (degree + 1) / q)
+    coeffs = max(1, degree + 1)
+    q = min(4, coeffs)
+    subtables = min(32, -(-coeffs // q))
     walker = make_generator(spec)
     walker.set_raw_state(gen.get_raw_state())
-    table = np.zeros((1 << q, cols), dtype=dtype)
-    for j in range(q):
+    step = walker.rec.step
+    words = array(dtype.char)
+    for _ in range(q * subtables):
         c = walker.cursor
-        row = walker.st[c:] + walker.st[:c] + ([walker.lung] if spec.has_lung else [])
-        np.bitwise_xor(table[: 1 << j], np.array(row, dtype=dtype), out=table[1 << j : 2 << j])
-        walker.step()
+        words.extend(walker.st[c:])
+        words.extend(walker.st[:c])
+        if spec.has_lung:
+            words.append(walker.lung)
+        step(walker)
+    powers = np.frombuffer(words, dtype=dtype).reshape(subtables, q, 1, cols)
+    table = np.zeros((subtables, 1 << q, cols), dtype=dtype)
+    for b in range(q):
+        np.bitwise_xor(table[:, : 1 << b], powers[:, b], out=table[:, 1 << b : 2 << b])
     return table
 
 
@@ -447,34 +470,38 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
     """Replace the generator state x by poly(B) x, by a sliding-window Horner
     walk (Haramoto et al., INFORMS J. Comput. 2008, section 3).
 
-    ``_window_table`` holds v(B) x for every v of degree below q, 2^q rows
-    of one ring (plus lung) each: 2^q * n words, about 1.3 MB at
-    k = 19937.  The walk takes the coefficients of ``poly`` q at a time
-    from the top: q ordinary generator steps of an accumulator, then one
-    XOR of the table row the window selects, rotated to the accumulator's
-    cursor.  So the cost is deg(poly) steps plus deg(poly)/q ring XORs,
-    regardless of the jump count encoded in ``poly``; q grows with the
-    degree of ``poly``.  Dead bits introduced by whole-word XORs never feed
-    live coordinates and are cleared at the end.
+    The walk takes the coefficients of ``poly`` W = q J at a time from the
+    top, where ``_window_table`` holds J sub-tables of 2^q rows: W ordinary
+    generator steps of an accumulator, then one ring XOR of the J rows the
+    window's q-bit digits select, one row per sub-table, XOR-reduced and
+    rotated to the accumulator's cursor.  So the cost is deg(poly) steps
+    plus deg(poly)/W ring round trips between the accumulator's list and
+    numpy, regardless of the jump count encoded in ``poly``; W = 128 from
+    degree 127 up, with a table of at most 2^9 rows (1.3 MB at
+    k = 19937).  Dead bits introduced by whole-word XORs never feed live
+    coordinates and are cleared at the end.
     """
     from .generators import make_generator
 
     spec = gen.spec
     n = spec.n
     table = _window_table(gen, poly.degree)
-    window = len(table) - 1
-    q = window.bit_length()
+    subtables, rows, _ = table.shape
+    q = rows.bit_length() - 1
+    width = q * subtables
+    which, shifts = np.arange(subtables), range(0, width, q)
     bits = poly.bits
     acc = make_generator(spec)  # zero state
-    for i in range(poly.degree // q * q, -1, -q):
-        for _ in range(q):
-            acc.step()
-        v = (bits >> i) & window
+    step = acc.rec.step
+    for i in range(poly.degree // width * width, -1, -width):
+        for _ in range(width):
+            step(acc)
+        v = (bits >> i) & ((1 << width) - 1)
         if v:
+            row = np.bitwise_xor.reduce(table[which, [(v >> s) & (rows - 1) for s in shifts]])
             # A ring at cursor c holds its cursor-0 form rotated right by c:
             # every family keeps consecutive logical words consecutive in storage.
             c = n - acc.cursor
-            row = table[v]
             ring = np.concatenate((row[c:n], row[:c]))
             # array.array reads a list of ints about twice as fast as np.array
             ring ^= np.frombuffer(array(table.dtype.char, acc.st), dtype=table.dtype)

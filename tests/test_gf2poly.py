@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from f2spectra import get_spec, make_generator
 from f2spectra.bitlinalg import BitVector
 from f2spectra.cli import main
+from f2spectra.generators import GeneratorState
 from f2spectra.gf2poly import (
     _FFT_THRESHOLD_BITS,
     GF2Poly,
@@ -319,15 +320,18 @@ def test_jump_is_additive_far_beyond_stepping_range():
 
 
 def test_jump_is_additive_at_full_k():
-    spec = get_spec("mt19937")
     rng = random.Random(64)
-    a, b = rng.getrandbits(64) | 1 << 63, rng.getrandbits(64) | 1 << 63
-    twice = make_generator(spec, seed=5)
-    once = make_generator(spec, seed=5)
-    jump_ahead(twice, a)
-    jump_ahead(twice, b)
-    jump_ahead(once, a + b)
-    assert twice.state_vector() == once.state_vector()
+    for name in sorted(N1_TABLE):
+        spec = get_spec(name)
+        if spec.k != 19937:
+            continue
+        a, b = rng.getrandbits(64) | 1 << 63, rng.getrandbits(64) | 1 << 63
+        twice = make_generator(spec, seed=5)
+        once = make_generator(spec, seed=5)
+        jump_ahead(twice, a)
+        jump_ahead(twice, b)
+        jump_ahead(once, a + b)
+        assert twice.state_vector() == once.state_vector(), name
 
 
 def test_jump_matches_stepping_just_above_k():
@@ -349,25 +353,32 @@ def test_jump_polynomial_reduces_mod_minpoly():
     assert poly.degree < spec.k
 
 
-def _window_width(gen, degree: int) -> int:
-    return len(_window_table(gen, degree)).bit_length() - 1
+def _window_shape(gen, degree: int) -> tuple[int, int]:
+    """(q, J) of the walk's table for a polynomial of ``degree``: J
+    sub-tables of 2^q rows, W = q J coefficients per window."""
+    subtables, rows, _ = _window_table(gen, degree).shape
+    return rows.bit_length() - 1, subtables
 
 
 def _apply_cases(spec, gen) -> list[GF2Poly]:
-    """0, 1, t, degrees around the full-size window width q, a top window
-    of one coefficient and a full one, windows that are all zero between
-    the top and the bottom ones, and a random polynomial of degree k - 1.
+    """0, 1, t; degrees W - 1, W and W + 1 around the full-size window of
+    W = q J coefficients; a top window of one coefficient and a full one,
+    each over windows that are all zero down to a random bottom one; a
+    window whose set coefficients all fall in one sub-table; and a random
+    polynomial of degree k - 1.
 
     Only the last is dense at full degree: the oracle's cost grows with
     the weight.
     """
     k = spec.k
-    q = _window_width(gen, k - 1)
+    q, subtables = _window_shape(gen, k - 1)
+    width = q * subtables
     rng = random.Random(k)
-    top = k - 1 - (k - 1) % q  # a multiple of q: its window holds one coefficient
-    degrees = [q - 1, q, q + 1, top, top - 1]
-    cases = [0, 1, 2] + [1 << e | rng.getrandbits(min(e, 3 * q)) for e in degrees]
-    cases.append(1 << (k - 1) | rng.getrandbits(q))
+    top = k - 1 - (k - 1) % width  # a multiple of W: its window holds one coefficient
+    cases = [0, 1, 2] + [1 << e | rng.getrandbits(e) for e in (width - 1, width, width + 1)]
+    cases += [1 << e | rng.getrandbits(width) for e in (top, top - 1)]
+    one_subtable = (rng.getrandbits(q) | 1) << (width + 5 * q)  # window 1, sub-table 5 only
+    cases.append(1 << (k - 1) | one_subtable)
     cases.append(rng.getrandbits(k - 1) | 1 << (k - 1))
     return [GF2Poly(bits) for bits in cases]
 
@@ -390,13 +401,37 @@ def test_window_apply_matches_horner_oracle(name):
         assert fast.get_raw_state() == slow.get_raw_state(), poly
 
 
+@pytest.mark.parametrize("name", ["mt19937", "melg607"])
+def test_window_table_rows_are_shifted_window_polynomials(name):
+    # row v of sub-table j is v(B) B^(q j) x0, up to the dead bits
+    spec = get_spec(name)
+    gen = _stepped(spec)
+    table = _window_table(gen, spec.k - 1)
+    subtables, rows, cols = table.shape
+    q = rows.bit_length() - 1
+    assert cols == spec.n + (1 if spec.has_lung else 0)
+    rng = random.Random(3)
+    for j in (0, 1, subtables - 1):
+        for v in (1, rows - 1, rng.randrange(1, rows)):
+            expect = _stepped(spec)
+            horner_apply(expect, GF2Poly(v << (q * j)))
+            got = make_generator(spec)
+            lung = int(table[j, v, -1]) if spec.has_lung else None
+            got.set_raw_state(GeneratorState(tuple(table[j, v, : spec.n].tolist()), 0, lung))
+            assert got.get_raw_state() == expect.get_raw_state(), (j, v)
+
+
 def test_window_width_follows_the_degree():
     gen = make_generator(get_spec("mt19937"), seed=1)
-    assert _window_width(gen, -1) == 1
-    assert _window_width(gen, 0) == 1
-    widths = [_window_width(gen, e) for e in (10, 100, 1000, 19936)]
-    assert widths == sorted(widths) and widths[-1] == 9
-    assert _window_table(gen, 19936).nbytes < 1.5e6
+    table = _window_table(gen, 19936)
+    q, subtables = _window_shape(gen, 19936)
+    assert table.shape == (subtables, 1 << q, gen.spec.n)
+    assert subtables << q <= 1 << 9 and table.nbytes < 1.5e6
+    shapes = [_window_shape(gen, e) for e in (-1, 0, 1, 2, 3, 10, 100, 1000, 19936)]
+    assert shapes[0] == shapes[1] == (1, 1)
+    qs, js = zip(*shapes)
+    assert list(qs) == sorted(qs) and list(js) == sorted(js)
+    assert q * subtables >= 64  # many coefficients per ring XOR at full degree
 
 
 def test_apply_polynomial_x_is_one_step():
