@@ -242,19 +242,27 @@ def transpose(m: BitMatrix) -> BitMatrix:
 def write_matrix(m: SparseBitMatrix, sink: TextIO) -> None:
     """Text form: one line of '0'/'1' per row, column index ascending.
 
-    Each line is built from the row's nonzeros alone, as slices of one
-    all-zeros line joined by "1"s, and written before its newline.
+    Each line is built from the row's nonzeros alone.  A row with one
+    nonzero, a shift row, is one slice of a prebuilt line of k - 1 zeros,
+    a "1" and k - 1 zeros; any other row joins slices of one all-zeros
+    line with "1"s.  Each line is written before its newline.
     """
     zeros = "0" * m.cols
+    unit = zeros[1:] + "1" + zeros[1:]  # unit[cols - 1 - c :][: cols] has its 1 at c
     bounds = np.searchsorted(m.row_index, np.arange(m.rows + 1)).tolist()
     cols = m.col_index.tolist()
     for i in range(m.rows):
-        pieces, start = [], 0
-        for c in cols[bounds[i] : bounds[i + 1]]:
-            pieces.append(zeros[start:c])
-            start = c + 1
-        pieces.append(zeros[start:])
-        sink.write("1".join(pieces))
+        lo, hi = bounds[i], bounds[i + 1]
+        if hi - lo == 1:
+            start = m.cols - 1 - cols[lo]
+            sink.write(unit[start : start + m.cols])
+        else:
+            pieces, start = [], 0
+            for c in cols[lo:hi]:
+                pieces.append(zeros[start:c])
+                start = c + 1
+            pieces.append(zeros[start:])
+            sink.write("1".join(pieces))
         sink.write("\n")
 
 

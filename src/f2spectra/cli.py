@@ -284,7 +284,7 @@ def cmd_jump(args: argparse.Namespace) -> Result:
     spec = args.spec
     gen = make_generator(spec, seed=args.seed)
     jump_ahead(gen, args.steps)
-    jumped = [gen.next_word() for _ in range(args.emit)]
+    jumped = gen.words(args.emit)
     payload: dict[str, Any] = {
         "name": spec.name,
         "seed": args.seed,
@@ -297,9 +297,8 @@ def cmd_jump(args: argparse.Namespace) -> Result:
     ok = True
     if args.verify:
         twin = make_generator(spec, seed=args.seed)
-        for _ in range(args.steps):
-            twin.next_word()
-        stepped = [twin.next_word() for _ in range(args.emit)]
+        twin.step(args.steps)
+        stepped = twin.words(args.emit)
         ok = stepped == jumped
         payload["verified"] = ok
         lines.append(f"single-step replay {'matches' if ok else 'DIFFERS'}")
@@ -319,6 +318,17 @@ def _hardware_string() -> str:
     return ", ".join(part for part in (platform.platform(), model or platform.processor()) if part)
 
 
+#: Doubles per ``Generator.reals`` call in ``bench``: bounds the lists a
+#: million-double run would otherwise build.
+_BENCH_BATCH = 1 << 14
+
+
+def _reals(gen, count: int) -> None:
+    """Generate ``count`` doubles in batches of at most ``_BENCH_BATCH``."""
+    for done in range(0, count, _BENCH_BATCH):
+        gen.reals(min(_BENCH_BATCH, count - done))
+
+
 def cmd_bench(args: argparse.Namespace) -> Result:
     names = list(args.specs) if args.specs else list(list_specs())
     if "mt19937" not in names:
@@ -326,11 +336,9 @@ def cmd_bench(args: argparse.Namespace) -> Result:
     rows: list[dict[str, Any]] = []
     for name in names:
         gen = make_generator(get_spec(name), seed=12345)
-        for _ in range(args.warmup):
-            gen.next_real()
+        _reals(gen, args.warmup)
         start = time.perf_counter()
-        for _ in range(args.doubles):
-            gen.next_real()
+        _reals(gen, args.doubles)
         elapsed = time.perf_counter() - start
         rows.append({"name": name, "ns_per_double": elapsed / args.doubles * 1e9})
     base = next(row["ns_per_double"] for row in rows if row["name"] == "mt19937")
@@ -438,6 +446,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = add("bench", "Doubles-per-second benchmark (non-gating, machine-dependent).",
               spec=False)
+    sub.epilog = (f"ns/double times batched generation, {_BENCH_BATCH} doubles per call, so "
+                  "it is not comparable with figures from versions that generated one "
+                  "double per call.")
     sub.add_argument("--specs", nargs="*", choices=spec_names, help="generators (default: all)")
     sub.add_argument("--doubles", type=_positive_int_arg, default=1_000_000,
                      help="timed doubles per generator (default 1e6)")

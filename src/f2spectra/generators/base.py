@@ -23,11 +23,16 @@ E states; ``Generator.state_vector``/``set_state_vector`` pass the
 scalar ring as a 1-member array, and ``canonical_rows`` turns grid bits
 into packed canonical vectors for them and for ``Ensemble.state_rows``.
 
-Each family's recurrence (its step, output and logical-word index) is a
-``Recurrence`` subclass in ``mt.py``, ``well.py`` or ``melg.py``.  It runs
+Each family's recurrence is a ``Recurrence`` subclass in ``mt.py``,
+``well.py`` or ``melg.py``: one step loop ``run(ring, count, out=None)``,
+one output expression shared by ``run`` and ``output(ring)``, and the
+logical-word ``index``.  ``step(ring)`` is ``run(ring, 1)``.  It runs
 unchanged on the scalar ``Generator`` below, whose ring ``st`` is a list
 of ints, and on ``ensemble.Ensemble``, whose ring is an (n, E) word
 array; the storage classes hold only storage-specific code.
+``Generator.words`` and ``Generator.reals`` take many outputs from one
+``run`` call, which holds the ring and the constants in locals and reads
+each step's slots from per-cursor index tuples cached per spec.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import chain, cycle, islice
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -52,9 +58,6 @@ class Family(enum.Enum):
     MT64_ID3 = "MT64_ID3"
     WELL = "WELL"
     MELG = "MELG"
-
-
-_WELL = Family.WELL  # bound once: enum attribute lookups are slow on the next_real path
 
 
 @dataclass(frozen=True)
@@ -214,12 +217,21 @@ def canonical_rows(
 class Recurrence(ABC):
     """One family's F2-linear recurrence, on either kind of ring.
 
-    ``step`` and ``output`` act on a ring holder with attributes ``st``
+    ``run`` and ``output`` act on a ring holder with attributes ``st``
     (a list of n ints, or an (n, E) array whose rows are ring words),
     ``cursor`` and ``lung``.  Every constant is cast once by ``cast``
     (``int``, or the array's word type) so one set of expressions serves
     both; left shifts are masked explicitly because ints do not wrap.
+
+    ``run`` is the family's one step loop.  It reads the storage slots of
+    each step from ``rows``, one tuple per cursor in the order the cursor
+    visits them (``direction`` is +1 when the cursor moves up, -1 when it
+    moves down), so no step computes an index modulo n.  The tuples depend
+    only on the spec, and each family caches them per spec.
     """
+
+    direction = 1
+    rows: tuple[tuple, ...]  # set by each family from its per-spec cache
 
     def __init__(self, spec: GeneratorSpec, cast: Callable[[int], object]) -> None:
         self.spec = spec
@@ -235,9 +247,30 @@ class Recurrence(ABC):
         """
         return (cursor + j) % self.n
 
+    def walk(self, ring, count: int) -> Iterable[tuple]:
+        """The index rows of the ring's next ``count`` steps, in order.
+
+        Moves the ring's cursor past them at once, so the caller's loop
+        reads its slots from the rows alone.
+        """
+        n, rows = self.n, self.rows
+        cursor = ring.cursor
+        at = (self.direction * cursor) % n  # where the cursor sits in ``rows``
+        ring.cursor = (cursor + self.direction * count) % n
+        if at + count <= n:
+            return rows[at : at + count]
+        return islice(chain(rows[at:], cycle(rows)), count)
+
     @abstractmethod
+    def run(self, ring, count: int, out: list | None = None) -> None:
+        """Advance the ring ``count`` steps in place, moving its cursor.
+
+        When ``out`` is a list, append each step's output word to it.
+        """
+
     def step(self, ring) -> None:
-        """Advance the ring one step in place, moving its cursor."""
+        """Advance the ring one step."""
+        self.run(ring, 1)
 
     @abstractmethod
     def output(self, ring):
@@ -278,25 +311,36 @@ class Generator:
 
     # -- stepping --------------------------------------------------------
 
-    def step(self) -> None:
-        """Advance the recurrence one step (no output)."""
-        self.rec.step(self)
+    def step(self, count: int = 1) -> None:
+        """Advance the recurrence ``count`` steps (no output)."""
+        self.rec.run(self, count)
+
+    def words(self, count: int) -> list[int]:
+        """The next ``count`` output words, from one batched step loop."""
+        out: list[int] = []
+        self.rec.run(self, count, out)
+        return out
+
+    def reals(self, count: int) -> list[float]:
+        """The next ``count`` floats in [0, 1), by the family's published
+        conversion: WELL scales one 32-bit word, MT32 joins the top 27 and
+        26 bits of two words into 53, and 64-bit words keep their top 53."""
+        spec = self.spec
+        if spec.family is Family.WELL:
+            return [word * _INV32 for word in self.words(count)]
+        if spec.w == 32:
+            pairs = iter(self.words(2 * count))
+            return [((hi >> 5) * 67108864.0 + (lo >> 6)) * _INV53 for hi, lo in zip(pairs, pairs)]
+        return [(word >> 11) * _INV53 for word in self.words(count)]
 
     def next_word(self) -> int:
         rec = self.rec
-        rec.step(self)
+        rec.run(self, 1)
         return rec.output(self)
 
     def next_real(self) -> float:
         """Float in [0, 1) using the family's published conversion."""
-        spec = self.spec
-        if spec.family is _WELL:
-            return self.next_word() * _INV32
-        if spec.w == 32:
-            hi = self.next_word() >> 5
-            lo = self.next_word() >> 6
-            return (hi * 67108864.0 + lo) * _INV53
-        return (self.next_word() >> 11) * _INV53
+        return self.reals(1)[0]
 
     # -- state access ----------------------------------------------------
 

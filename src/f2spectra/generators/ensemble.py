@@ -4,9 +4,10 @@ Storage is one (n, E) ring array ``st`` (plus an (E,) lung row for MELG):
 slot [j, e] is ring word j of ensemble member e.  Callers step it and
 read its outputs through ``ens.rec``: the family's own ``Recurrence`` from
 ``mt.py``, ``well.py`` or ``melg.py``, with its constants cast to the
-array's word type, acting on whole rows at once.  An output may be a view
-of a ring row (WELL emits its newest word), so use it before the next
-step.
+array's word type.  Its one step loop ``run(ens, count)`` (``step`` is
+``run(ens, 1)``) acts on whole rows at once, through the same index
+tuples as the scalar ring.  ``output(ens)`` may return a view of a ring
+row (WELL emits its newest word), so use it before the next step.
 
 ``probe_images`` starts one member on each unit vector of the state grid
 (every stored bit, dead bits included; see ``base.canonical_grid``), reads
@@ -35,8 +36,9 @@ from . import recurrence
 from .base import GeneratorSpec, canonical_rows, grid_bits, grid_size, set_grid_bits, word_dtype
 
 #: Ring words per block of probe members: bounds a block's ring array to
-#: 4-8 MB at k = 19937.
-_PROBE_WORDS = 1 << 20
+#: 1-2 MB at k = 19937, and a full-grid probe's traced peak to 2.4-4.5 MB.
+#: Blocks four times larger took no less time.
+_PROBE_WORDS = 1 << 18
 
 
 class Ensemble:

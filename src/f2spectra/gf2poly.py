@@ -292,41 +292,63 @@ class _Barrett:
         return GF2Poly(r)
 
 
+#: Steps per slice of the reversed sequence in ``berlekamp_massey``, and
+#: the spare width each slice leaves above the current length.
+_BM_BLOCK = 64
+
+
 def berlekamp_massey(bits: int, nbits: int) -> GF2Poly:
     """Minimal connection polynomial of the sequence (bit i of ``bits``).
 
-    Runs the iterative discrepancy update in a reversed-alignment frame:
-    while processing step t, the working register holds coefficient c_i
-    at bit (t+1-i), so the discrepancy is one AND + popcount; the +1
-    offset keeps the initial backup (snapshot conceptually at step -1)
-    representable.  Returns C with C.coeff(0) == 1 and degree L such
-    that c_0 s_j = sum_{i=1..L} c_i s_{j-i} for all covered j.
+    Only the low ``nbits`` bits are read.  Returns C with C.coeff(0) == 1
+    and degree L such that c_0 s_j = sum_{i=1..L} c_i s_{j-i} for all
+    covered j.
+
+    Massey's iteration in a compact frame: C keeps bit i = c_i, so it is
+    L + 1 bits long, and B, the C before the last length change, enters
+    an update shifted by the steps since that change.  The discrepancy
+    at step t is the parity of C AND the sequence reversed from s_t.
+    With R the sequence reversed once (bit j = s_{nbits-1-j}), that
+    operand is a shift of R; a window of R, L + 64 bits wide plus the
+    block's own span, is sliced once per 64 steps and again only when L
+    outgrows it, so each step's AND, shift and popcount touch about L
+    bits, not the t bits of the whole prefix.
     """
-    seqs = bits << 1
-    ca, ba, length = 2, 1, 0
+    if nbits <= 0:
+        return GF2Poly(1)
+    bits &= (1 << nbits) - 1
+    reversed_bits = int(format(bits, f"0{nbits}b")[::-1], 2)
+    c, b, length, gap = 1, 1, 0, 1
+    top = width = -1  # the window serves steps up to ``top`` while length < width
+    window = 0
     for t in range(nbits):
-        if (ca & seqs).bit_count() & 1:
+        if t > top or length >= width:
+            top = min(t + _BM_BLOCK, nbits) - 1
+            width = length + _BM_BLOCK
+            # bit i of window >> (top - t) is s_{t-i}, for i below width
+            window = (reversed_bits >> (nbits - 1 - top)) & ((1 << (width + top - t)) - 1)
+        if (c & (window >> (top - t))).bit_count() & 1:
             if 2 * length <= t:
-                ca, ba = ca ^ ba, ca
+                c, b = c ^ (b << gap), c
                 length = t + 1 - length
-            else:
-                ca ^= ba
-        ca <<= 1
-    c = 0
-    for i in range(length + 1):
-        c |= ((ca >> (nbits + 1 - i)) & 1) << i
+                gap = 1
+                continue
+            c ^= b << gap
+        gap += 1
     return GF2Poly(c)
 
 
 def output_bit_sequence(spec: "GeneratorSpec", nbits: int, seed: int = 12345) -> int:
-    """Low bit of each of the first ``nbits`` outputs, packed bit i = step i."""
+    """Low bit of each of the first ``nbits`` outputs, packed bit i = step i.
+
+    The words come from one batched ``Generator.words`` call; their low
+    bits are packed into the int once, not shifted in one at a time.
+    """
     from .generators import make_generator
 
-    gen = make_generator(spec, seed)
-    seq = 0
-    for j in range(nbits):
-        seq |= (gen.next_word() & 1) << j
-    return seq
+    low = np.fromiter((word & 1 for word in make_generator(spec, seed).words(nbits)),
+                      dtype=np.uint8, count=nbits)
+    return int.from_bytes(np.packbits(low, bitorder="little").tobytes(), "little")
 
 
 def minimal_polynomial(spec: "GeneratorSpec", seed: int = 12345) -> GF2Poly:
@@ -471,10 +493,11 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
     walk (Haramoto et al., INFORMS J. Comput. 2008, section 3).
 
     The walk takes the coefficients of ``poly`` W = q J at a time from the
-    top, where ``_window_table`` holds J sub-tables of 2^q rows: W ordinary
-    generator steps of an accumulator, then one ring XOR of the J rows the
-    window's q-bit digits select, one row per sub-table, XOR-reduced and
-    rotated to the accumulator's cursor.  So the cost is deg(poly) steps
+    top, where ``_window_table`` holds J sub-tables of 2^q rows: W generator
+    steps of an accumulator, in one batched ``Generator.step(W)`` call,
+    then one ring XOR of the J rows the window's q-bit digits select, one
+    row per sub-table, XOR-reduced and rotated to the accumulator's
+    cursor.  So the cost is deg(poly) steps
     plus deg(poly)/W ring round trips between the accumulator's list and
     numpy, regardless of the jump count encoded in ``poly``; W = 128 from
     degree 127 up, with a table of at most 2^9 rows (1.3 MB at
@@ -492,10 +515,8 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
     which, shifts = np.arange(subtables), range(0, width, q)
     bits = poly.bits
     acc = make_generator(spec)  # zero state
-    step = acc.rec.step
     for i in range(poly.degree // width * width, -1, -width):
-        for _ in range(width):
-            step(acc)
+        acc.step(width)
         v = (bits >> i) & ((1 << width) - 1)
         if v:
             row = np.bitwise_xor.reduce(table[which, [(v >> s) & (rows - 1) for s in shifts]])

@@ -219,9 +219,7 @@ def trajectory_trace(gen: Generator, p: int, max_n: int) -> ZerolandTrace:
         raise ValueError(
             f"--max-n {max_n} gives {steps} actual iterations, fewer than the window --p {p}"
         )
-    totals = np.empty(steps, dtype=np.int64)
-    for i in range(steps):
-        totals[i] = hamming(gen.next_word())
+    totals = np.array([hamming(word) for word in gen.words(steps)], dtype=np.int64)
     values = _window_means(totals, p, spec.w)
     return ZerolandTrace(
         values=values,

@@ -145,6 +145,35 @@ def read_matrix(source: TextIO) -> BitMatrix:
     return BitMatrix.from_int_rows(rows, cols)
 
 
+# -- Berlekamp-Massey ------------------------------------------------------------
+
+
+def berlekamp_massey_prefix(bits: int, nbits: int) -> GF2Poly:
+    """Massey's iteration in a reversed-alignment frame over the whole
+    prefix; the oracle for ``gf2poly.berlekamp_massey``.
+
+    While processing step t, the working register holds coefficient c_i
+    at bit (t+1-i), so the discrepancy is one AND + popcount against the
+    sequence itself; the +1 offset keeps the initial backup (snapshot
+    conceptually at step -1) representable.  The register grows by one
+    bit a step, so step t costs O(t).
+    """
+    seqs = bits << 1
+    ca, ba, length = 2, 1, 0
+    for t in range(nbits):
+        if (ca & seqs).bit_count() & 1:
+            if 2 * length <= t:
+                ca, ba = ca ^ ba, ca
+                length = t + 1 - length
+            else:
+                ca ^= ba
+        ca <<= 1
+    c = 0
+    for i in range(length + 1):
+        c |= ((ca >> (nbits + 1 - i)) & 1) << i
+    return GF2Poly(c)
+
+
 # -- jump-ahead ------------------------------------------------------------------
 
 

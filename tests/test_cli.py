@@ -526,6 +526,15 @@ def test_module_entry_point_exit_codes():
         assert "Traceback" not in proc.stderr
 
 
+def test_package_runs_as_a_module():
+    src = str(Path(f2spectra.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "f2spectra", "--version"],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"f2spectra {__version__}"
+
+
 #: Runs each command in a fresh interpreter and prints, after each, whether
 #: SciPy has been imported.
 _IMPORT_PROBE = """

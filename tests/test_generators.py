@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2spectra import (
+    Family,
     GeneratorState,
     get_spec,
     list_specs,
@@ -381,3 +382,79 @@ def test_ensemble_lanes_match_scalar_generators(name):
         assert ens.rec.output(ens).tolist() == [gen.next_word() for gen in gens]
     rows = [BitVector.from_limbs(row, spec.k) for row in ens.state_rows()]
     assert rows == [gen.state_vector() for gen in gens]
+
+
+# -- the batched step loop ---------------------------------------------------
+
+
+def _near_wrap(spec, seed):
+    """A generator n - 2 steps past seeding, so its cursor reaches the
+    ring's end (MT, MELG) or its start (WELL) within three steps."""
+    gen = make_generator(spec, seed=seed)
+    for _ in range(spec.n - 2):
+        gen.rec.step(gen)
+    return gen
+
+
+def _counts(spec):
+    return (0, 1, spec.n - 1, spec.n, spec.n + 1)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
+def test_run_equals_single_steps_on_a_scalar_ring(spec):
+    for count in _counts(spec):
+        batched, single = _near_wrap(spec, 5), _near_wrap(spec, 5)
+        out = [-1]  # run appends after what the list holds
+        batched.rec.run(batched, count, out)
+        expected = [-1]
+        for _ in range(count):
+            single.rec.step(single)
+            expected.append(single.rec.output(single))
+        assert out == expected, count
+        assert batched.get_raw_state() == single.get_raw_state(), count
+        assert batched.rec.output(batched) == single.rec.output(single)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
+def test_run_equals_single_steps_on_an_ensemble_ring(spec):
+    for count in _counts(spec):
+        batched, single = (_ensemble_of([_near_wrap(spec, seed) for seed in (1, 2, 3)])
+                           for _ in range(2))
+        for ens in (batched, single):
+            for _ in range(spec.n - 2):  # off-zero ensemble cursors, near the wrap
+                ens.rec.step(ens)
+        batched.rec.run(batched, count)
+        for _ in range(count):
+            single.rec.step(single)
+        assert batched.cursor == single.cursor, count
+        assert np.array_equal(batched.st, single.st), count
+        assert np.array_equal(batched.rec.output(batched), single.rec.output(single))
+        if spec.has_lung:
+            assert np.array_equal(batched.lung, single.lung)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_words_and_reals_equal_the_single_call_streams(name):
+    spec = get_spec(name)
+    count = spec.n + 3
+    batched, single = make_generator(spec, seed=77), make_generator(spec, seed=77)
+    assert batched.words(count) == [single.next_word() for _ in range(count)]
+    assert batched.reals(count) == [single.next_real() for _ in range(count)]
+    batched.step(count)
+    for _ in range(count):
+        single.step()
+    assert batched.words(5) == [single.next_word() for _ in range(5)]
+    assert batched.words(0) == [] and batched.reals(0) == []
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_reals_use_the_published_conversion(name):
+    spec = get_spec(name)
+    words = make_generator(spec, seed=3).words(40)
+    if spec.family is Family.WELL:
+        expected = [w / 2**32 for w in words]
+    elif spec.w == 32:
+        expected = [((hi >> 5) * 2**26 + (lo >> 6)) / 2**53 for hi, lo in zip(words[::2], words[1::2])]
+    else:
+        expected = [(w >> 11) / 2**53 for w in words]
+    assert make_generator(spec, seed=3).reals(len(expected)) == expected

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from _oracles import horner_apply
+from _oracles import berlekamp_massey_prefix, horner_apply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +41,8 @@ N1_TABLE = {
     "melg607": 313,
     "melg19937": 9603,
 }
+#: The paper-size generators (k = 19937).
+BIG = ("mt19937", "mt19937-64id1", "mt19937-64id3", "well19937a", "melg19937")
 
 
 def _poly_from_int(bits: int) -> GF2Poly:
@@ -250,6 +252,52 @@ def test_bm_recovers_short_lfsr():
 def test_bm_handles_all_zero_prefix():
     # the zero sequence needs no taps: the connection polynomial is 1
     assert berlekamp_massey(0, 32) == GF2Poly.from_degrees([0])
+
+
+_BM_RNG = random.Random(64)
+_BM_CASES = {
+    "empty": (_BM_RNG.getrandbits(8), 0),
+    "one bit": (1, 1),
+    "one zero bit": (0, 1),
+    "all zero": (0, 300),
+    "not a multiple of 64": (_BM_RNG.getrandbits(1000), 1000),
+    "bits wider than nbits": (_BM_RNG.getrandbits(500), 333),
+    # L jumps from 0 to 700 at the lone 1, past the window's spare width
+    "zeros then a one": (1 << 699, 1500),
+    "zeros, a one, then noise": ((_BM_RNG.getrandbits(800) << 900) | (1 << 450), 1700),
+    # L = 2 for 1000 steps, then jumps to 999 mid-block, where the rest of
+    # the block needs sequence bits far beyond the stale window
+    "periodic prefix, then noise": (int("01" * 500, 2) | (_BM_RNG.getrandbits(500) << 1000), 1500),
+}
+
+
+@pytest.mark.parametrize("bits,nbits", _BM_CASES.values(), ids=_BM_CASES.keys())
+def test_bm_matches_prefix_oracle(bits, nbits):
+    assert berlekamp_massey(bits, nbits) == berlekamp_massey_prefix(bits, nbits)
+
+
+def test_bm_matches_prefix_oracle_at_every_short_length():
+    rng = random.Random(65)
+    for nbits in range(1, 140):
+        bits = rng.getrandbits(nbits)
+        assert berlekamp_massey(bits, nbits) == berlekamp_massey_prefix(bits, nbits), nbits
+
+
+@pytest.mark.parametrize("name", ["mt19937", "melg607"])
+def test_output_bit_sequence_packs_the_low_bits(name):
+    words = make_generator(name, 31).words(1000)
+    assert output_bit_sequence(get_spec(name), 1000, seed=31) == sum(
+        (word & 1) << i for i, word in enumerate(words))
+
+
+@pytest.mark.parametrize("name", BIG)
+def test_bm_matches_prefix_oracle_at_full_k(name):
+    spec = get_spec(name)
+    nbits = 2 * spec.k + 64
+    bits = output_bit_sequence(spec, nbits, seed=404)
+    conn = berlekamp_massey(bits, nbits)
+    assert conn == berlekamp_massey_prefix(bits, nbits)
+    assert conn.degree == spec.k
 
 
 @pytest.mark.parametrize("name", ["well607b", "melg607"])
