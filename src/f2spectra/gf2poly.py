@@ -8,9 +8,15 @@ coefficient of the integer product is a count no larger than the
 shorter operand's length, so it is recovered by rounding, and its low
 bit is the GF(2) coefficient.  Each FFT product checks its own rounding
 residual and raises ``ArithmeticError`` rather than return a wrong bit.
-Squaring only respaces bits.  ``_Barrett`` reduces modulo a fixed
-polynomial with the transforms of its two fixed operands computed once,
-the second at half length; ``pow_mod`` builds one per call.
+Squaring respaces bits, and ``_Barrett``, which ``pow_mod`` builds once
+per call, reduces the square modulo a fixed polynomial of degree d with
+two products by fixed operands, q = t^(2d) // mod and the modulus.  Each
+operand picks its engine by its weight: a shift-XOR loop over its set
+bits when it is sparse (mt19937's have 161 and 135), else its spectra,
+computed once.  The quotient of a square then takes three transforms of
+half the full product's length, not two of the full length: the high
+half of x^2 is x's upper half respaced, so it meets q's even and odd
+halves in two half-length products.
 
 ``berlekamp_massey`` recovers the minimal LFSR connection polynomial of
 a bit sequence; fed 2k+64 output bits of a k-dimensional generator it
@@ -25,9 +31,8 @@ once per W coefficients, a round trip that costs far more than the XOR.
 q = 4 and J = 32 give W = 128 from 2^9 rows, 1.3 MB at k = 19937; the
 wider q = 9 of a single table would need the same 2^9 rows for W = 9.
 A backward jump needs only that B is invertible, which p(0) = 1 states:
-t^-1 mod p is then (p + 1)/t, and raising it to the power -steps costs
-as many squarings as a forward jump of the same length.  No period is
-assumed.
+t^-1 mod p is then (p + 1)/t, and ``pow_mod`` multiplies by it with one
+shift and at most one XOR, as it multiplies by t.  No period is assumed.
 """
 
 from __future__ import annotations
@@ -52,6 +57,13 @@ BigUint = int
 _FFT_THRESHOLD_BITS = 1024
 #: Largest accepted distance of an FFT coefficient from its integer.
 _ROUNDING_GUARD = 0.25
+#: Above the FFT threshold, a fixed Barrett operand lighter than this many
+#: set bits multiplies by a shift-XOR loop over them, and a heavier one by
+#: its cached spectra.  At k = 19937 the loop measured as fast as the
+#: transforms at about 1450 bits of q and 510 of the modulus, whose loop
+#: shifts left into twice as many words.
+_SPARSE_QUOTIENT_WEIGHT = 1024
+_SPARSE_MODULUS_WEIGHT = 384
 
 
 def _fft_length(n: int) -> int:
@@ -65,10 +77,14 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _bytes_of(x: int) -> np.ndarray:
+    """The little-endian bytes of ``x``, as a uint8 array."""
+    return np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
+
+
 def _spectrum(x: int, n: int) -> np.ndarray:
     """Real FFT of the 0/1 coefficient vector of ``x``, zero-padded to length n."""
-    raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
-    return np.fft.rfft(np.unpackbits(raw, bitorder="little"), n)
+    return np.fft.rfft(np.unpackbits(_bytes_of(x), bitorder="little"), n)
 
 
 def _product_bits(spectrum: np.ndarray, n: int) -> np.ndarray:
@@ -89,6 +105,11 @@ def _product_bits(spectrum: np.ndarray, n: int) -> np.ndarray:
     parity = counts.astype(np.int64)
     parity &= 1
     return parity.astype(np.uint8)
+
+
+def _exponents(x: int) -> list[int]:
+    """Exponents of the set bits of ``x``, ascending."""
+    return np.flatnonzero(np.unpackbits(_bytes_of(x), bitorder="little")).tolist()
 
 
 def _from_bit_vector(bits: np.ndarray) -> int:
@@ -128,8 +149,7 @@ def _spread2_table() -> np.ndarray:
 def _square_bits(x: int) -> int:
     if x == 0:
         return 0
-    raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
-    return int.from_bytes(_spread2_table()[raw].tobytes(), "little")
+    return int.from_bytes(_spread2_table()[_bytes_of(x)].tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -199,19 +219,43 @@ class GF2Poly:
         return divmod(self, other)[1]
 
     def pow_mod(self, e: BigUint, mod: "GF2Poly") -> "GF2Poly":
-        """self**e mod ``mod`` by square-and-multiply (e may be huge)."""
+        """self**e mod ``mod`` by square-and-multiply (e may be huge).
+
+        The squares go through ``_Barrett.square``.  A base of t or, when
+        mod(0) = 1, of t^-1 = (mod + 1)/t multiplies with one shift and at
+        most one XOR: x t is x << 1, less mod when it reaches degree d,
+        and x t^-1 is (x + x_0 mod) >> 1, with x_0 the constant term of x.
+        Any other base takes a product and a ``reduce``.
+        """
         if e < 0:
             raise ValueError("negative exponent")
         ctx = _Barrett(mod)
-        result = ctx.reduce(GF2Poly(1))
+        result = ctx.reduce(GF2Poly(1)).bits
         if e == 0:
-            return result
-        base = ctx.reduce(self)
+            return GF2Poly(result)
+        base = ctx.reduce(self).bits
+        d, mb = ctx.d, mod.bits
+        if base == 2:  # t: one shift, and one XOR when the degree reaches d
+
+            def times(x: int) -> int:
+                x <<= 1
+                return x ^ mb if x >> d else x
+
+        elif base == mb >> 1 and mb & 1:  # t^-1 = (mod + 1)/t
+
+            def times(x: int) -> int:
+                return (x ^ mb) >> 1 if x & 1 else x >> 1
+
+        else:
+
+            def times(x: int) -> int:
+                return ctx.reduce(GF2Poly(_mul_bits(x, base))).bits
+
         for ch in format(e, "b"):
-            result = ctx.reduce(result.square())
+            result = ctx.square(result)
             if ch == "1":
-                result = ctx.reduce(result * base)
-        return result
+                result = times(result)
+        return GF2Poly(result)
 
     def reciprocal(self) -> "GF2Poly":
         """t^degree * p(1/t): the coefficient sequence reversed in place."""
@@ -230,66 +274,140 @@ class GF2Poly:
         return f"GF2Poly(degree={self.degree}, weight={self.weight})"
 
 
+def _barrett_quotient(mod: GF2Poly) -> int:
+    """t^(2d) // mod, for mod of degree d.
+
+    Long division costs one XOR per set bit of the quotient, so above the
+    FFT threshold a modulus of ``_SPARSE_MODULUS_WEIGHT`` bits or more
+    takes Newton's iteration instead.  With P the reciprocal of mod
+    (P(0) = 1), the quotient is P^-1 mod t^(d+1), reversed.  A pass
+    W <- P W^2 mod t^j, which in characteristic 2 is W (2 - P W), lifts W
+    from P^-1 mod t^ceil(j/2) to P^-1 mod t^j.  As in ``_Barrett.square``,
+    W^2 is W(t^2), so with P = P0(t^2) + t P1(t^2) the pass is two
+    products of halves, W P0 and W P1, each at half the transform length.
+    """
+    d = mod.degree
+    if d <= _FFT_THRESHOLD_BITS or mod.weight < _SPARSE_MODULUS_WEIGHT:
+        return (GF2Poly.x_power(2 * d) // mod).bits
+    coeffs = np.unpackbits(_bytes_of(mod.reciprocal().bits), bitorder="little")
+    halves = (_from_bit_vector(coeffs[0::2]), _from_bit_vector(coeffs[1::2]))
+    lengths = [d + 1]
+    while lengths[-1] > 1:
+        lengths.append((lengths[-1] + 1) // 2)
+    w = 1
+    for j in reversed(lengths[:-1]):
+        mask = (1 << (j + 1) // 2) - 1
+        a, b = (_mul_bits(w, half & mask) & mask for half in halves)
+        w = (_square_bits(a) | _square_bits(b) << 1) & ((1 << j) - 1)
+    return int(format(w, f"0{d + 1}b")[::-1], 2)
+
+
 class _Barrett:
     """Reduction modulo a fixed polynomial of degree d, by Barrett's method.
 
-    ``q = t^(2d) // mod`` is found once by long division.  A polynomial p
-    of degree below 2d then reduces with two products and no division:
-    ``qhat = ((p >> d) * q) >> d`` is the exact quotient p // mod, and
-    ``p - qhat * mod`` the remainder.  Above ``_FFT_THRESHOLD_BITS`` the
-    spectra of q and of the modulus are computed once, each at the one
-    length its product needs, so a reduce costs two forward and two
-    inverse transforms:
+    ``q = t^(2d) // mod`` is found once (``_barrett_quotient``).  A
+    polynomial r of degree below 2d then reduces with two products and no
+    division: ``qhat = ((r >> d) * q) >> d`` is the exact quotient
+    r // mod, and ``r - qhat * mod`` the remainder.  Above
+    ``_FFT_THRESHOLD_BITS`` each fixed operand, q and the modulus, picks
+    its engine by its weight w:
 
-    - ``(p >> d) * q`` has fewer than 2d coefficients and its high half
-      is wanted, so it runs at length ``_fft_length(2d)``, where the
-      cyclic convolution never wraps around.
-    - ``qhat * mod`` runs at the shorter length m = ``_fft_length(d + 1)``,
-      so its coefficients j + m wrap onto j.  Only the low d are needed,
-      and the wrapped ones are known: the remainder has degree below d,
-      so from d up the product equals p itself.  The low half is thus
-      the wrapped result XOR ``p >> m``, masked to d bits.
+    - w below ``_SPARSE_QUOTIENT_WEIGHT`` (q) or ``_SPARSE_MODULUS_WEIGHT``
+      (the modulus): a shift-XOR loop over its w set bits, exact and free
+      of transforms.  The quotient is the XOR of ``hi >> (d - e)`` over
+      q's exponents e, and the remainder the XOR of ``qhat << e`` over the
+      modulus's exponents into r.
+    - otherwise spectra computed once, all at m = ``_fft_length(d + 1)``:
 
-    A quotient no longer than the threshold (after a product by t, say)
-    stays on the schoolbook loop, and inputs of degree 2d or more fall
-    back to long division.
+      - ``qhat * mod`` has fewer than 2d coefficients, so at length m its
+        coefficients j + m wrap onto j.  Only the low d are needed, and
+        the wrapped ones are known: the remainder has degree below d, so
+        from d up the product equals r itself.  The low half is thus the
+        wrapped result XOR ``r >> m``, masked to d bits.
+      - q is kept as the spectra of its even and odd halves, q = q0(t^2) +
+        t q1(t^2), for ``square``.  The high half of x^2 is t^delta u(t^2),
+        where u = x >> ceil(d/2) holds x's upper coefficients and
+        delta = 2 ceil(d/2) - d.  So ``hi * q`` is
+        t^delta (a(t^2) + t b(t^2)) with a = u q0 and b = u q1, two
+        products of halves that fit in length m without wrapping, and the
+        quotient's even and odd coefficients are a's and b's from index
+        (d - delta)/2 on: one forward and two inverse transforms at m,
+        where the full product needs two at twice that length.  The
+        quotient of a general ``reduce`` is a plain ``_mul_bits`` product.
+
+    A square of degree below d needs no reduction at all.  At d up to the
+    threshold both products stay on the schoolbook loop, and inputs of
+    degree 2d or more fall back to long division.
     """
 
     def __init__(self, mod: GF2Poly) -> None:
         if mod.degree < 1:
             raise ValueError("modulus must have positive degree")
         self.mod = mod
-        self.d = mod.degree
-        self.q = (GF2Poly.x_power(2 * self.d) // mod).bits
-        self.n = 0
-        if self.d > _FFT_THRESHOLD_BITS:
-            self.n = _fft_length(2 * self.d)
-            self.m = _fft_length(self.d + 1)
-            self.q_spectrum = _spectrum(self.q, self.n)
-            self.mod_spectrum = _spectrum(mod.bits, self.m)
+        d = self.d = mod.degree
+        self.low_mask = (1 << d) - 1
+        self.q = _barrett_quotient(mod)
+        self.q_shifts = self.q_spectra = self.mod_terms = self.mod_spectrum = None
+        if d <= _FFT_THRESHOLD_BITS:
+            return
+        self.m = m = _fft_length(d + 1)
+        if self.q.bit_count() < _SPARSE_QUOTIENT_WEIGHT:
+            self.q_shifts = [d - e for e in _exponents(self.q)]
+        else:
+            halves = np.unpackbits(_bytes_of(self.q), bitorder="little")
+            self.q_spectra = (np.fft.rfft(halves[0::2], m), np.fft.rfft(halves[1::2], m))
+        if mod.weight < _SPARSE_MODULUS_WEIGHT:
+            self.mod_terms = _exponents(mod.bits)
+        else:
+            self.mod_spectrum = _spectrum(mod.bits, m)
 
     def reduce(self, p: GF2Poly) -> GF2Poly:
-        d = self.d
-        mb = self.mod.bits
         r = p.bits
-        if r.bit_length() > 2 * d:
+        if r.bit_length() > 2 * self.d:
             return p % self.mod
+        hi = r >> self.d
+        return GF2Poly(self._remainder(r, self._quotient(hi))) if hi else p
+
+    def square(self, x: int) -> int:
+        """x^2 mod the modulus, for x of degree below d."""
+        d = self.d
+        r = _square_bits(x)
         hi = r >> d
-        if self.n and hi.bit_length() > _FFT_THRESHOLD_BITS:
-            n, m = self.n, self.m
-            spectrum = _spectrum(hi, n)
-            spectrum *= self.q_spectrum
-            qhat = _product_bits(spectrum, n)[d : 2 * d]
-            spectrum = np.fft.rfft(qhat, m)
+        if not hi:
+            return r
+        if self.q_spectra is None:
+            return self._remainder(r, self._quotient(hi))
+        m, lo = self.m, d // 2
+        u = _spectrum(x >> (d + 1) // 2, m)
+        even, odd = self.q_spectra
+        qhat = np.empty(d, dtype=np.uint8)
+        qhat[0::2] = _product_bits(u * even, m)[lo : lo + (d + 1) // 2]
+        qhat[1::2] = _product_bits(u * odd, m)[lo : lo + d // 2]
+        return self._remainder(r, _from_bit_vector(qhat))
+
+    def _quotient(self, hi: int) -> int:
+        """(hi * q) >> d, for hi of degree below d."""
+        if self.q_shifts is None:
+            return _mul_bits(hi, self.q) >> self.d
+        qhat = 0
+        for s in self.q_shifts:
+            qhat ^= hi >> s
+        return qhat
+
+    def _remainder(self, r: int, qhat: int) -> int:
+        """The low d coefficients of r - qhat * mod, all of it when qhat is
+        the quotient r // mod."""
+        if self.mod_terms is not None:
+            for e in self.mod_terms:
+                r ^= qhat << e
+        elif self.mod_spectrum is not None and qhat.bit_length() > _FFT_THRESHOLD_BITS:
+            m = self.m
+            spectrum = _spectrum(qhat, m)
             spectrum *= self.mod_spectrum
-            low = _from_bit_vector(_product_bits(spectrum, m)) ^ (r >> m)
-            return GF2Poly((r ^ low) & ((1 << d) - 1))
-        if hi:
-            qhat = _mul_bits(hi, self.q) >> d
-            r ^= _mul_bits(qhat, mb)
-        while r.bit_length() - 1 >= d:
-            r ^= mb << (r.bit_length() - 1 - d)
-        return GF2Poly(r)
+            r ^= _from_bit_vector(_product_bits(spectrum, m)) ^ (r >> m)
+        else:
+            r ^= _mul_bits(qhat, self.mod.bits)
+        return r & self.low_mask
 
 
 #: Steps per slice of the reversed sequence in ``berlekamp_massey``, and
@@ -433,8 +551,11 @@ def jump_polynomial(spec: "GeneratorSpec", steps: int) -> GF2Poly:
 
     ``steps`` may be negative.  ``minimal_polynomial`` returns p with
     p(0) = 1, so B is invertible and t^-1 mod p = (p + 1)/t; a backward
-    jump raises that to the power -steps, at the cost of a forward jump
-    of the same length.
+    jump raises that to the power -steps.  Both bases multiply with a
+    shift and an XOR, so either jump costs one ``_Barrett.square`` per
+    bit of the count, save that a forward jump squares t^j for free while
+    its degree j is below d/2: a 64-bit count takes about 50 reduced
+    squares forward and 63 backward at k = 19937.
     """
     p = minimal_polynomial(spec)
     base = GF2Poly.from_degrees([1]) if steps >= 0 else GF2Poly((p.bits ^ 1) >> 1)

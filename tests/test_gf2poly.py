@@ -18,6 +18,7 @@ from f2spectra.gf2poly import (
     _FFT_THRESHOLD_BITS,
     GF2Poly,
     _Barrett,
+    _barrett_quotient,
     _fft_length,
     _mul_bits,
     _window_table,
@@ -139,7 +140,8 @@ def test_fft_length_is_the_smallest_smooth_size():
 
 
 def test_barrett_reduce_matches_long_division_at_full_degree(monkeypatch):
-    mod = minimal_polynomial(get_spec("mt19937"))
+    # well19937a's q and modulus are dense, so both products run on the FFT
+    mod = minimal_polynomial(get_spec("well19937a"))
     d = mod.degree
     ctx = _Barrett(mod)
     lengths: list[int] = []
@@ -177,10 +179,145 @@ def test_barrett_reduce_matches_long_division_just_above_the_fft_threshold(d, se
     rng = random.Random(seed)
     mod = GF2Poly(1 << d | rng.getrandbits(d) | 1)
     ctx = _Barrett(mod)
-    assert ctx.n  # both products run on the FFT
+    assert ctx.mod_spectrum is not None  # the remainder product runs on the FFT
     for bits in (rng.getrandbits(2 * d), rng.getrandbits(2 * d - 1) | 1 << (2 * d - 2)):
         p = GF2Poly(bits)
         assert ctx.reduce(p) == p % mod
+
+
+def _pow_mod_oracle(base: GF2Poly, e: int, mod: GF2Poly) -> GF2Poly:
+    """Square-and-multiply with every reduction by long division."""
+    result = GF2Poly(1) % mod
+    for ch in format(e, "b"):
+        result = result.square() % mod
+        if ch == "1":
+            result = (result * base) % mod
+    return result
+
+
+def _fft_calls(monkeypatch) -> list[str]:
+    """Names of every forward and inverse real FFT from now on."""
+    calls: list[str] = []
+    for name in ("rfft", "irfft"):
+        exact = getattr(np.fft, name)
+
+        def recording(*args, _name=name, _exact=exact, **kw):
+            calls.append(_name)
+            return _exact(*args, **kw)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    return calls
+
+
+def test_sparse_barrett_makes_no_fft_call_and_matches_long_division(monkeypatch):
+    # mt19937's q and modulus have weights 161 and 135: both products are
+    # shift-XOR loops over their set bits
+    mod = minimal_polynomial(get_spec("mt19937"))
+    d = mod.degree
+    rng = random.Random(161)
+    samples = [rng.getrandbits(2 * d) for _ in range(3)] + [mod.bits, 1 << (2 * d - 1), 1]
+    squares = [rng.getrandbits(d) for _ in range(3)] + [(1 << d) - 1, 1 << (d // 2), 1]
+    expect = [GF2Poly(bits) % mod for bits in samples]
+    expect_squares = [GF2Poly(x).square() % mod for x in squares]
+    calls = _fft_calls(monkeypatch)
+    ctx = _Barrett(mod)
+    assert ctx.q_shifts is not None and ctx.mod_terms is not None
+    assert [ctx.reduce(GF2Poly(bits)) for bits in samples] == expect
+    assert [GF2Poly(ctx.square(x)) for x in squares] == expect_squares
+    assert GF2Poly(2).pow_mod(random.Random(5).getrandbits(64), mod).degree < d
+    assert calls == []
+
+
+def _sparse_quotient_modulus(d: int) -> GF2Poly:
+    """A dense modulus with p(0) = 1 whose q = t^(2d) // p is sparse.
+
+    q = t^(2d) // p and p = t^(2d) // q determine each other (each is the
+    reversed inverse power series of the other), so q is chosen first."""
+    return GF2Poly.x_power(2 * d) // GF2Poly.from_degrees([d, d - 1, 2, 0])
+
+
+# (modulus, q sparse, modulus sparse), at odd and even degree
+_PAIRINGS = {
+    "sparse q, sparse modulus": (GF2Poly.from_degrees([3001, 2401, 0]), True, True),
+    "sparse q, dense modulus": (_sparse_quotient_modulus(3000), True, False),
+    "dense q, sparse modulus": (GF2Poly.from_degrees([3001, 3000, 0]), False, True),
+    "dense q, dense modulus": (GF2Poly(1 << 3000 | random.Random(3000).getrandbits(3000) | 1),
+                               False, False),
+}
+
+
+@pytest.mark.parametrize("mod,sparse_q,sparse_mod", _PAIRINGS.values(), ids=_PAIRINGS.keys())
+def test_pow_mod_matches_the_oracle_on_each_pairing_of_engines(mod, sparse_q, sparse_mod):
+    d = mod.degree
+    ctx = _Barrett(mod)
+    assert (ctx.q_shifts is not None, ctx.mod_terms is not None) == (sparse_q, sparse_mod)
+    assert (ctx.q_spectra is None, ctx.mod_spectrum is None) == (sparse_q, sparse_mod)
+    assert ctx.q == (GF2Poly.x_power(2 * d) // mod).bits
+    rng = random.Random(d)
+    # t^e's last square first crosses degree d at e = d + 1 (odd d) or d (even d)
+    exponents = [*range(d - 2, d + 3), 2 * d - 1, 2 * d, 2 * d + 1, rng.getrandbits(40)]
+    bases = [GF2Poly(2), GF2Poly(rng.getrandbits(d) | 1 << (d - 1))]
+    if mod.bits & 1:
+        bases.append(GF2Poly(mod.bits >> 1))  # t^-1
+    for base in bases:
+        for e in exponents:
+            assert base.pow_mod(e, mod) == _pow_mod_oracle(base, e, mod), (base, e)
+
+
+@pytest.mark.parametrize("d", [2600, 2601])
+def test_half_length_square_matches_long_division_on_random_moduli(d):
+    # delta = 2 ceil(d/2) - d is 0 at even d and 1 at odd d
+    rng = random.Random(d)
+    mod = GF2Poly(1 << d | rng.getrandbits(d) | 1)
+    ctx = _Barrett(mod)
+    assert ctx.q_spectra is not None and ctx.mod_spectrum is not None
+    assert ctx.q == (GF2Poly.x_power(2 * d) // mod).bits  # Newton's iteration
+    half = (d + 1) // 2
+    squares = [rng.getrandbits(d) for _ in range(4)]
+    squares += [1 << (half - 1), 1 << half, (1 << half) - 1, (1 << d) - 1, 1 << (d - 1), 1, 0]
+    for x in squares:
+        assert GF2Poly(ctx.square(x)) == GF2Poly(x).square() % mod, x.bit_length()
+
+
+@pytest.mark.parametrize("name", BIG)
+def test_pow_mod_matches_square_and_multiply_at_full_k(name):
+    mod = minimal_polynomial(get_spec(name))
+    e = random.Random(name).getrandbits(40) | 1 << 39
+    forward = GF2Poly(2).pow_mod(e, mod)
+    assert forward == _pow_mod_oracle(GF2Poly(2), e, mod)
+    backward = GF2Poly(mod.bits >> 1).pow_mod(e, mod)
+    assert (forward * backward) % mod == GF2Poly(1)
+    assert _barrett_quotient(mod) == (GF2Poly.x_power(2 * mod.degree) // mod).bits
+
+
+def test_backward_jump_costs_a_forward_jump_but_its_free_squares(monkeypatch):
+    # well19937a's q and modulus are dense: each reduced square makes the
+    # same FFT products, and a set bit of the count makes none, in either
+    # direction.  Only a forward jump squares t^j for free while 2j < d;
+    # a backward one squares only its starting 1 for free.
+    spec = get_spec("well19937a")
+    d = minimal_polynomial(spec).degree
+    x = random.Random(6).getrandbits(d)
+    calls = _fft_calls(monkeypatch)
+
+    def products(steps: int) -> int:
+        """FFT products (inverse transforms) of one jump polynomial."""
+        calls.clear()
+        jump_polynomial(spec, steps)
+        return calls.count("irfft")
+
+    ctx = _Barrett(minimal_polynomial(spec))
+    calls.clear()
+    ctx.square(x)
+    per_square = calls.count("irfft")
+    rng = random.Random(64)
+    s = 1 << 63 | sum(1 << b for b in rng.sample(range(63), 31))
+    forward, backward = products(s), products(-s)
+    few_bits = s >> 50 << 50  # the same squares, 27 fewer set bits
+    assert products(few_bits) == forward and products(-few_bits) == backward
+    free = sum(2 * (s >> k) < d for k in range(1, 65))  # squares of t^(s >> k)
+    assert free == 15
+    assert backward - forward == per_square * (free - 1)
 
 
 def _skewed_irfft(monkeypatch):
@@ -195,7 +332,7 @@ def test_rounding_guard_rejects_an_inexact_product(monkeypatch):
 
 
 def test_rounding_guard_checks_the_half_length_product(monkeypatch):
-    mod = minimal_polynomial(get_spec("mt19937"))
+    mod = minimal_polynomial(get_spec("well19937a"))
     d = mod.degree
     ctx = _Barrett(mod)
     exact = np.fft.irfft
@@ -212,7 +349,7 @@ def test_rounding_guard_checks_the_half_length_product(monkeypatch):
 
 def test_rounding_guard_failure_is_an_error_line(monkeypatch, capsys):
     _skewed_irfft(monkeypatch)
-    code = main(["jump", "--spec", "mt19937", "--steps", str(2**64 - 1)])
+    code = main(["jump", "--spec", "well19937a", "--steps", str(2**64 - 1)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
