@@ -49,23 +49,10 @@ class BitVector:
             raise ValueError("value has bits beyond length")
 
     @classmethod
-    def zeros(cls, length: int) -> "BitVector":
-        return cls(length, 0)
-
-    @classmethod
     def unit(cls, length: int, index: int) -> "BitVector":
         if not 0 <= index < length:
             raise ValueError(f"unit index {index} outside [0, {length})")
         return cls(length, 1 << index)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        value = 0
-        n = 0
-        for n, b in enumerate(bits, start=1):
-            if b:
-                value |= 1 << (n - 1)
-        return cls(n, value)
 
     @classmethod
     def random(cls, length: int, rng) -> "BitVector":
@@ -75,14 +62,6 @@ class BitVector:
         if not 0 <= index < self.length:
             raise IndexError(index)
         return (self.value >> index) & 1
-
-    def popcount(self) -> int:
-        return self.value.bit_count()
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.value ^ other.value)
 
     def to_limbs(self, nlimbs: int | None = None) -> np.ndarray:
         nlimbs = _limbs_for(self.length) if nlimbs is None else nlimbs

@@ -3,7 +3,9 @@
 Each ``cmd_*`` function does only its own work and returns a ``Result``.
 ``main`` does every step the commands share: it resolves ``--threads``
 and ``--spec``, times the command, builds the run manifest (command,
-generator names, parameters, output paths, wall time, tool version),
+generator names, parameters, output paths, wall time, tool version, and
+the ``OPENBLAS_NUM_THREADS`` setting, null when unset, on which the last
+digits of ``entropy``'s results depend),
 writes it to ``<path>.manifest.json`` beside the first output file, and
 prints the text lines or, under ``--json``, the payload with the
 manifest inline.  ``parameters`` holds every parsed flag with its
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import random
 import sys
@@ -396,7 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = add("entropy", "Eigenvalue spectrum and entropy report.", threads=True)
     sub.epilog = ("The last digits of h and of the CSV depend on OpenBLAS's thread count; "
-                  "OPENBLAS_NUM_THREADS=1 reproduces them.")
+                  "OPENBLAS_NUM_THREADS=1 reproduces them.  The manifest records the "
+                  "setting as openblas_threads.")
     sub.add_argument(
         "--extended",
         action="store_true",
@@ -448,7 +452,12 @@ def _build_parser() -> argparse.ArgumentParser:
               spec=False)
     sub.epilog = (f"ns/double times batched generation, {_BENCH_BATCH} doubles per call, so "
                   "it is not comparable with figures from versions that generated one "
-                  "double per call.")
+                  "double per call.  The figures are for this package's generators: the "
+                  "k = 19937 ones compute a batch in numpy passes of up to 70-230 words, "
+                  "leaving only WELL's one scalar chain to step word by word, and the "
+                  "k <= 1024 ones step word by word.  So the ratios to mt19937 reflect how "
+                  "much of each recurrence vectorises, not the speed of the published C "
+                  "implementations.")
     sub.add_argument("--specs", nargs="*", choices=spec_names, help="generators (default: all)")
     sub.add_argument("--doubles", type=_positive_int_arg, default=1_000_000,
                      help="timed doubles per generator (default 1e6)")
@@ -519,6 +528,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "outputs": list(result.outputs),
                 "wall_time_s": round(time.perf_counter() - started, 3),
                 "version": __version__,
+                "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             })
             if result.outputs:
                 manifest_path = Path(result.outputs[0] + ".manifest.json")

@@ -24,21 +24,32 @@ scalar ring as a 1-member array, and ``canonical_rows`` turns grid bits
 into packed canonical vectors for them and for ``Ensemble.state_rows``.
 
 Each family's recurrence is a ``Recurrence`` subclass in ``mt.py``,
-``well.py`` or ``melg.py``: one step loop ``run(ring, count, out=None)``,
-one output expression shared by ``run`` and ``output(ring)``, and the
-logical-word ``index``.  ``step(ring)`` is ``run(ring, 1)``.  It runs
-unchanged on the scalar ``Generator`` below, whose ring ``st`` is a list
-of ints, and on ``ensemble.Ensemble``, whose ring is an (n, E) word
-array; the storage classes hold only storage-specific code.
-``Generator.words`` and ``Generator.reals`` take many outputs from one
-``run`` call, which holds the ring and the constants in locals and reads
-each step's slots from per-cursor index tuples cached per spec.
+``well.py`` or ``melg.py``, in two forms.  The per-step loop
+``run(ring, count, out=None)`` (``step(ring)`` is ``run(ring, 1)``), with
+one output expression shared by ``run`` and ``output(ring)`` and the
+logical-word ``index``, runs unchanged on the scalar ``Generator`` below,
+whose ring ``st`` is a list of ints, and on ``ensemble.Ensemble``, whose
+ring is an (n, E) word array; the storage classes hold only
+storage-specific code.  The block path ``blocks(buf, count, lung)`` runs
+one stream along a word array instead: it computes up to ``span`` new
+words per numpy pass, where ``span`` is the longest run of steps in
+which no step reads a word an earlier step of the run wrote.
+
+``Generator.word_array`` is the one way many outputs leave a scalar
+generator; ``words`` and ``reals`` read it.  Long runs on a family with a
+long span (the five k = 19937 generators) copy the list ring into one
+word array and take the block path; short runs, and the k <= 1024
+generators, whose spans are 3-8 words, take the per-step loop, which
+holds the ring and the constants in locals and reads each step's slots
+from per-cursor index tuples cached per spec.  The per-step loop is also
+the oracle the tests hold the block path to.
 """
 
 from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, cycle, islice
@@ -50,6 +61,17 @@ from ..bitlinalg import BitVector
 
 _INV32 = 1.0 / 4294967296.0  # 2^-32
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
+
+#: ``Generator.word_array`` takes the block path for at least
+#: ``_BLOCK_WORDS`` words on a family whose span is at least
+#: ``_BLOCK_SPAN`` steps, and the per-step loop otherwise.  A numpy pass
+#: costs 15-45 us, as much as 10 MT, 30 WELL or 40 MELG steps (WELL's
+#: pass leaves a 0.45 us chain step per word), so those are the spans
+#: from which the block path pays; the bundled spans are 3-8 and 70-230.
+#: With the ring's round trip through a word array, the two paths break
+#: even at 45-95 words on the five k = 19937 generators.
+_BLOCK_SPAN = 40
+_BLOCK_WORDS = 64
 
 
 class Family(enum.Enum):
@@ -223,15 +245,19 @@ class Recurrence(ABC):
     (``int``, or the array's word type) so one set of expressions serves
     both; left shifts are masked explicitly because ints do not wrap.
 
-    ``run`` is the family's one step loop.  It reads the storage slots of
+    ``run`` is the family's per-step loop.  It reads the storage slots of
     each step from ``rows``, one tuple per cursor in the order the cursor
     visits them (``direction`` is +1 when the cursor moves up, -1 when it
     moves down), so no step computes an index modulo n.  The tuples depend
     only on the spec, and each family caches them per spec.
+
+    ``blocks`` is the family's block path for one stream, and ``span`` the
+    most steps it computes in one numpy pass; 0 turns the block path off.
     """
 
     direction = 1
     rows: tuple[tuple, ...]  # set by each family from its per-spec cache
+    span = 0
 
     def __init__(self, spec: GeneratorSpec, cast: Callable[[int], object]) -> None:
         self.spec = spec
@@ -273,8 +299,26 @@ class Recurrence(ABC):
         self.run(ring, 1)
 
     @abstractmethod
+    def blocks(self, buf: np.ndarray, count: int, lung):
+        """Advance one stream ``count`` steps, ``span`` steps per numpy pass.
+
+        ``buf`` holds n + count words, the first n of them the ring in
+        logical order (oldest first); on return its last n words are the
+        advanced ring in the same order.  ``lung`` is the lung word, or
+        None.  Returns the ``count`` output words as an array, and the new
+        lung.  The instance's constants must be cast to ``buf``'s word type.
+        """
+
+    @abstractmethod
     def output(self, ring):
         """Output word(s) of the ring's current (already advanced) state."""
+
+
+@lru_cache(maxsize=None)
+def _array_recurrence(family: type[Recurrence], spec: GeneratorSpec) -> Recurrence:
+    """The recurrence of ``spec`` with its constants cast to its word type,
+    for the block path."""
+    return family(spec, word_dtype(spec))
 
 
 class Generator:
@@ -315,23 +359,47 @@ class Generator:
         """Advance the recurrence ``count`` steps (no output)."""
         self.rec.run(self, count)
 
+    def word_array(self, count: int) -> np.ndarray:
+        """The next ``count`` output words, as one word array.
+
+        At least ``_BLOCK_WORDS`` words of a family whose span is at least
+        ``_BLOCK_SPAN`` come from the block path: the ring is copied into
+        one word array, advanced there and copied back.  Other counts come
+        from the per-step loop.
+        """
+        rec, n = self.rec, self.spec.n
+        dtype = np.dtype(word_dtype(self.spec))
+        if count < _BLOCK_WORDS or rec.span < _BLOCK_SPAN:
+            out: list[int] = []
+            rec.run(self, count, out)
+            return np.array(out, dtype=dtype)
+        slots = rec.index(self.cursor, np.arange(n))  # storage slot of each logical word
+        buf = np.empty(n + count, dtype=dtype)
+        # array.array reads a list of ints about twice as fast as np.array
+        buf[:n] = np.frombuffer(array(dtype.char, self.st), dtype=dtype)[slots]
+        words, self.lung = _array_recurrence(type(rec), self.spec).blocks(buf, count, self.lung)
+        self.cursor = (self.cursor + rec.direction * count) % n
+        st = np.empty(n, dtype=dtype)
+        st[rec.index(self.cursor, np.arange(n))] = buf[count:]
+        self.st = st.tolist()
+        return words
+
     def words(self, count: int) -> list[int]:
-        """The next ``count`` output words, from one batched step loop."""
-        out: list[int] = []
-        self.rec.run(self, count, out)
-        return out
+        """The next ``count`` output words."""
+        return self.word_array(count).tolist()
 
     def reals(self, count: int) -> list[float]:
         """The next ``count`` floats in [0, 1), by the family's published
         conversion: WELL scales one 32-bit word, MT32 joins the top 27 and
-        26 bits of two words into 53, and 64-bit words keep their top 53."""
+        26 bits of two words into 53, and 64-bit words keep their top 53.
+        Every step of each conversion is exact in float64."""
         spec = self.spec
         if spec.family is Family.WELL:
-            return [word * _INV32 for word in self.words(count)]
+            return (self.word_array(count) * _INV32).tolist()
         if spec.w == 32:
-            pairs = iter(self.words(2 * count))
-            return [((hi >> 5) * 67108864.0 + (lo >> 6)) * _INV53 for hi, lo in zip(pairs, pairs)]
-        return [(word >> 11) * _INV53 for word in self.words(count)]
+            words = self.word_array(2 * count)
+            return (((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * _INV53).tolist()
+        return ((self.word_array(count) >> 11) * _INV53).tolist()
 
     def next_word(self) -> int:
         rec = self.rec

@@ -4,7 +4,7 @@ Storage is one (n, E) ring array ``st`` (plus an (E,) lung row for MELG):
 slot [j, e] is ring word j of ensemble member e.  Callers step it and
 read its outputs through ``ens.rec``: the family's own ``Recurrence`` from
 ``mt.py``, ``well.py`` or ``melg.py``, with its constants cast to the
-array's word type.  Its one step loop ``run(ens, count)`` (``step`` is
+array's word type.  Its per-step loop ``run(ens, count)`` (``step`` is
 ``run(ens, 1)``) acts on whole rows at once, through the same index
 tuples as the scalar ring.  ``output(ens)`` may return a view of a ring
 row (WELL emits its newest word), so use it before the next step.

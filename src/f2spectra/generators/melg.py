@@ -6,13 +6,30 @@ with the low bits of its successor, mixes that with the feedback tap and
 the sheared lung, writes the new lung, and overwrites the oldest slot.
 The output tempers the newest word and XORs in a lagged state word,
 which keeps the output map linear in the post-step state.  ``Melg.run``
-is the one step loop and ``Melg.temper`` the one output expression;
-``output`` applies it to the newest and the lagged word.
+is the per-step loop and ``Melg.temper`` the one output expression;
+``output`` applies it to the newest and the lagged word, and ``blocks``
+to all of its new words at once.
+
+In logical order a step appends x[j + n] = x' ^ l ^ (l >> s2), where x'
+splices x[j] and x[j + 1] and the lung runs l <- A l ^ u[j], with
+A = I + L^s1 (L the left shift) and u[j] a function of x[j], x[j + 1]
+and x[j + m].  So n - m steps read only words older than the run, and
+the block path computes that many, 230 for melg19937, per numpy pass.
+Within a pass the lung is an XOR prefix scan: A^P = I for the smallest
+power of two P with s1 P >= w (A^P = I + L^(s1 P)), so
+
+    l[t + 1] = A^(t + 1) (l[0] ^ XOR over i <= t of A^-(i + 1) u[i]),
+
+and A^e for e < P is the product of I + L^(s1 2^b) over the set bits b
+of e.  The lagged word of step j is x[j + lag], which the block path
+reads from the finished array, so the lag does not bound the span.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from .base import GeneratorSpec, Recurrence
 
@@ -32,6 +49,7 @@ class Melg(Recurrence):
         self.a = cast(spec.a)
         self.b = cast(spec.b)
         self.rows = _rows(spec)
+        self.span = spec.n - spec.m
 
     def temper(self, v, lagged):
         return v ^ ((v << self.spec.s3) & self.b) ^ lagged
@@ -53,3 +71,31 @@ class Melg(Recurrence):
     def output(self, ring):
         st, c = ring.st, ring.cursor
         return self.temper(st[self.index(c, self.n - 1)], st[self.index(c, self.spec.lag - 1)])
+
+    def _lung_factors(self, sign: int) -> list[tuple[int, np.ndarray]]:
+        """(s1 2^b, word mask where bit b of (sign (t + 1)) mod P is set,
+        else 0), one pair per factor I + L^(s1 2^b) of A^(sign (t + 1))."""
+        w, s1 = self.spec.w, self.spec.s1
+        period = 1 << (-(-w // s1) - 1).bit_length()  # the smallest power of two >= w / s1
+        powers = sign * np.arange(1, self.span + 1) % period
+        return [(s1 << b, np.where(powers >> b & 1, self.mask, 0).astype(type(self.mask)))
+                for b in range(period.bit_length() - 1)]
+
+    def blocks(self, buf, count, lung):
+        n, m, span, upper, lower, a = self.n, self.spec.m, self.span, self.upper, self.lower, self.a
+        s2, lag = self.spec.s2, (self.spec.lag - 1) % n + 1  # lag n reads the word just written
+        inverse, forward = self._lung_factors(-1), self._lung_factors(1)
+        lung = self.mask & lung
+        for j in range(0, count, span):
+            e = min(span, count - j)
+            x = (buf[j : j + e] & upper) | (buf[j + 1 : j + e + 1] & lower)
+            scan = (x >> 1) ^ ((x & 1) * a) ^ buf[j + m : j + m + e]  # u
+            for shift, where in inverse:
+                scan ^= (scan << shift) & where[:e]
+            np.bitwise_xor.accumulate(scan, out=scan)
+            scan ^= lung
+            for shift, where in forward:
+                scan ^= (scan << shift) & where[:e]
+            lung = scan[-1]  # the scan now holds l[1..e]
+            buf[n + j : n + j + e] = x ^ scan ^ (scan >> s2)
+        return self.temper(buf[n:], buf[lag : lag + count]), int(lung)

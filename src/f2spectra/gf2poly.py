@@ -197,9 +197,6 @@ class GF2Poly:
     def __mul__(self, other: "GF2Poly") -> "GF2Poly":
         return GF2Poly(_mul_bits(self.bits, other.bits))
 
-    def square(self) -> "GF2Poly":
-        return GF2Poly(_square_bits(self.bits))
-
     def __divmod__(self, other: "GF2Poly") -> tuple["GF2Poly", "GF2Poly"]:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
@@ -459,13 +456,12 @@ def berlekamp_massey(bits: int, nbits: int) -> GF2Poly:
 def output_bit_sequence(spec: "GeneratorSpec", nbits: int, seed: int = 12345) -> int:
     """Low bit of each of the first ``nbits`` outputs, packed bit i = step i.
 
-    The words come from one batched ``Generator.words`` call; their low
+    The words come from one ``Generator.word_array`` call; their low
     bits are packed into the int once, not shifted in one at a time.
     """
     from .generators import make_generator
 
-    low = np.fromiter((word & 1 for word in make_generator(spec, seed).words(nbits)),
-                      dtype=np.uint8, count=nbits)
+    low = (make_generator(spec, seed).word_array(nbits) & 1).astype(np.uint8)
     return int.from_bytes(np.packbits(low, bitorder="little").tobytes(), "little")
 
 

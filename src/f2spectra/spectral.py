@@ -18,8 +18,9 @@ known spectra.  numpy always solves a copy of its input, so a solve
 holds two k-square float64 matrices (16 MB at k = 1024).
 
 The last digits of the eigenvalues, so of h and of the spectrum CSV,
-depend on OpenBLAS's thread count, which the manifest does not record;
-``OPENBLAS_NUM_THREADS=1``, the benchmark's setting, reproduces them.
+depend on OpenBLAS's thread count; ``OPENBLAS_NUM_THREADS=1``, the
+benchmark's setting, reproduces them, and the run manifest records the
+setting as ``openblas_threads``.
 """
 
 from __future__ import annotations

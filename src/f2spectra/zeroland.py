@@ -56,13 +56,6 @@ from .generators.ensemble import probe_grid
 DEFAULT_BAND_SIGMAS = 2.0
 
 
-def hamming(word: int) -> int:
-    """Number of set bits."""
-    if word < 0:
-        raise ValueError("words are unsigned")
-    return word.bit_count()
-
-
 @dataclass(frozen=True)
 class ZerolandTrace:
     """Moving-average weight trace.
@@ -219,7 +212,7 @@ def trajectory_trace(gen: Generator, p: int, max_n: int) -> ZerolandTrace:
         raise ValueError(
             f"--max-n {max_n} gives {steps} actual iterations, fewer than the window --p {p}"
         )
-    totals = np.array([hamming(word) for word in gen.words(steps)], dtype=np.int64)
+    totals = np.bitwise_count(gen.word_array(steps)).astype(np.int64)
     values = _window_means(totals, p, spec.w)
     return ZerolandTrace(
         values=values,

@@ -6,7 +6,7 @@ library result, by a plainer route; the tests compare the two.
 
 from __future__ import annotations
 
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -15,10 +15,38 @@ from f2spectra.charpoly import BlockSpec, ZPoly
 from f2spectra.generators import Generator, GeneratorSpec, make_generator
 from f2spectra.generators.base import canonical_grid
 from f2spectra.generators.ensemble import Ensemble
-from f2spectra.gf2poly import GF2Poly
+from f2spectra.gf2poly import GF2Poly, _square_bits
 
 #: Unit-vector lanes per ensemble block: bounds an oracle's working memory.
 _LANES = 2048
+
+
+# -- GF(2) vectors, words and polynomials ---------------------------------------
+
+
+def bit_vector(bits: Iterable[int]) -> BitVector:
+    """The vector whose entry i is the i-th of ``bits``."""
+    bits = list(bits)
+    return BitVector(len(bits), sum(1 << i for i, b in enumerate(bits) if b))
+
+
+def xor(x: BitVector, y: BitVector) -> BitVector:
+    """The sum of two vectors of one length."""
+    if x.length != y.length:
+        raise ValueError("length mismatch")
+    return BitVector(x.length, x.value ^ y.value)
+
+
+def hamming(word: int) -> int:
+    """Number of set bits of one word."""
+    if word < 0:
+        raise ValueError("words are unsigned")
+    return word.bit_count()
+
+
+def square(p: GF2Poly) -> GF2Poly:
+    """p^2, by spreading p's bits apart: squaring is linear over GF(2)."""
+    return GF2Poly(_square_bits(p.bits))
 
 
 # -- GF(2) linear algebra ------------------------------------------------------

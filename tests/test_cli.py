@@ -436,7 +436,8 @@ def test_seeds_outside_the_word_are_errors(capsys, tmp_path, monkeypatch, argv, 
 # -- the manifest contract, one run of each command ----------------------------
 
 
-MANIFEST_KEYS = {"command", "specs", "parameters", "outputs", "wall_time_s", "version"}
+MANIFEST_KEYS = {"command", "specs", "parameters", "outputs", "wall_time_s", "version",
+                 "openblas_threads"}
 
 CONTRACT_RUNS = {
     "matrix": (["--spec", "well607b", "--out"], ["well607b"], {"threads": 1}),
@@ -477,6 +478,19 @@ def test_manifest_contract(tmp_path, capsys, monkeypatch, command):
         assert on_disk == {key: manifest[key] for key in MANIFEST_KEYS - {"wall_time_s"}}
     else:
         assert manifest["outputs"] == []
+
+
+@pytest.mark.parametrize("setting", [None, "1", "4"])
+def test_manifest_records_the_blas_thread_setting(tmp_path, capsys, monkeypatch, setting):
+    if setting is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+    out = tmp_path / "minpoly.hex"
+    code, stdout, stderr = run(capsys, "minpoly", "--spec", "well607b", "--out", str(out), "--json")
+    assert code == 0, stderr
+    assert json.loads(stdout)["manifest"]["openblas_threads"] == setting
+    assert read_manifest(out)["openblas_threads"] == setting
 
 
 def test_payload_values_the_benchmark_reads(tmp_path, capsys):

@@ -17,6 +17,7 @@ from f2spectra import (
     make_generator,
 )
 from f2spectra.bitlinalg import BitVector
+from f2spectra.generators import base
 from f2spectra.generators.base import (
     canonical_grid,
     dead_bits,
@@ -24,9 +25,13 @@ from f2spectra.generators.base import (
     grid_canonical,
     grid_size,
     set_grid_bits,
+    word_dtype,
 )
 from f2spectra.generators.ensemble import Ensemble
+from f2spectra.gf2poly import output_bit_sequence
+from f2spectra.zeroland import trajectory_trace
 
+from _oracles import bit_vector, hamming, xor
 # small widths keep the exhaustive checks fast
 from _toys import TOY_MELG, TOY_MT8, TOY_WELL_DEAD_TAP
 
@@ -232,7 +237,7 @@ def _per_bit_state_vector(gen) -> BitVector:
     if spec.has_lung:
         words.append(gen.lung)
         lows.append(0)
-    return BitVector.from_bits(
+    return bit_vector(
         (word >> b) & 1 for word, low in zip(words, lows) for b in range(spec.w - 1, low - 1, -1)
     )
 
@@ -292,8 +297,8 @@ def test_step_is_f2_linear(name, data):
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     x = BitVector.random(spec.k, rng)
     y = BitVector.random(spec.k, rng)
-    lhs = _step_vector(gen, x ^ y)
-    rhs = _step_vector(gen, x) ^ _step_vector(gen, y)
+    lhs = _step_vector(gen, xor(x, y))
+    rhs = xor(_step_vector(gen, x), _step_vector(gen, y))
     assert lhs == rhs
 
 
@@ -301,9 +306,9 @@ def test_step_is_f2_linear(name, data):
 def test_zero_state_is_fixed(name):
     spec = get_spec(name)
     gen = make_generator(spec)
-    gen.set_state_vector(BitVector.zeros(spec.k))
+    gen.set_state_vector(BitVector(spec.k, 0))
     gen.step()
-    assert gen.state_vector().popcount() == 0
+    assert gen.state_vector().value == 0
 
 
 def _ensemble_of(gens) -> Ensemble:
@@ -364,9 +369,9 @@ def test_zero_states_through_the_grid_codec(spec):
     assert not ens.st.any() and (ens.lung is None or not ens.lung.any())
     assert not ens.state_rows().any()
     gen = make_generator(spec, seed=1)
-    gen.set_state_vector(BitVector.zeros(spec.k))
+    gen.set_state_vector(BitVector(spec.k, 0))
     assert gen.st == [0] * spec.n and gen.lung in (None, 0)
-    assert gen.state_vector() == BitVector.zeros(spec.k)
+    assert gen.state_vector() == BitVector(spec.k, 0)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -458,3 +463,89 @@ def test_reals_use_the_published_conversion(name):
     else:
         expected = [(w >> 11) / 2**53 for w in words]
     assert make_generator(spec, seed=3).reals(len(expected)) == expected
+
+
+# -- the block path ------------------------------------------------------------
+
+
+def _per_step_words(gen, count):
+    out = []
+    gen.rec.run(gen, count, out)
+    return out
+
+
+def _at_cursor(spec, cursor):
+    """A seeded generator stepped until its cursor reads ``cursor``."""
+    gen = make_generator(spec, seed=5)
+    gen.step(cursor if gen.rec.direction == 1 else -cursor % spec.n)
+    assert gen.cursor == cursor
+    return gen
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
+def test_block_path_equals_the_per_step_loop(spec, monkeypatch):
+    # Every family takes the block path from _BLOCK_WORDS words on, whatever
+    # its span, so the small generators and the toys test it too.
+    monkeypatch.setattr(base, "_BLOCK_SPAN", 1)
+    span = make_generator(spec).rec.span
+    assert span >= 1
+    counts = {base._BLOCK_WORDS - 1, base._BLOCK_WORDS, span - 1, span, span + 1,
+              spec.n, 2 * spec.n + 3}
+    if spec.name in ALL_NAMES:  # the toys' spans of 1-2 words would take seconds
+        counts.add(40000)
+    for cursor in sorted({0, 1, spec.n - span, spec.n - 1}):
+        for count in sorted(counts):
+            blocked, single = _at_cursor(spec, cursor), _at_cursor(spec, cursor)
+            words = blocked.word_array(count)
+            assert words.dtype == np.dtype(word_dtype(spec)), (cursor, count)
+            assert words.tolist() == _per_step_words(single, count), (cursor, count)
+            assert blocked.st == single.st, (cursor, count)
+            assert blocked.cursor == single.cursor, (cursor, count)
+            assert blocked.lung == single.lung, (cursor, count)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_block_readers_equal_their_per_step_versions(name):
+    spec = get_spec(name)
+    count = 3 * spec.n + 5
+    words = _per_step_words(make_generator(spec, seed=41), 2 * count)
+    if spec.family is Family.WELL:
+        reals = [word * 2**-32 for word in words[:count]]
+    elif spec.w == 32:
+        reals = [((hi >> 5) * 2**26 + (lo >> 6)) * 2**-53 for hi, lo in zip(words[::2], words[1::2])]
+    else:
+        reals = [(word >> 11) * 2**-53 for word in words[:count]]
+    assert make_generator(spec, seed=41).reals(count) == reals
+
+    bits = output_bit_sequence(spec, count, seed=41)
+    assert bits == sum((word & 1) << i for i, word in enumerate(words[:count]))
+
+    p = 10
+    trace = trajectory_trace(make_generator(spec, seed=41), p=p, max_n=count * (spec.w // 32))
+    weights = [hamming(word) for word in words[:count]]
+    expected = [sum(weights[i : i + p]) / (p * spec.w) for i in range(count - p + 1)]
+    assert trace.values.tolist() == expected  # both divisions are correctly rounded
+
+
+def test_small_spans_and_counts_keep_the_per_step_loop(monkeypatch):
+    def no_blocks(family, spec):
+        raise AssertionError(f"{spec.name} took the block path")
+
+    monkeypatch.setattr(base, "_array_recurrence", no_blocks)
+    for name in ("well607b", "well1024a", "melg607"):
+        assert make_generator(name).rec.span < base._BLOCK_SPAN
+        make_generator(name, seed=1).word_array(5000)
+    for name in ("mt19937", "well19937a", "melg19937"):
+        assert make_generator(name).rec.span >= base._BLOCK_SPAN
+        gen = make_generator(name, seed=1)
+        gen.word_array(base._BLOCK_WORDS - 1)
+        with pytest.raises(AssertionError, match="took the block path"):
+            gen.word_array(base._BLOCK_WORDS)
+
+
+def test_spans_of_the_bundled_generators():
+    # n - (largest tap) for MT, n - m for MELG, the smallest tap for WELL
+    spans = {name: make_generator(name).rec.span for name in ALL_NAMES}
+    assert spans == {"mt19937": 227, "mt19937-64id1": 156, "mt19937-64id3": 88,
+                     "well607b": 8, "well1024a": 3, "well19937a": 70,
+                     "melg607": 4, "melg19937": 230}

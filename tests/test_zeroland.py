@@ -17,7 +17,6 @@ from f2spectra.zeroland import (
     balanced_time,
     bundled_bad_seed,
     format_seed_text,
-    hamming,
     parse_seed_text,
     replay_seed,
     trace_csv,
@@ -25,7 +24,7 @@ from f2spectra.zeroland import (
     unit_seed_sweep,
 )
 
-from _oracles import ensemble_weight_totals
+from _oracles import ensemble_weight_totals, hamming
 from _toys import TOY_MELG, TOY_MT8, TOY_WELL_DEAD_TAP
 
 
