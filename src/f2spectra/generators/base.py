@@ -2,34 +2,46 @@
 
 Every generator here updates a ring of n w-bit words (plus, for the MELG
 family, one extra w-bit "lung" word) by an F2-linear recurrence, so the
-full state is a vector over GF(2).  The package reads it in one order,
-the *state grid*:
+full state is a vector over GF(2).  Every ring is held in *logical order*,
+oldest word first: it is the window ``buf[start : start + n]`` of a buffer
+``buf`` with n words of spare room, and a step appends its new word at
+``buf[start + n]`` and moves ``start`` up by one.  When the room runs out,
+the window is copied back to the front of the buffer, so a step costs
+amortised O(1) and reads each operand at a fixed offset from ``start``.
+The scalar ``Generator`` below holds a list of 2n ints, and
+``ensemble.Ensemble`` a (2n, E) word array, one column per member.
+
+The package reads the state in one order, the *state grid*:
 
     newest ring word first, oldest ring word last, then the lung when
     present; w bits per word, most-significant bit first.
 
-That is (n + 1 if lung else n) * w coordinates.  The r low bits of the
-oldest word, grid coordinates n*w - r .. n*w - 1 (``dead_bits``), are
-dead: the recurrence never reads them.  The *canonical coordinates* are
-the grid with that one range left out, k = n*w - r (+ w with a lung) of
-them; ``canonical_grid`` and ``grid_canonical`` map between the two.  No
-bundled recurrence reads the dead bits, but an output map may (a MELG
-lag of 1 reads the whole oldest word), so the one-step probes of
-``ensemble`` work on the grid.
+So grid word g is logical word n - 1 - g, and the grid has
+(n + 1 if lung else n) * w coordinates.  The r low bits of the oldest
+word, grid coordinates n*w - r .. n*w - 1 (``dead_bits``), are dead: the
+recurrence never reads them.  The *canonical coordinates* are the grid with that one range left
+out, k = n*w - r (+ w with a lung) of them; ``canonical_grid`` and
+``grid_canonical`` map between the two.  No bundled recurrence reads the
+dead bits, but an output map may (a MELG lag of 1 reads the whole oldest
+word), so the one-step probes of ``ensemble`` work on the grid.
 
 ``grid_bits`` and its inverse ``set_grid_bits`` are the one codec
-between word arrays and grid coordinates.  They act on an (n, E) ring of
-E states; ``Generator.state_vector``/``set_state_vector`` pass the
+between word arrays and grid coordinates.  They act on an (n, E) window
+of E states; ``Generator.state_vector``/``set_state_vector`` pass the
 scalar ring as a 1-member array, and ``canonical_rows`` turns grid bits
 into packed canonical vectors for them and for ``Ensemble.state_rows``.
 
+The one other word order is that of seed files and ``GeneratorState``:
+oldest word first for MT and MELG, newest first for WELL, as the
+published WELL code stores its ring.  ``Recurrence.newest_first`` records
+it, and only ``Generator.seed``, ``get_raw_state`` and ``set_raw_state``
+read it.
+
 Each family's recurrence is a ``Recurrence`` subclass in ``mt.py``,
-``well.py`` or ``melg.py``, in two forms.  The per-step loop
-``run(ring, count, out=None)`` (``step(ring)`` is ``run(ring, 1)``), with
-one output expression shared by ``run`` and ``output(ring)`` and the
-logical-word ``index``, runs unchanged on the scalar ``Generator`` below,
-whose ring ``st`` is a list of ints, and on ``ensemble.Ensemble``, whose
-ring is an (n, E) word array; the storage classes hold only
+``well.py`` or ``melg.py``, in two forms that read the same offsets.  The
+per-step loop ``run(ring, count, out=None)``, with one output expression
+shared by ``run`` and ``output(ring)``, runs unchanged on the scalar
+``Generator`` and on the ``Ensemble``; the storage classes hold only
 storage-specific code.  The block path ``blocks(buf, count, lung)`` runs
 one stream along a word array instead: it computes up to ``span`` new
 words per numpy pass, where ``span`` is the longest run of steps in
@@ -37,11 +49,10 @@ which no step reads a word an earlier step of the run wrote.
 
 ``Generator.word_array`` is the one way many outputs leave a scalar
 generator; ``words`` and ``reals`` read it.  Long runs on a family with a
-long span (the five k = 19937 generators) copy the list ring into one
-word array and take the block path; short runs, and the k <= 1024
+long span (the five k = 19937 generators) copy the window into one word
+array and take the block path; short runs, and the k <= 1024
 generators, whose spans are 3-8 words, take the per-step loop, which
-holds the ring and the constants in locals and reads each step's slots
-from per-cursor index tuples cached per spec.  The per-step loop is also
+holds the buffer and the constants in locals.  The per-step loop is also
 the oracle the tests hold the block path to.
 """
 
@@ -52,8 +63,7 @@ from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, cycle, islice
-from typing import Callable, Iterable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -132,10 +142,13 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class GeneratorState:
-    """Raw ring snapshot: storage-order words, cursor, and optional lung."""
+    """Raw ring snapshot in seed-file order, and the lung if any.
+
+    ``words`` runs oldest word first for MT and MELG, and newest word
+    first for WELL, as the published WELL code stores its ring.
+    """
 
     words: tuple[int, ...]
-    cursor: int
     lung: int | None = None
 
 
@@ -174,19 +187,17 @@ def grid_canonical(spec: GeneratorSpec) -> np.ndarray:
 
 
 def grid_bits(
-    rec: Recurrence, st: np.ndarray, cursor: int, lung: np.ndarray | None
+    spec: GeneratorSpec, st: np.ndarray, lung: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(state-grid coordinate, member) of every set bit of E states.
 
-    ``st`` is an (n, E) ring at ``cursor``, laid out by ``rec.index``, and
-    ``lung`` an (E,) row, or None without a lung.
+    ``st`` is an (n, E) window in logical order, and ``lung`` an (E,)
+    row, or None without a lung.
     """
-    n, w = rec.n, rec.spec.w
-    grid_word = np.empty(n, dtype=np.int64)  # storage row -> grid word
-    grid_word[rec.index(cursor, np.arange(n))] = np.arange(n - 1, -1, -1)
+    n, w = spec.n, spec.w
     # flatnonzero of a bool mask is several times faster than nonzero of words
     row, member = np.divmod(np.flatnonzero(st != 0), st.shape[1])
-    word, values = grid_word[row], st[row, member]
+    word, values = n - 1 - row, st[row, member]  # grid word g is logical word n - 1 - g
     if lung is not None:
         lung_members = np.flatnonzero(lung)
         word = np.concatenate((word, np.full(len(lung_members), n)))
@@ -200,37 +211,35 @@ def grid_bits(
 
 
 def set_grid_bits(
-    rec: Recurrence, st: np.ndarray, lung: np.ndarray | None,
+    spec: GeneratorSpec, st: np.ndarray, lung: np.ndarray | None,
     grid: np.ndarray, member: np.ndarray,
 ) -> None:
     """Inverse of ``grid_bits``: set bit ``grid[i]`` of member ``member[i]``.
 
-    ``st`` is a C-contiguous (n, E) ring at cursor 0; a member may take
-    any number of bits.
+    ``st`` is a C-contiguous (n, E) window; a member may take any number
+    of bits.
     """
-    n, w = rec.n, rec.spec.w
+    n, w = spec.n, spec.w
     word, bit = np.divmod(grid, w)
     ones = st.dtype.type(1) << (w - 1 - bit).astype(st.dtype)
     ring = word < n
-    flat = rec.index(0, n - 1 - word[ring]) * st.shape[1] + member[ring]
+    flat = (n - 1 - word[ring]) * st.shape[1] + member[ring]
     np.bitwise_or.at(st.reshape(-1), flat, ones[ring])
     if lung is not None:
         np.bitwise_or.at(lung, member[~ring], ones[~ring])
 
 
-def canonical_rows(
-    rec: Recurrence, st: np.ndarray, cursor: int, lung: np.ndarray | None
-) -> np.ndarray:
+def canonical_rows(spec: GeneratorSpec, st: np.ndarray, lung: np.ndarray | None) -> np.ndarray:
     """Canonical state vectors of E states, one packed uint64-limb row each.
 
     The arguments are those of ``grid_bits``.  Rows use the BitMatrix
     format: canonical bit c is bit c % 64 of limb c // 64.
     """
-    grid, member = grid_bits(rec, st, cursor, lung)
-    canon = grid_canonical(rec.spec)[grid]
+    grid, member = grid_bits(spec, st, lung)
+    canon = grid_canonical(spec)[grid]
     live = canon >= 0
     canon, member = canon[live], member[live]
-    rows = np.zeros((st.shape[1], (rec.spec.k + 63) // 64), dtype=np.uint64)
+    rows = np.zeros((st.shape[1], (spec.k + 63) // 64), dtype=np.uint64)
     ones = np.uint64(1) << (canon & 63).astype(np.uint64)
     np.bitwise_or.at(rows.reshape(-1), member * rows.shape[1] + (canon >> 6), ones)
     return rows
@@ -239,24 +248,22 @@ def canonical_rows(
 class Recurrence(ABC):
     """One family's F2-linear recurrence, on either kind of ring.
 
-    ``run`` and ``output`` act on a ring holder with attributes ``st``
-    (a list of n ints, or an (n, E) array whose rows are ring words),
-    ``cursor`` and ``lung``.  Every constant is cast once by ``cast``
-    (``int``, or the array's word type) so one set of expressions serves
-    both; left shifts are masked explicitly because ints do not wrap.
+    ``run`` and ``output`` act on a ring holder with attributes ``buf``
+    (a list of 2n ints, or a (2n, E) array whose rows are words),
+    ``start`` and ``lung``: the ring is ``buf[start : start + n]``, oldest
+    word first.  Every constant is cast once by ``cast`` (``int``, or the
+    array's word type) so one set of expressions serves both; left shifts
+    are masked explicitly because ints do not wrap.
 
-    ``run`` is the family's per-step loop.  It reads the storage slots of
-    each step from ``rows``, one tuple per cursor in the order the cursor
-    visits them (``direction`` is +1 when the cursor moves up, -1 when it
-    moves down), so no step computes an index modulo n.  The tuples depend
-    only on the spec, and each family caches them per spec.
-
-    ``blocks`` is the family's block path for one stream, and ``span`` the
-    most steps it computes in one numpy pass; 0 turns the block path off.
+    ``run`` is the family's per-step loop.  The step from window start c
+    reads its operands at fixed offsets from c and writes the new newest
+    word at c + n; ``blocks`` reads the same offsets from j.  ``span`` is
+    the most steps the block path computes in one numpy pass; 0 turns it
+    off.  ``newest_first`` is the seed-file word order (see the module
+    docstring).
     """
 
-    direction = 1
-    rows: tuple[tuple, ...]  # set by each family from its per-spec cache
+    newest_first = False
     span = 0
 
     def __init__(self, spec: GeneratorSpec, cast: Callable[[int], object]) -> None:
@@ -266,47 +273,42 @@ class Recurrence(ABC):
         self.upper = cast(spec.upper_mask)
         self.lower = cast(spec.lower_mask)
 
-    def index(self, cursor: int, j):
-        """Storage slot of logical word j (0 = oldest); j may be an int array.
+    def stretches(self, ring, count: int) -> Iterator[tuple[int, int]]:
+        """(j, e) pairs, one per stretch of the buffer's room: the next
+        ``count`` steps start from the windows at j .. j + e - 1.
 
-        By default the oldest word sits at the cursor and newer words follow.
+        Moves the ring's ``start`` past each stretch before the caller runs
+        it, and copies the window back to the front of the buffer when the
+        room runs out, between two stretches.
         """
-        return (cursor + j) % self.n
-
-    def walk(self, ring, count: int) -> Iterable[tuple]:
-        """The index rows of the ring's next ``count`` steps, in order.
-
-        Moves the ring's cursor past them at once, so the caller's loop
-        reads its slots from the rows alone.
-        """
-        n, rows = self.n, self.rows
-        cursor = ring.cursor
-        at = (self.direction * cursor) % n  # where the cursor sits in ``rows``
-        ring.cursor = (cursor + self.direction * count) % n
-        if at + count <= n:
-            return rows[at : at + count]
-        return islice(chain(rows[at:], cycle(rows)), count)
+        n, buf, j = self.n, ring.buf, ring.start
+        end = len(buf) - n  # the first window start with no room for a step
+        while True:
+            e = min(count, end - j)
+            ring.start = j + e
+            yield j, e
+            count -= e
+            if not count:
+                return
+            buf[:n] = buf[end:]
+            j = 0
 
     @abstractmethod
     def run(self, ring, count: int, out: list | None = None) -> None:
-        """Advance the ring ``count`` steps in place, moving its cursor.
+        """Advance the ring ``count`` steps in place.
 
         When ``out`` is a list, append each step's output word to it.
         """
-
-    def step(self, ring) -> None:
-        """Advance the ring one step."""
-        self.run(ring, 1)
 
     @abstractmethod
     def blocks(self, buf: np.ndarray, count: int, lung):
         """Advance one stream ``count`` steps, ``span`` steps per numpy pass.
 
         ``buf`` holds n + count words, the first n of them the ring in
-        logical order (oldest first); on return its last n words are the
-        advanced ring in the same order.  ``lung`` is the lung word, or
-        None.  Returns the ``count`` output words as an array, and the new
-        lung.  The instance's constants must be cast to ``buf``'s word type.
+        logical order; on return its last n words are the advanced ring.
+        ``lung`` is the lung word, or None.  Returns the ``count`` output
+        words as an array, and the new lung.  The instance's constants
+        must be cast to ``buf``'s word type.
         """
 
     @abstractmethod
@@ -327,31 +329,41 @@ class Generator:
     def __init__(self, rec: Recurrence, seed: int | None = None) -> None:
         self.rec = rec
         self.spec = spec = rec.spec
-        self.st: list[int] = [0] * spec.n
-        self.cursor = 0
+        self.buf: list[int] = [0] * (2 * spec.n)
+        self.start = 0
         self.lung: int | None = 0 if spec.has_lung else None
         if seed is not None:
             self.seed(seed)
 
+    @property
+    def window(self) -> list[int]:
+        """The ring, oldest word first (a copy)."""
+        return self.buf[self.start : self.start + self.spec.n]
+
+    @window.setter
+    def window(self, words: list[int]) -> None:
+        self.buf[self.start : self.start + self.spec.n] = words
+
     # -- seeding -------------------------------------------------------
 
     def seed(self, seed: int) -> None:
-        """Knuth-style multiplicative fill from a w-bit seed; the lung continues it."""
+        """Knuth-style multiplicative fill from a w-bit seed, in seed-file
+        order; the lung continues it."""
         spec = self.spec
         mask = spec.word_mask
         if not 0 <= seed <= mask:
             raise ValueError(
                 f"{spec.name} seeds are {spec.w}-bit words in [0, 2^{spec.w}), got {seed:#x}"
             )
-        st = self.st
-        st[0] = seed
-        for i in range(1, spec.n):
-            prev = st[i - 1]
-            st[i] = (spec.init_f * (prev ^ (prev >> spec.init_shift)) + i) & mask
-        self.cursor = 0
+        words = [seed]
+        for i in range(1, spec.n + (1 if spec.has_lung else 0)):
+            prev = words[-1]
+            words.append((spec.init_f * (prev ^ (prev >> spec.init_shift)) + i) & mask)
         if spec.has_lung:
-            prev = st[spec.n - 1]
-            self.lung = (spec.init_f * (prev ^ (prev >> spec.init_shift)) + spec.n) & mask
+            self.lung = words.pop()
+        if self.rec.newest_first:
+            words.reverse()
+        self.window = words
 
     # -- stepping --------------------------------------------------------
 
@@ -373,15 +385,11 @@ class Generator:
             out: list[int] = []
             rec.run(self, count, out)
             return np.array(out, dtype=dtype)
-        slots = rec.index(self.cursor, np.arange(n))  # storage slot of each logical word
         buf = np.empty(n + count, dtype=dtype)
         # array.array reads a list of ints about twice as fast as np.array
-        buf[:n] = np.frombuffer(array(dtype.char, self.st), dtype=dtype)[slots]
+        buf[:n] = np.frombuffer(array(dtype.char, self.window), dtype=dtype)
         words, self.lung = _array_recurrence(type(rec), self.spec).blocks(buf, count, self.lung)
-        self.cursor = (self.cursor + rec.direction * count) % n
-        st = np.empty(n, dtype=dtype)
-        st[rec.index(self.cursor, np.arange(n))] = buf[count:]
-        self.st = st.tolist()
+        self.window = buf[count:].tolist()
         return words
 
     def words(self, count: int) -> list[int]:
@@ -413,30 +421,31 @@ class Generator:
     # -- state access ----------------------------------------------------
 
     def get_raw_state(self) -> GeneratorState:
-        return GeneratorState(tuple(self.st), self.cursor, self.lung)
+        words = self.window
+        if self.rec.newest_first:
+            words.reverse()
+        return GeneratorState(tuple(words), self.lung)
 
     def set_raw_state(self, state: GeneratorState) -> None:
         spec = self.spec
-        n = spec.n
-        if len(state.words) != n:
-            raise ValueError(f"expected {n} words, got {len(state.words)}")
+        if len(state.words) != spec.n:
+            raise ValueError(f"expected {spec.n} words, got {len(state.words)}")
         if spec.has_lung != (state.lung is not None):
             raise ValueError("lung presence does not match the generator family")
         mask = spec.word_mask
-        # Rotate so the cursor lands on zero; logical order is preserved
-        # because every family keeps consecutive logical words consecutive
-        # in storage.
-        self.st = [state.words[(state.cursor + t) % n] & mask for t in range(n)]
-        self.cursor = 0
-        self.st[self.rec.index(0, 0)] &= spec.upper_mask
+        words = [word & mask for word in state.words]
+        if self.rec.newest_first:
+            words.reverse()
+        words[0] &= spec.upper_mask  # the oldest word's dead bits
+        self.window = words
         self.lung = (state.lung & mask) if spec.has_lung else None
 
     def state_vector(self) -> BitVector:
         spec = self.spec
         dt = word_dtype(spec)
-        st = np.array(self.st, dtype=dt)[:, None]  # the ring as a 1-member ensemble
+        st = np.array(self.window, dtype=dt)[:, None]  # the ring as a 1-member ensemble
         lung = np.array([self.lung], dtype=dt) if spec.has_lung else None
-        return BitVector.from_limbs(canonical_rows(self.rec, st, self.cursor, lung)[0], spec.k)
+        return BitVector.from_limbs(canonical_rows(spec, st, lung)[0], spec.k)
 
     def set_state_vector(self, v: BitVector) -> None:
         spec = self.spec
@@ -447,7 +456,6 @@ class Generator:
         lung = np.zeros(1, dtype=dt) if spec.has_lung else None
         bits = np.unpackbits(v.to_limbs().view(np.uint8), count=spec.k, bitorder="little")
         grid = canonical_grid(spec)[np.flatnonzero(bits)]
-        set_grid_bits(self.rec, st, lung, grid, np.zeros(len(grid), dtype=np.int64))
-        self.st = st[:, 0].tolist()
-        self.cursor = 0
+        set_grid_bits(spec, st, lung, grid, np.zeros(len(grid), dtype=np.int64))
+        self.window = st[:, 0].tolist()
         self.lung = int(lung[0]) if spec.has_lung else None

@@ -1,13 +1,15 @@
 """Vectorized lockstep ensembles and the one-step probe of the state grid.
 
-Storage is one (n, E) ring array ``st`` (plus an (E,) lung row for MELG):
-slot [j, e] is ring word j of ensemble member e.  Callers step it and
-read its outputs through ``ens.rec``: the family's own ``Recurrence`` from
-``mt.py``, ``well.py`` or ``melg.py``, with its constants cast to the
-array's word type.  Its per-step loop ``run(ens, count)`` (``step`` is
-``run(ens, 1)``) acts on whole rows at once, through the same index
-tuples as the scalar ring.  ``output(ens)`` may return a view of a ring
-row (WELL emits its newest word), so use it before the next step.
+Storage is one (2n, E) word array ``buf`` (plus an (E,) lung row for
+MELG), laid out as the scalar ring is (see ``base``): ``window``, rows
+``start`` .. ``start + n - 1``, holds the rings in logical order, and
+slot [j, e] of it is word j, oldest first, of ensemble member e.
+Callers step it and read its outputs through ``ens.rec``: the family's
+own ``Recurrence`` from ``mt.py``, ``well.py`` or ``melg.py``, with its
+constants cast to the array's word type.  Its per-step loop
+``run(ens, count)`` acts on whole rows at once, at the same offsets as on
+the scalar ring.  ``output(ens)`` may return a view of a buffer row
+(WELL emits its newest word), so use it before the next step.
 
 ``probe_images`` starts one member on each unit vector of the state grid
 (every stored bit, dead bits included; see ``base.canonical_grid``), reads
@@ -35,40 +37,41 @@ from .._util import resolve_threads
 from . import recurrence
 from .base import GeneratorSpec, canonical_rows, grid_bits, grid_size, set_grid_bits, word_dtype
 
-#: Ring words per block of probe members: bounds a block's ring array to
-#: 1-2 MB at k = 19937, and a full-grid probe's traced peak to 2.4-4.5 MB.
+#: Buffer words per block of probe members: bounds a block's buffer to
+#: 1-2 MB at k = 19937, half of it the rings and half the room a step
+#: writes into, and a full-grid probe's traced peak to 2.4-4.5 MB.
 #: Blocks four times larger took no less time.
 _PROBE_WORDS = 1 << 18
 
 
 class Ensemble:
-    def __init__(self, spec: GeneratorSpec, st: np.ndarray, lung: np.ndarray | None) -> None:
-        self.spec = spec
-        self.rec = recurrence(spec, st.dtype.type)
-        self.st = st
-        self.lung = lung
-        self.cursor = 0
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def zeros(cls, spec: GeneratorSpec, size: int) -> "Ensemble":
+    def __init__(self, spec: GeneratorSpec, size: int) -> None:
+        """``size`` members, all in the zero state."""
         dt = word_dtype(spec)
-        lung = np.zeros(size, dtype=dt) if spec.has_lung else None
-        return cls(spec, np.zeros((spec.n, size), dtype=dt), lung)
+        self.spec = spec
+        self.rec = recurrence(spec, dt)
+        # A step writes each row of the room before any step reads it, so
+        # the room is left uninitialised: it takes no memory until then.
+        self.buf = np.empty((2 * spec.n, size), dtype=dt)
+        self.buf[: spec.n] = 0
+        self.start = 0
+        self.lung = np.zeros(size, dtype=dt) if spec.has_lung else None
+
+    @property
+    def window(self) -> np.ndarray:
+        """The (n, E) rings, oldest word first (a view)."""
+        return self.buf[self.start : self.start + self.spec.n]
 
     @classmethod
     def from_grid_units(cls, spec: GeneratorSpec, grid: np.ndarray) -> "Ensemble":
         """Member e holds the unit vector of state-grid coordinate grid[e]."""
-        ens = cls.zeros(spec, len(grid))
-        set_grid_bits(ens.rec, ens.st, ens.lung, grid, np.arange(len(grid)))
+        ens = cls(spec, len(grid))
+        set_grid_bits(spec, ens.window, ens.lung, grid, np.arange(len(grid)))
         return ens
-
-    # -- layout -----------------------------------------------------------
 
     def state_rows(self) -> np.ndarray:
         """Canonical state vectors, one packed uint64-limb row per member."""
-        return canonical_rows(self.rec, self.st, self.cursor, self.lung)
+        return canonical_rows(self.spec, self.window, self.lung)
 
 
 def probe_images(
@@ -81,14 +84,14 @@ def probe_images(
     lo..hi-1), and ``outputs[e]`` is the output word of unit vector lo+e
     before the step, that is column lo+e of the output map T.
     """
-    block = max(1, _PROBE_WORDS // (spec.n + 1))
+    block = max(1, _PROBE_WORDS // (2 * spec.n + 1))
     rows, cols, outputs = [], [], []
     for blo in range(lo, hi, block):
         bhi = min(blo + block, hi)
         ens = Ensemble.from_grid_units(spec, np.arange(blo, bhi))
-        outputs.append(np.array(ens.rec.output(ens)))  # a copy: it may view a ring row
-        ens.rec.step(ens)
-        r, c = grid_bits(ens.rec, ens.st, ens.cursor, ens.lung)
+        outputs.append(np.array(ens.rec.output(ens)))  # a copy: it may view a buffer row
+        ens.rec.run(ens, 1)
+        r, c = grid_bits(spec, ens.window, ens.lung)
         rows.append(r)
         cols.append(c + blo)
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(outputs)

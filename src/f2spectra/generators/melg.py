@@ -3,15 +3,15 @@
 The state is a ring of n 64-bit words plus one extra "lung" word folded
 into every step.  A step splices the live high bits of the oldest word
 with the low bits of its successor, mixes that with the feedback tap and
-the sheared lung, writes the new lung, and overwrites the oldest slot.
+the sheared lung, writes the new lung, and appends the newest word.
 The output tempers the newest word and XORs in a lagged state word,
 which keeps the output map linear in the post-step state.  ``Melg.run``
 is the per-step loop and ``Melg.temper`` the one output expression;
 ``output`` applies it to the newest and the lagged word, and ``blocks``
 to all of its new words at once.
 
-In logical order a step appends x[j + n] = x' ^ l ^ (l >> s2), where x'
-splices x[j] and x[j + 1] and the lung runs l <- A l ^ u[j], with
+A step appends x[j + n] = x' ^ l ^ (l >> s2), where x' splices x[j]
+and x[j + 1] and the lung runs l <- A l ^ u[j], with
 A = I + L^s1 (L the left shift) and u[j] a function of x[j], x[j + 1]
 and x[j + m].  So n - m steps read only words older than the run, and
 the block path computes that many, 230 for melg19937, per numpy pass.
@@ -21,26 +21,16 @@ power of two P with s1 P >= w (A^P = I + L^(s1 P)), so
     l[t + 1] = A^(t + 1) (l[0] ^ XOR over i <= t of A^-(i + 1) u[i]),
 
 and A^e for e < P is the product of I + L^(s1 2^b) over the set bits b
-of e.  The lagged word of step j is x[j + lag], which the block path
-reads from the finished array, so the lag does not bound the span.
+of e.  The lagged word of step j is x[j + lag] (with lag n for a lag of
+0: the word just written), which the block path reads from the
+finished array, so the lag does not bound the span.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .base import GeneratorSpec, Recurrence
-
-
-@lru_cache(maxsize=None)
-def _rows(spec: GeneratorSpec) -> tuple[tuple[int, int, int, int], ...]:
-    """Per cursor i: (i, its successor's slot, the feedback tap's slot, the
-    slot the output lags to once the step has written slot i)."""
-    n, slot = spec.n, tuple(range(spec.n))  # one int object per slot, shared by the rows
-    return tuple((slot[i], slot[(i + 1) % n], slot[(i + spec.m) % n], slot[(i + spec.lag) % n])
-                 for i in range(n))
+from .base import Recurrence
 
 
 class Melg(Recurrence):
@@ -48,29 +38,30 @@ class Melg(Recurrence):
         super().__init__(spec, cast)
         self.a = cast(spec.a)
         self.b = cast(spec.b)
-        self.rows = _rows(spec)
+        self.lag = (spec.lag - 1) % spec.n + 1  # lag 0 reads the word just written
         self.span = spec.n - spec.m
 
     def temper(self, v, lagged):
         return v ^ ((v << self.spec.s3) & self.b) ^ lagged
 
     def run(self, ring, count, out=None) -> None:
-        st, lung = ring.st, ring.lung
+        n, buf, lung, m, lag = self.n, ring.buf, ring.lung, self.spec.m, self.lag
         upper, lower, mask, a = self.upper, self.lower, self.mask, self.a
         s1, s2 = self.spec.s1, self.spec.s2
         temper, emit = self.temper, None if out is None else out.append
-        for i, i1, m, lag in self.walk(ring, count):
-            x = (st[i] & upper) | (st[i1] & lower)
-            lung = lung ^ ((lung << s1) & mask)
-            lung ^= (x >> 1) ^ ((x & 1) * a) ^ st[m]
-            st[i] = v = x ^ lung ^ (lung >> s2)
-            if emit is not None:
-                emit(temper(v, st[lag]))
+        for j, e in self.stretches(ring, count):
+            for c in range(j, j + e):
+                x = (buf[c] & upper) | (buf[c + 1] & lower)
+                lung = lung ^ ((lung << s1) & mask)
+                lung ^= (x >> 1) ^ ((x & 1) * a) ^ buf[c + m]
+                buf[c + n] = v = x ^ lung ^ (lung >> s2)
+                if emit is not None:
+                    emit(temper(v, buf[c + lag]))
         ring.lung = lung
 
     def output(self, ring):
-        st, c = ring.st, ring.cursor
-        return self.temper(st[self.index(c, self.n - 1)], st[self.index(c, self.spec.lag - 1)])
+        buf, c = ring.buf, ring.start
+        return self.temper(buf[c + self.n - 1], buf[c + self.lag - 1])
 
     def _lung_factors(self, sign: int) -> list[tuple[int, np.ndarray]]:
         """(s1 2^b, word mask where bit b of (sign (t + 1)) mod P is set,
@@ -83,7 +74,7 @@ class Melg(Recurrence):
 
     def blocks(self, buf, count, lung):
         n, m, span, upper, lower, a = self.n, self.spec.m, self.span, self.upper, self.lower, self.a
-        s2, lag = self.spec.s2, (self.spec.lag - 1) % n + 1  # lag n reads the word just written
+        s2, lag = self.spec.s2, self.lag
         inverse, forward = self._lung_factors(-1), self._lung_factors(1)
         lung = self.mask & lung
         for j in range(0, count, span):

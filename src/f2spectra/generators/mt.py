@@ -2,46 +2,31 @@
 
 The update is the single-word form of the twisted GFSR recurrence: each
 step splices the top w-r bits of the oldest word with the low r bits of
-its successor, applies the twist, XORs the feedback tap(s), and writes
-the result over the oldest slot.  The output runs through the usual
+its successor, applies the twist, XORs the feedback tap(s), and appends
+the result as the newest word.  The output runs through the usual
 four-stage tempering.  ``Mt.run`` is the per-step loop and ``Mt.temper``
 the one output expression; ``output`` applies it to the newest word, and
 ``blocks`` to all of its new words at once.
 
-In logical order the recurrence appends x[j + n] = f(x[j], x[j + 1],
-x[j + m]) for each tap m, so a run of n - (largest tap) steps reads only
-words older than the run: the block path computes that many words, 227
-for mt19937, per numpy pass, as the published refill computes its first
-n - m words.
+The recurrence appends x[j + n] = f(x[j], x[j + 1], x[j + m]) for each
+tap m, and both forms read those offsets from the window start j.  So a
+run of n - (largest tap) steps reads only words older than the run: the
+block path computes that many words, 227 for mt19937, per numpy pass, as
+the published refill computes its first n - m words.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .base import GeneratorSpec, Recurrence
-
-
-def _taps(spec: GeneratorSpec) -> tuple[int, ...]:
-    return (spec.m,) if spec.m is not None else (spec.m1, spec.m2, spec.m3)
-
-
-@lru_cache(maxsize=None)
-def _rows(spec: GeneratorSpec) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Per cursor c: (c, its successor's slot, the feedback taps' slots)."""
-    n, slot = spec.n, tuple(range(spec.n))  # one int object per slot, shared by the rows
-    return tuple((slot[c], slot[(c + 1) % n], tuple(slot[(c + t) % n] for t in _taps(spec)))
-                 for c in range(n))
+from .base import Recurrence
 
 
 class Mt(Recurrence):
     def __init__(self, spec, cast) -> None:
         super().__init__(spec, cast)
         self.a = cast(spec.a)
-        self.rows = _rows(spec)
-        self.taps = _taps(spec)
+        self.taps = (spec.m,) if spec.m is not None else (spec.m1, spec.m2, spec.m3)
         self.span = min(spec.n - max(self.taps), spec.n - 1)
         self.tempering = tuple(cast(x) for x in spec.temper)
 
@@ -54,19 +39,20 @@ class Mt(Recurrence):
         return y ^ (y >> l)
 
     def run(self, ring, count, out=None) -> None:
-        st, upper, lower, a, temper = ring.st, self.upper, self.lower, self.a, self.temper
-        emit = None if out is None else out.append
-        for c, c1, taps in self.walk(ring, count):
-            x = (st[c] & upper) | (st[c1] & lower)
-            v = (x >> 1) ^ ((x & 1) * a)
-            for t in taps:
-                v ^= st[t]
-            st[c] = v
-            if emit is not None:
-                emit(temper(v))
+        n, buf, taps, upper, lower, a = self.n, ring.buf, self.taps, self.upper, self.lower, self.a
+        temper, emit = self.temper, None if out is None else out.append
+        for j, e in self.stretches(ring, count):
+            for c in range(j, j + e):
+                x = (buf[c] & upper) | (buf[c + 1] & lower)
+                v = (x >> 1) ^ ((x & 1) * a)
+                for t in taps:
+                    v ^= buf[c + t]
+                buf[c + n] = v
+                if emit is not None:
+                    emit(temper(v))
 
     def output(self, ring):
-        return self.temper(ring.st[self.index(ring.cursor, self.n - 1)])
+        return self.temper(ring.buf[ring.start + self.n - 1])
 
     def blocks(self, buf, count, lung):
         n, span, upper, lower, a = self.n, self.span, self.upper, self.lower, self.a

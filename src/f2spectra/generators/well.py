@@ -2,21 +2,23 @@
 
 One step combines the newest word, three tap words, and a splice of the
 two oldest words through eight per-slot linear transforms T0..T7, then
-writes two words: the new second-newest (z3) over the old newest slot and
-the new newest (z4) over the old oldest slot, moving the cursor down.
-The published generators emit the newest word untempered.  ``Well.run``
-is the per-step loop; ``output`` reads the newest word.
+writes two words: the new second-newest (z3) over the old newest word and
+the new newest (z4) after it.  The published generators emit the newest
+word untempered.  ``Well.run`` is the per-step loop; ``output`` reads the
+newest word.  The published code keeps its newest word first, and so do
+seed files (``Well.newest_first``).
 
 Transform grammar (shared with the .params files): ``XS:t`` is
 v ^ (v >> t) for t >= 0 and v ^ (v << -t) otherwise; ``SH:t`` is the
 plain shift with the same sign rule; ``ID`` and ``ZERO`` are the
 identity and zero maps.
 
-The block path.  In logical order, step j drops x[j], rewrites the
-newest word y[j] as x[j + n - 1] = z3 and makes z4 the newest y[j + 1].
-Tap mi reads x[j + n - 1 - mi], so min(m1, m2, m3) steps, 70 for
-well19937a, read only words older than the run.  With
-z1 = T0(y[j]) ^ T1(tap1) and z3 = z1 ^ z2,
+Step j drops x[j], rewrites the newest word y[j] as x[j + n - 1] = z3
+and makes z4 the newest y[j + 1] = x[j + n].  Tap mi reads x[j + oi]
+with oi = n - 1 - mi, and both forms read these offsets from the window
+start j.  So a run of min(m1, m2, m3) steps, 70 for well19937a, reads
+only words older than the run, and the block path computes such a run
+per numpy pass.  With z1 = T0(y[j]) ^ T1(tap1) and z3 = z1 ^ z2,
 
     z4 = G(y[j]) ^ g[j],  G = (T5 + T7) T0,
     g[j] = T4(z0) ^ T5(T1(tap1)) ^ T6(z2) ^ T7(T1(tap1) ^ z2),
@@ -28,11 +30,11 @@ byte tables of G built once per spec.  It needs w <= 32.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .base import GeneratorSpec, Recurrence
+from .base import Recurrence
 
 
 def transform_fn(kind: str, t: int, mask):
@@ -54,47 +56,34 @@ def transform_fn(kind: str, t: int, mask):
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
-def _rows(spec: GeneratorSpec) -> tuple[tuple[int, int, int, int, int, int], ...]:
-    """Per cursor i, in the order the cursor visits them (0, n-1, n-2, ...):
-    (i, the two oldest words' slots, the three taps' slots)."""
-    n, slot = spec.n, tuple(range(spec.n))  # one int object per slot, shared by the rows
-    return tuple(
-        tuple(slot[(i + d) % n] for d in (0, -1, -2, spec.m1, spec.m2, spec.m3))
-        for i in (-p % n for p in range(n))
-    )
-
-
 class Well(Recurrence):
-    direction = -1  # the cursor moves down
+    newest_first = True
 
     def __init__(self, spec, cast) -> None:
         super().__init__(spec, cast)
         self.t = tuple(transform_fn(kind, t, self.mask) for kind, t in spec.transforms)
-        self.rows = _rows(spec)
+        # o1, o2, o3: the taps' offsets from the window start
+        self.taps = tuple(spec.n - 1 - m for m in (spec.m1, spec.m2, spec.m3))
         if spec.w <= 32:
             self.span = min(spec.m1, spec.m2, spec.m3, spec.n - 2)
 
-    def index(self, cursor, j):
-        # The newest word sits at the cursor; logical 0 (oldest) is behind it.
-        return (cursor + self.n - 1 - j) % self.n
-
     def run(self, ring, count, out=None) -> None:
-        st, upper, lower = ring.st, self.upper, self.lower
+        n, buf, (o1, o2, o3), upper, lower = self.n, ring.buf, self.taps, self.upper, self.lower
         t0, t1, t2, t3, t4, t5, t6, t7 = self.t
         emit = None if out is None else out.append
-        for i, old1, old2, m1, m2, m3 in self.walk(ring, count):
-            z0 = (st[old1] & upper) | (st[old2] & lower)
-            z1 = t0(st[i]) ^ t1(st[m1])
-            z2 = t2(st[m2]) ^ t3(st[m3])
-            z3 = z1 ^ z2
-            st[i] = z3
-            st[old1] = z4 = t4(z0) ^ t5(z1) ^ t6(z2) ^ t7(z3)  # the new cursor's slot
-            if emit is not None:
-                emit(z4)
+        for j, e in self.stretches(ring, count):
+            for c, y in zip(range(j, j + e), range(j + n - 1, j + n - 1 + e)):
+                z0 = (buf[c] & upper) | (buf[c + 1] & lower)
+                z1 = t0(buf[y]) ^ t1(buf[c + o1])
+                z2 = t2(buf[c + o2]) ^ t3(buf[c + o3])
+                z3 = z1 ^ z2
+                buf[y] = z3
+                buf[y + 1] = z4 = t4(z0) ^ t5(z1) ^ t6(z2) ^ t7(z3)
+                if emit is not None:
+                    emit(z4)
 
     def output(self, ring):
-        return ring.st[ring.cursor]
+        return ring.buf[ring.start + self.n - 1]
 
     @cached_property
     def chain_tables(self) -> tuple[list[int], ...]:
@@ -111,7 +100,7 @@ class Well(Recurrence):
         n, span, upper, lower = self.n, self.span, self.upper, self.lower
         t0, t1, t2, t3, t4, t5, t6, t7 = self.t
         g0, g1, g2, g3 = self.chain_tables
-        o1, o2, o3 = (n - 1 - m for m in (self.spec.m1, self.spec.m2, self.spec.m3))
+        o1, o2, o3 = self.taps
         newest = np.empty(count + 1, dtype=buf.dtype)  # y[0..count]
         newest[0] = y = int(buf[n - 1])
         for j in range(0, count, span):

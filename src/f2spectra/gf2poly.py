@@ -23,11 +23,14 @@ a bit sequence; fed 2k+64 output bits of a k-dimensional generator it
 returns the full characteristic polynomial p of the transition matrix B.
 ``jump_ahead`` moves any generator by a signed step count: it evaluates
 g = t^steps mod p at B on the state by a sliding-window Horner walk.  Its
-table holds J sub-tables of 2^q rows of n words (plus the lung), row v
-of sub-table j being v(B) B^(q j) x for a polynomial v of degree below
-q.  One XOR of J rows, one per sub-table, thus adds W = q J coefficients
-at once, and the walk moves the scalar ring between its list and numpy
-once per W coefficients, a round trip that costs far more than the XOR.
+table holds J sub-tables of 2^q rows of n words, oldest first like the
+generator's ring (plus the lung), row v of sub-table j being
+v(B) B^(q j) x for a polynomial v of degree below q.  One XOR of J
+rows, one per sub-table, thus adds W = q J coefficients at once, and the
+walk moves the scalar ring between its list and numpy once per W
+coefficients for the XOR, a round trip that costs far more than the XOR
+itself, and once for the W steps, which the k = 19937 generators take on
+the block path of ``Generator.word_array``.
 q = 4 and J = 32 give W = 128 from 2^9 rows, 1.3 MB at k = 19937; the
 wider q = 9 of a single table would need the same 2^9 rows for W = 9.
 A backward jump needs only that B is invertible, which p(0) = 1 states:
@@ -563,7 +566,7 @@ def _window_table(gen: "Generator", degree: int) -> np.ndarray:
     of 2^q rows, where row v of sub-table j holds v(B) B^(q j) x0 for every
     polynomial v of degree below q.
 
-    x0 is the state of ``gen``, in cursor-0 storage order with the lung,
+    x0 is the state of ``gen``, its ring oldest word first and its lung,
     if any, as the last column, so the array has shape (J, 2^q, cols).
     Row 2^b of sub-table j is B^(q j + b) x0, taken from the first q J
     states of one walker; the rows between 2^b and 2^(b+1) are the rows
@@ -589,15 +592,12 @@ def _window_table(gen: "Generator", degree: int) -> np.ndarray:
     subtables = min(32, -(-coeffs // q))
     walker = make_generator(spec)
     walker.set_raw_state(gen.get_raw_state())
-    step = walker.rec.step
     words = array(dtype.char)
     for _ in range(q * subtables):
-        c = walker.cursor
-        words.extend(walker.st[c:])
-        words.extend(walker.st[:c])
+        words.extend(walker.window)
         if spec.has_lung:
             words.append(walker.lung)
-        step(walker)
+        walker.step()
     powers = np.frombuffer(words, dtype=dtype).reshape(subtables, q, 1, cols)
     table = np.zeros((subtables, 1 << q, cols), dtype=dtype)
     for b in range(q):
@@ -611,14 +611,17 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
 
     The walk takes the coefficients of ``poly`` W = q J at a time from the
     top, where ``_window_table`` holds J sub-tables of 2^q rows: W generator
-    steps of an accumulator, in one batched ``Generator.step(W)`` call,
-    then one ring XOR of the J rows the window's q-bit digits select, one
-    row per sub-table, XOR-reduced and rotated to the accumulator's
-    cursor.  So the cost is deg(poly) steps
-    plus deg(poly)/W ring round trips between the accumulator's list and
-    numpy, regardless of the jump count encoded in ``poly``; W = 128 from
-    degree 127 up, with a table of at most 2^9 rows (1.3 MB at
-    k = 19937).  Dead bits introduced by whole-word XORs never feed live
+    steps of an accumulator, in one ``Generator.word_array(W)`` call, so
+    that the k = 19937 generators take the block path, then one XOR of the
+    J rows the window's q-bit digits select, one row per sub-table,
+    XOR-reduced straight into the accumulator's ring, whose words are in
+    the table's order.  So the cost is deg(poly) steps plus one or two
+    ring round trips between the accumulator's list and numpy per W
+    coefficients, regardless of the jump count encoded in ``poly``;
+    W = 128 from degree 127 up, with a table of at most 2^9 rows (1.3 MB
+    at k = 19937).  The block path takes the W steps faster than the
+    per-step loop, even with the output words it computes and the walk
+    drops.  Dead bits introduced by whole-word XORs never feed live
     coordinates and are cleared at the end.
     """
     from .generators import make_generator
@@ -633,20 +636,16 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
     bits = poly.bits
     acc = make_generator(spec)  # zero state
     for i in range(poly.degree // width * width, -1, -width):
-        acc.step(width)
+        acc.word_array(width)  # W steps; their output words are dropped
         v = (bits >> i) & ((1 << width) - 1)
         if v:
             row = np.bitwise_xor.reduce(table[which, [(v >> s) & (rows - 1) for s in shifts]])
-            # A ring at cursor c holds its cursor-0 form rotated right by c:
-            # every family keeps consecutive logical words consecutive in storage.
-            c = n - acc.cursor
-            ring = np.concatenate((row[c:n], row[:c]))
             # array.array reads a list of ints about twice as fast as np.array
-            ring ^= np.frombuffer(array(table.dtype.char, acc.st), dtype=table.dtype)
-            acc.st = ring.tolist()
+            ring = np.frombuffer(array(table.dtype.char, acc.window), dtype=table.dtype)
+            acc.window = (ring ^ row[:n]).tolist()
             if spec.has_lung:
                 acc.lung ^= int(row[n])
-    gen.set_raw_state(acc.get_raw_state())  # normalizes the cursor, clears dead bits
+    gen.set_raw_state(acc.get_raw_state())  # clears the dead bits
 
 
 def jump_ahead(gen: "Generator", steps: int) -> None:

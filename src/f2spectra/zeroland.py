@@ -256,9 +256,10 @@ def _seed_word(literal: str, lineno: int) -> int:
 def parse_seed_text(text: str, spec: GeneratorSpec) -> GeneratorState:
     """Seed file body -> full generator state.
 
-    One w-bit hex word per line in state-array order (cursor at its
-    canonical start); generators with a lung carry it on the final
-    line, tagged ``lung=``. ``#`` starts a comment.
+    One w-bit hex word per line, in ``GeneratorState`` order: oldest
+    word first for MT and MELG, newest first for WELL.  Generators with
+    a lung carry it on the final line, tagged ``lung=``. ``#`` starts a
+    comment.
     """
     words: list[int] = []
     lung: int | None = None
@@ -283,7 +284,7 @@ def parse_seed_text(text: str, spec: GeneratorSpec) -> GeneratorState:
     mask = spec.word_mask
     if any(word > mask or word < 0 for word in words) or (lung or 0) > mask:
         raise ValueError(f"state words must fit in {spec.w} bits")
-    return GeneratorState(words=tuple(words), cursor=0, lung=lung)
+    return GeneratorState(words=tuple(words), lung=lung)
 
 
 def format_seed_text(state: GeneratorState, spec: GeneratorSpec) -> str:

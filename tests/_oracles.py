@@ -138,7 +138,7 @@ def dense_transition_matrix(spec: GeneratorSpec) -> BitMatrix:
     for lo in range(0, spec.k, _LANES):
         hi = min(lo + _LANES, spec.k)
         ens = _unit_vectors(spec, lo, hi)
-        ens.rec.step(ens)
+        ens.rec.run(ens, 1)
         images[lo:hi] = ens.state_rows()
     return transpose(BitMatrix(spec.k, spec.k, images))
 
@@ -210,20 +210,16 @@ def horner_apply(gen: Generator, poly: GF2Poly) -> None:
     oracle for ``gf2poly.apply_transition_polynomial``.
 
     Each Horner stage is one generator step of an accumulator plus, for a
-    set coefficient, an XOR of the start state rotated to the
-    accumulator's cursor.
+    set coefficient, an XOR of the start state into its ring, word by
+    word in logical order.
     """
-    spec = gen.spec
-    n = spec.n
-    x0 = gen.st[gen.cursor :] + gen.st[: gen.cursor]  # cursor-0 storage order
-    x_lung = gen.lung
-    acc = make_generator(spec)  # zero state
+    x0, x_lung = gen.window, gen.lung
+    acc = make_generator(gen.spec)  # zero state
     for i in range(poly.degree, -1, -1):
         acc.step()
         if poly.coeff(i):
-            c = n - acc.cursor
-            acc.st = [a ^ b for a, b in zip(acc.st, x0[c:] + x0[:c])]
-            if spec.has_lung:
+            acc.window = [a ^ b for a, b in zip(acc.window, x0)]
+            if x_lung is not None:
                 acc.lung ^= x_lung
     gen.set_raw_state(acc.get_raw_state())
 
@@ -239,7 +235,7 @@ def ensemble_weight_totals(spec: GeneratorSpec, steps: int) -> np.ndarray:
     for lo in range(0, spec.k, _LANES):
         ens = _unit_vectors(spec, lo, min(lo + _LANES, spec.k))
         for i in range(steps):
-            ens.rec.step(ens)
+            ens.rec.run(ens, 1)
             totals[i] += int(np.bitwise_count(ens.rec.output(ens)).sum(dtype=np.int64))
     return totals
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -189,6 +190,41 @@ def test_badseed_d_beyond_the_period_wraps(capsys):
     code, near, _ = run(capsys, "badseed", "--spec", "well607b", "--d", "6")
     assert code == 0
     assert far == near
+
+
+# SHA-256 of ``badseed --d 1000`` text.  A replay round trip stays consistent
+# if the seed-file word order flips, so these pin the order itself: oldest
+# word first for MT and MELG, newest first for WELL.
+BADSEED_D1000_SHA256 = {
+    "mt19937": "3b4cb4da40bf364a470d5b21e1507a33b0c78413afa1f96095372a6bc619b718",
+    "mt19937-64id1": "48bf25e6375e9bfe6c76e17819c3b4089722c63c7b15cfb3739a364ed9fd227d",
+    "mt19937-64id3": "627e9906149b5fafa2a40b13166ebe203e173d923ace54b0c9de1337ebfd4bc3",
+    "well607b": "4cbd212ac3d229658dbb5628cb7f5914dc97c67c879c9dabf21b0078b41578b9",
+    "well1024a": "c84678ee9d5cae416ece3908c203027f204128ced5227667d546d7520825da68",
+    "well19937a": "01d6e78a353c565eb7b08263619eb16c1c6aae1afe10eb6e7a15dc86154ba728",
+    "melg607": "e082a2bc19d7f3f6ad9ce1ba82bc91a1ea3865088fad32996ad49716877546fb",
+    "melg19937": "97e0cbfc0b84ca4686cb2c9c3cd7c5c8a9bddbd34689876e76f4ae891e2bd54d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BADSEED_D1000_SHA256))
+def test_badseed_text_is_frozen(capsys, name):
+    code, stdout, _ = run(capsys, "badseed", "--spec", name, "--d", "1000")
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == BADSEED_D1000_SHA256[name]
+
+
+@pytest.mark.parametrize("name, min_gamma, min_at", [
+    ("well19937a", 0.0020532852564102565, 3155),
+    ("melg19937", 0.009565304487179488, 3144),
+])
+def test_zeroland_replay_of_the_bundled_bad_seeds_is_frozen(capsys, name, min_gamma, min_at):
+    seed_file = Path(f2spectra.__file__).parent / "data" / "seeds" / f"{name}_bad.seed"
+    code, stdout, _ = run(capsys, "zeroland", "--spec", name, "--seed-file", str(seed_file),
+                          "--json")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert (payload["min_gamma"], payload["min_at"]) == (min_gamma, min_at)
 
 
 def test_badseed_negative_d_is_a_usage_error(capsys):

@@ -227,12 +227,23 @@ def test_state_vector_roundtrip(name):
     assert [twin.next_word() for _ in range(25)] == ahead
 
 
+def test_raw_state_word_order_after_seeding():
+    # The seeding recurrence fills the raw state in seed-file order: oldest
+    # word first for MT and MELG, newest first for WELL.
+    assert make_generator("well607b", seed=5489).get_raw_state().words[:3] == (
+        0x1571, 0x4D98EE96, 0xAF25F095)
+    assert make_generator("mt19937", seed=5489).get_raw_state().words[:3] == (
+        0x1571, 0x4D98EE96, 0xAF25F095)
+    assert make_generator("melg607", seed=5489).get_raw_state().words[:3] == (
+        0x1571, 0xB5347F47116BD3DE, 0x9165B5762D1A61AE)
+
+
 def _per_bit_state_vector(gen) -> BitVector:
     """Oracle for the vectorised codec: walk the canonical layout bit by bit
     (newest word first, MSB first, dead low bits of the oldest word skipped,
     lung last)."""
     spec = gen.spec
-    words = [gen.st[gen.rec.index(gen.cursor, j)] for j in range(spec.n - 1, -1, -1)]
+    words = gen.window[::-1]
     lows = [0] * (spec.n - 1) + [spec.r]
     if spec.has_lung:
         words.append(gen.lung)
@@ -250,7 +261,7 @@ ALL_SPECS_AND_TOYS = [
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_codec_matches_per_bit_reference(spec):
     gen = make_generator(spec, seed=21)
-    for _ in range(17):  # off-zero cursor
+    for _ in range(17):  # a window off the buffer's front, past a copy back for the toys
         gen.step()
     assert gen.state_vector() == _per_bit_state_vector(gen)
     vec = BitVector.random(spec.k, random.Random(spec.k))
@@ -272,12 +283,10 @@ def test_dead_bits_do_not_reach_the_state_vector():
     # low bits of a raw snapshot must not change the trajectory.
     spec = get_spec("well607b")
     gen = make_generator(spec, seed=3)
-    state = gen.get_raw_state()
-    oldest = (state.cursor + spec.n - 1) % spec.n
-    words = list(state.words)
-    words[oldest] ^= (1 << spec.r) - 1
+    words = list(gen.get_raw_state().words)
+    words[-1] ^= (1 << spec.r) - 1  # WELL's seed-file order ends with the oldest word
     twin = make_generator(spec)
-    twin.set_raw_state(GeneratorState(tuple(words), state.cursor))
+    twin.set_raw_state(GeneratorState(tuple(words)))
     assert gen.state_vector() == twin.state_vector()
     assert [gen.next_word() for _ in range(10)] == [twin.next_word() for _ in range(10)]
 
@@ -312,18 +321,19 @@ def test_zero_state_is_fixed(name):
 
 
 def _ensemble_of(gens) -> Ensemble:
-    """Ensemble whose member e holds the raw words of ``gens[e]``, at cursor 0."""
+    """Ensemble whose member e holds the ring of ``gens[e]``, at buffer offset 0."""
     spec = gens[0].spec
-    ens = Ensemble.zeros(spec, len(gens))
+    ens = Ensemble(spec, len(gens))
     for e, gen in enumerate(gens):
-        for j in range(spec.n):  # logical word j; WELL keeps its newest at the cursor
-            ens.st[ens.rec.index(0, j), e] = gen.st[gen.rec.index(gen.cursor, j)]
+        ens.window[:, e] = gen.window
         if spec.has_lung:
             ens.lung[e] = gen.lung
     return ens
 
 
-def _unequal_cursors(spec):
+def _staggered(spec):
+    """Three generators 0, 7 and 14 steps past seeding: their windows sit
+    at different buffer offsets, and the toys' past a copy back."""
     gens = [make_generator(spec, seed=seed) for seed in (1, 2, 3)]
     for lead, gen in enumerate(gens):
         for _ in range(7 * lead):
@@ -333,10 +343,10 @@ def _unequal_cursors(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_state_rows_match_per_bit_reference(spec):
-    gens = _unequal_cursors(spec)
+    gens = _staggered(spec)
     ens = _ensemble_of(gens)
-    for _ in range(5):  # an off-zero ensemble cursor too
-        ens.rec.step(ens)
+    for _ in range(5):  # an ensemble window off the buffer's front too
+        ens.rec.run(ens, 1)
         for gen in gens:
             gen.step()
     rows = [BitVector.from_limbs(row, spec.k) for row in ens.state_rows()]
@@ -347,9 +357,9 @@ def test_state_rows_match_per_bit_reference(spec):
 def test_grid_codec_roundtrips_many_bits_per_member(spec):
     rng = np.random.default_rng(spec.k)
     pairs = np.unique(rng.integers(0, [grid_size(spec), 4], size=(300, 2)), axis=0)
-    ens = Ensemble.zeros(spec, 4)
-    set_grid_bits(ens.rec, ens.st, ens.lung, pairs[:, 0], pairs[:, 1])
-    grid, member = grid_bits(ens.rec, ens.st, ens.cursor, ens.lung)
+    ens = Ensemble(spec, 4)
+    set_grid_bits(spec, ens.window, ens.lung, pairs[:, 0], pairs[:, 1])
+    grid, member = grid_bits(spec, ens.window, ens.lung)
     assert np.array_equal(np.unique(np.stack([grid, member], axis=1), axis=0), pairs)
 
 
@@ -362,15 +372,15 @@ def test_dead_range_is_the_only_gap_in_the_grid(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_zero_states_through_the_grid_codec(spec):
-    ens = Ensemble.zeros(spec, 3)
-    grid, member = grid_bits(ens.rec, ens.st, ens.cursor, ens.lung)
+    ens = Ensemble(spec, 3)
+    grid, member = grid_bits(spec, ens.window, ens.lung)
     assert grid.size == member.size == 0
-    set_grid_bits(ens.rec, ens.st, ens.lung, grid, member)
-    assert not ens.st.any() and (ens.lung is None or not ens.lung.any())
+    set_grid_bits(spec, ens.window, ens.lung, grid, member)
+    assert not ens.window.any() and (ens.lung is None or not ens.lung.any())
     assert not ens.state_rows().any()
     gen = make_generator(spec, seed=1)
     gen.set_state_vector(BitVector(spec.k, 0))
-    assert gen.st == [0] * spec.n and gen.lung in (None, 0)
+    assert gen.window == [0] * spec.n and gen.lung in (None, 0)
     assert gen.state_vector() == BitVector(spec.k, 0)
 
 
@@ -378,26 +388,40 @@ def test_zero_states_through_the_grid_codec(spec):
 def test_ensemble_lanes_match_scalar_generators(name):
     # Three scalar streams, loaded into one ensemble as raw words, must
     # emit the same words (tempering, lags) and end in the same canonical
-    # states.
+    # states, from each window offset of the ensemble (see ``_offsets``)
+    # through one copy back to its buffer's front.
     spec = get_spec(name)
-    gens = _unequal_cursors(spec)
-    ens = _ensemble_of(gens)
-    for _ in range(500):
-        ens.rec.step(ens)
-        assert ens.rec.output(ens).tolist() == [gen.next_word() for gen in gens]
-    rows = [BitVector.from_limbs(row, spec.k) for row in ens.state_rows()]
-    assert rows == [gen.state_vector() for gen in gens]
+    for start in _offsets(spec):
+        gens = _staggered(spec)
+        ens = _ensemble_of(gens)
+        ens.rec.run(ens, start)
+        for gen in gens:
+            gen.step(start)
+        assert ens.start == start
+        for _ in range(len(ens.buf) - spec.n - start + 3):
+            ens.rec.run(ens, 1)
+            assert ens.rec.output(ens).tolist() == [gen.next_word() for gen in gens]
+        assert ens.start == 3
+        rows = [BitVector.from_limbs(row, spec.k) for row in ens.state_rows()]
+        assert rows == [gen.state_vector() for gen in gens]
 
 
 # -- the batched step loop ---------------------------------------------------
 
 
-def _near_wrap(spec, seed):
-    """A generator n - 2 steps past seeding, so its cursor reaches the
-    ring's end (MT, MELG) or its start (WELL) within three steps."""
+def _offsets(spec):
+    """Window offsets 0, 1, room - 1 and room: a run of more than
+    room - offset steps crosses a copy back to the buffer's front, and one
+    from offset room starts with one."""
+    room = len(make_generator(spec).buf) - spec.n
+    return (0, 1, room - 1, room)
+
+
+def _at_offset(spec, seed, start):
+    """A seeded generator stepped until its window starts at ``buf[start]``."""
     gen = make_generator(spec, seed=seed)
-    for _ in range(spec.n - 2):
-        gen.rec.step(gen)
+    gen.step(start)
+    assert gen.start == start
     return gen
 
 
@@ -407,35 +431,36 @@ def _counts(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_run_equals_single_steps_on_a_scalar_ring(spec):
-    for count in _counts(spec):
-        batched, single = _near_wrap(spec, 5), _near_wrap(spec, 5)
-        out = [-1]  # run appends after what the list holds
-        batched.rec.run(batched, count, out)
-        expected = [-1]
-        for _ in range(count):
-            single.rec.step(single)
-            expected.append(single.rec.output(single))
-        assert out == expected, count
-        assert batched.get_raw_state() == single.get_raw_state(), count
-        assert batched.rec.output(batched) == single.rec.output(single)
+    for start in _offsets(spec):
+        for count in _counts(spec):
+            batched, single = _at_offset(spec, 5, start), _at_offset(spec, 5, start)
+            out = [-1]  # run appends after what the list holds
+            batched.rec.run(batched, count, out)
+            expected = [-1]
+            for _ in range(count):
+                single.rec.run(single, 1)
+                expected.append(single.rec.output(single))
+            assert out == expected, (start, count)
+            assert batched.get_raw_state() == single.get_raw_state(), (start, count)
+            assert batched.rec.output(batched) == single.rec.output(single)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_run_equals_single_steps_on_an_ensemble_ring(spec):
-    for count in _counts(spec):
-        batched, single = (_ensemble_of([_near_wrap(spec, seed) for seed in (1, 2, 3)])
-                           for _ in range(2))
-        for ens in (batched, single):
-            for _ in range(spec.n - 2):  # off-zero ensemble cursors, near the wrap
-                ens.rec.step(ens)
-        batched.rec.run(batched, count)
-        for _ in range(count):
-            single.rec.step(single)
-        assert batched.cursor == single.cursor, count
-        assert np.array_equal(batched.st, single.st), count
-        assert np.array_equal(batched.rec.output(batched), single.rec.output(single))
-        if spec.has_lung:
-            assert np.array_equal(batched.lung, single.lung)
+    gens = [make_generator(spec, seed=seed) for seed in (1, 2, 3)]
+    for start in _offsets(spec):
+        for count in _counts(spec):
+            batched, single = _ensemble_of(gens), _ensemble_of(gens)
+            for ens in (batched, single):
+                ens.rec.run(ens, start)
+                assert ens.start == start
+            batched.rec.run(batched, count)
+            for _ in range(count):
+                single.rec.run(single, 1)
+            assert np.array_equal(batched.window, single.window), (start, count)
+            assert np.array_equal(batched.rec.output(batched), single.rec.output(single))
+            if spec.has_lung:
+                assert np.array_equal(batched.lung, single.lung)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -474,14 +499,6 @@ def _per_step_words(gen, count):
     return out
 
 
-def _at_cursor(spec, cursor):
-    """A seeded generator stepped until its cursor reads ``cursor``."""
-    gen = make_generator(spec, seed=5)
-    gen.step(cursor if gen.rec.direction == 1 else -cursor % spec.n)
-    assert gen.cursor == cursor
-    return gen
-
-
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_block_path_equals_the_per_step_loop(spec, monkeypatch):
     # Every family takes the block path from _BLOCK_WORDS words on, whatever
@@ -493,15 +510,14 @@ def test_block_path_equals_the_per_step_loop(spec, monkeypatch):
               spec.n, 2 * spec.n + 3}
     if spec.name in ALL_NAMES:  # the toys' spans of 1-2 words would take seconds
         counts.add(40000)
-    for cursor in sorted({0, 1, spec.n - span, spec.n - 1}):
+    for start in _offsets(spec):
         for count in sorted(counts):
-            blocked, single = _at_cursor(spec, cursor), _at_cursor(spec, cursor)
+            blocked, single = _at_offset(spec, 5, start), _at_offset(spec, 5, start)
             words = blocked.word_array(count)
-            assert words.dtype == np.dtype(word_dtype(spec)), (cursor, count)
-            assert words.tolist() == _per_step_words(single, count), (cursor, count)
-            assert blocked.st == single.st, (cursor, count)
-            assert blocked.cursor == single.cursor, (cursor, count)
-            assert blocked.lung == single.lung, (cursor, count)
+            assert words.dtype == np.dtype(word_dtype(spec)), (start, count)
+            assert words.tolist() == _per_step_words(single, count), (start, count)
+            assert blocked.window == single.window, (start, count)
+            assert blocked.lung == single.lung, (start, count)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from f2spectra import get_spec, make_generator
 from f2spectra.bitlinalg import BitVector
 from f2spectra.cli import main
-from f2spectra.generators import GeneratorState
 from f2spectra.gf2poly import (
     _FFT_THRESHOLD_BITS,
     GF2Poly,
@@ -568,22 +568,28 @@ def _apply_cases(spec, gen) -> list[GF2Poly]:
     return [GF2Poly(bits) for bits in cases]
 
 
-def _stepped(spec):
+def _stepped(spec, start=3):
+    """A seeded generator whose window starts at ``buf[start]``; the lung
+    has moved."""
     gen = make_generator(spec, seed=17)
-    for _ in range(3):  # a non-zero cursor, and a lung that has moved
-        gen.step()
+    gen.step(start)
+    assert gen.start == start
     return gen
 
 
 @pytest.mark.parametrize("name", sorted(N1_TABLE))
 def test_window_apply_matches_horner_oracle(name):
+    # The cases cycle through the input's window offsets 0, 1, room - 1 and
+    # room; the accumulators' runs cross copies back of their own.
     spec = get_spec(name)
-    assert _stepped(spec).cursor != 0
+    room = len(make_generator(spec).buf) - spec.n
+    starts = cycle((0, 1, room - 1, room))
     for poly in _apply_cases(spec, _stepped(spec)):
-        fast, slow = _stepped(spec), _stepped(spec)
+        start = next(starts)
+        fast, slow = _stepped(spec, start), _stepped(spec, start)
         apply_transition_polynomial(fast, poly)
         horner_apply(slow, poly)
-        assert fast.get_raw_state() == slow.get_raw_state(), poly
+        assert fast.get_raw_state() == slow.get_raw_state(), (start, poly)
 
 
 @pytest.mark.parametrize("name", ["mt19937", "melg607"])
@@ -601,9 +607,10 @@ def test_window_table_rows_are_shifted_window_polynomials(name):
             expect = _stepped(spec)
             horner_apply(expect, GF2Poly(v << (q * j)))
             got = make_generator(spec)
-            lung = int(table[j, v, -1]) if spec.has_lung else None
-            got.set_raw_state(GeneratorState(tuple(table[j, v, : spec.n].tolist()), 0, lung))
-            assert got.get_raw_state() == expect.get_raw_state(), (j, v)
+            got.window = table[j, v, : spec.n].tolist()  # oldest word first
+            if spec.has_lung:
+                got.lung = int(table[j, v, -1])
+            assert got.state_vector() == expect.state_vector(), (j, v)
 
 
 def test_window_width_follows_the_degree():
