@@ -129,20 +129,20 @@ def cmd_matrix(args: argparse.Namespace) -> Result:
 
 def cmd_entropy(args: argparse.Namespace) -> Result:
     spec = args.spec
-    cap = max(DEFAULT_EIGEN_CAP, spec.k) if args.extended else DEFAULT_EIGEN_CAP
-    if spec.k > cap:
+    if spec.k > DEFAULT_EIGEN_CAP and not args.extended:
         raise ValueError(
-            f"{spec.name} has k={spec.k} > {cap}; pass --extended for long dense eigensolves"
+            f"{spec.name} has k={spec.k} > {DEFAULT_EIGEN_CAP}; "
+            "pass --extended for long dense eigensolves"
         )
     mat = extract_transition_matrix(spec, threads=args.threads)
-    spectrum = eigenvalues(mat, source=spec.name, cap=cap)
-    report_json = entropy(spectrum, w=spec.w).to_json()
-    lines = [report_json]
+    spectrum = eigenvalues(mat, source=spec.name)
+    report = entropy(spectrum, w=spec.w)
+    lines = [json.dumps(report)]
     if args.out:
         with open(args.out, "w") as sink:
             spectrum_csv(spectrum, sink)
         lines.append(f"wrote spectrum CSV to {args.out}")
-    return Result(json.loads(report_json), lines, [args.out] if args.out else [])
+    return Result(report, lines, [args.out] if args.out else [])
 
 
 def cmd_minpoly(args: argparse.Namespace) -> Result:

@@ -7,6 +7,7 @@ frozen specs and fresh generator objects by name.
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 from importlib import resources
 
@@ -48,16 +49,19 @@ _FAMILY_RECURRENCE = {
     Family.MELG: Melg,
 }
 
-_INT_KEYS = {
-    "w", "n", "m", "m1", "m2", "m3", "r", "p", "a", "lag",
-    "s1", "s2", "s3", "b", "init_f", "init_shift",
-    "temper_u", "temper_d", "temper_s", "temper_b", "temper_t", "temper_c", "temper_l",
-}
-
 
 def parse_params(text: str) -> GeneratorSpec:
-    """Build a spec from key=value text (# comments, transform grammar)."""
-    fields: dict[str, object] = {}
+    """Build a spec from key=value text; ``#`` starts a comment.
+
+    The keys are ``GeneratorSpec``'s field names, and three the files keep
+    in their published form, which are folded into fields: ``temper_u`` ..
+    ``temper_l`` into ``temper``, WELL's ``T0`` .. ``T7`` into
+    ``transforms`` (grammar in ``well.py``), and the ``p`` of WELL (dead
+    low bits) and MELG (live high bits) into ``r``, which MT files state.
+    Every value but ``name`` and ``family`` is an integer literal.  Errors
+    are ``ValueError``s naming the offending line or key.
+    """
+    lines: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -65,61 +69,32 @@ def parse_params(text: str) -> GeneratorSpec:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _INT_KEYS:
-            fields[key] = int(value, 0)
-        else:
-            fields[key] = value
+        lines[key] = (lineno, value)
 
-    family = Family(str(fields.pop("family")))
-    w = int(fields.pop("w"))
-    transforms = None
+    def take(key: str) -> str:
+        if key not in lines:
+            raise ValueError(f"missing key {key!r}")
+        return lines.pop(key)[1]
+
+    family, w = Family(take("family")), int(take("w"), 0)
+    fields: dict[str, object] = {"family": family, "w": w}
+    if "temper_u" in lines:
+        fields["temper"] = tuple(int(take(f"temper_{x}"), 0) for x in "udsbtcl")
     if family is Family.WELL:
-        slots = []
-        for t in range(8):
-            slots.append(_parse_transform(str(fields.pop(f"T{t}")), w))
-        transforms = tuple(slots)
-
-    temper = None
-    if "temper_u" in fields:
-        temper = tuple(int(fields.pop(f"temper_{x}")) for x in "udsbtcl")
-
-    # Normalize the per-family dead-bit conventions to a single r: MT files
-    # state r directly, WELL files state p = dead low bits, MELG files state
-    # p = live high bits.
-    if family is Family.WELL:
-        r = int(fields.pop("p"))
+        fields["transforms"] = tuple(_parse_transform(take(f"T{t}"), w) for t in range(8))
+        fields["r"] = int(take("p"), 0)
     elif family is Family.MELG:
-        r = w - int(fields.pop("p"))
-    else:
-        r = int(fields.pop("r"))
-
-    known = {"name", "n", "m", "m1", "m2", "m3", "a", "lag", "s1", "s2", "s3", "b",
-             "init_f", "init_shift"}
-    extra = set(fields) - known
-    if extra:
-        raise ValueError(f"unrecognized keys: {sorted(extra)}")
-
-    return GeneratorSpec(
-        name=str(fields["name"]),
-        family=family,
-        w=w,
-        n=int(fields["n"]),
-        r=r,
-        init_f=int(fields["init_f"]),
-        init_shift=int(fields["init_shift"]),
-        a=fields.get("a"),
-        m=fields.get("m"),
-        m1=fields.get("m1"),
-        m2=fields.get("m2"),
-        m3=fields.get("m3"),
-        temper=temper,
-        transforms=transforms,
-        lag=fields.get("lag"),
-        s1=fields.get("s1"),
-        s2=fields.get("s2"),
-        s3=fields.get("s3"),
-        b=fields.get("b"),
-    )
+        fields["r"] = w - int(take("p"), 0)
+    spec_fields = dataclasses.fields(GeneratorSpec)
+    plain = {field.name for field in spec_fields} - {"temper", "transforms"}
+    for key, (lineno, value) in lines.items():
+        if key not in plain or key in fields:  # ``r`` where ``p`` gives it
+            raise ValueError(f"line {lineno}: unrecognized key {key!r}")
+        fields[key] = value if key == "name" else int(value, 0)
+    for field in spec_fields:
+        if field.default is dataclasses.MISSING and field.name not in fields:
+            raise ValueError(f"missing key {field.name!r}")
+    return GeneratorSpec(**fields)
 
 
 def _parse_transform(token: str, w: int) -> tuple[str, int]:

@@ -39,13 +39,16 @@ read it.
 
 Each family's recurrence is a ``Recurrence`` subclass in ``mt.py``,
 ``well.py`` or ``melg.py``, in two forms that read the same offsets.  The
-per-step loop ``run(ring, count, out=None)``, with one output expression
-shared by ``run`` and ``output(ring)``, runs unchanged on the scalar
-``Generator`` and on the ``Ensemble``; the storage classes hold only
-storage-specific code.  The block path ``blocks(buf, count, lung)`` runs
-one stream along a word array instead: it computes up to ``span`` new
-words per numpy pass, where ``span`` is the longest run of steps in
-which no step reads a word an earlier step of the run wrote.
+per-step loop ``run(ring, count, out=None)`` runs unchanged on the scalar
+``Generator`` and on the ``Ensemble``, and is the one place a step's
+output word is formed: it appends the word to ``out``, from the state the
+step leaves.  Every single-step reader (``Generator.next_word``,
+``ensemble.probe_images``) takes its word from there; the storage
+classes hold only storage-specific code.  The block path
+``blocks(buf, count, lung)`` runs one stream along a word array instead:
+it computes up to ``span`` new words per numpy pass, where ``span`` is
+the longest run of steps in which no step reads a word an earlier step
+of the run wrote.
 
 ``Generator.word_array`` is the one way many outputs leave a scalar
 generator; ``words`` and ``reals`` read it.  Long runs on a family with a
@@ -248,12 +251,12 @@ def canonical_rows(spec: GeneratorSpec, st: np.ndarray, lung: np.ndarray | None)
 class Recurrence(ABC):
     """One family's F2-linear recurrence, on either kind of ring.
 
-    ``run`` and ``output`` act on a ring holder with attributes ``buf``
-    (a list of 2n ints, or a (2n, E) array whose rows are words),
-    ``start`` and ``lung``: the ring is ``buf[start : start + n]``, oldest
-    word first.  Every constant is cast once by ``cast`` (``int``, or the
-    array's word type) so one set of expressions serves both; left shifts
-    are masked explicitly because ints do not wrap.
+    ``run`` acts on a ring holder with attributes ``buf`` (a list of 2n
+    ints, or a (2n, E) array whose rows are words), ``start`` and
+    ``lung``: the ring is ``buf[start : start + n]``, oldest word first.
+    Every constant is cast once by ``cast`` (``int``, or the array's word
+    type) so one set of expressions serves both; left shifts are masked
+    explicitly because ints do not wrap.
 
     ``run`` is the family's per-step loop.  The step from window start c
     reads its operands at fixed offsets from c and writes the new newest
@@ -310,10 +313,6 @@ class Recurrence(ABC):
         words as an array, and the new lung.  The instance's constants
         must be cast to ``buf``'s word type.
         """
-
-    @abstractmethod
-    def output(self, ring):
-        """Output word(s) of the ring's current (already advanced) state."""
 
 
 @lru_cache(maxsize=None)
@@ -410,13 +409,10 @@ class Generator:
         return ((self.word_array(count) >> 11) * _INV53).tolist()
 
     def next_word(self) -> int:
-        rec = self.rec
-        rec.run(self, 1)
-        return rec.output(self)
-
-    def next_real(self) -> float:
-        """Float in [0, 1) using the family's published conversion."""
-        return self.reals(1)[0]
+        """The next output word: the one ``run`` emits for one step."""
+        out: list[int] = []
+        self.rec.run(self, 1, out)
+        return out[0]
 
     # -- state access ----------------------------------------------------
 

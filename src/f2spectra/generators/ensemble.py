@@ -4,19 +4,19 @@ Storage is one (2n, E) word array ``buf`` (plus an (E,) lung row for
 MELG), laid out as the scalar ring is (see ``base``): ``window``, rows
 ``start`` .. ``start + n - 1``, holds the rings in logical order, and
 slot [j, e] of it is word j, oldest first, of ensemble member e.
-Callers step it and read its outputs through ``ens.rec``: the family's
-own ``Recurrence`` from ``mt.py``, ``well.py`` or ``melg.py``, with its
-constants cast to the array's word type.  Its per-step loop
-``run(ens, count)`` acts on whole rows at once, at the same offsets as on
-the scalar ring.  ``output(ens)`` may return a view of a buffer row
-(WELL emits its newest word), so use it before the next step.
+Callers step it through ``ens.rec``: the family's own ``Recurrence``
+from ``mt.py``, ``well.py`` or ``melg.py``, with its constants cast to
+the array's word type.  Its per-step loop ``run(ens, count, out)`` acts
+on whole rows at once, at the same offsets as on the scalar ring, and
+appends each step's output words to ``out`` as one fresh (E,) array.
 
 ``probe_images`` starts one member on each unit vector of the state grid
-(every stored bit, dead bits included; see ``base.canonical_grid``), reads
-each member's output word, steps once and lists the set bits of the
-images.  That yields the one-step matrix of the grid as sparse (row, col)
-pairs, about k + 600 of them at k = 19937, and the output map T as one
-word per grid coordinate, with no k x k probe matrix ever built.
+(every stored bit, dead bits included; see ``base.canonical_grid``),
+steps once, and keeps the output words that step emits and the set bits
+of the images.  That yields the one-step matrix B of the grid as sparse
+(row, col) pairs, about k + 600 of them at k = 19937, and T B, the
+output map T of the stepped state composed with B, as one word per grid
+coordinate, with no k x k probe matrix ever built.
 ``probe_grid`` runs it over the whole grid on worker threads; it is the
 package's only thread pool, and both transition-matrix extraction and
 the zeroland sweep read it.
@@ -81,16 +81,15 @@ def probe_images(
 
     Returns ``(rows, cols, outputs)``: B[rows[i], cols[i]] = 1 lists the
     set bits of the images (grid coordinates, B's nonzeros in columns
-    lo..hi-1), and ``outputs[e]`` is the output word of unit vector lo+e
-    before the step, that is column lo+e of the output map T.
+    lo..hi-1), and ``outputs[e]`` is the word the step from unit vector
+    lo+e emits, that is column lo+e of T B.
     """
     block = max(1, _PROBE_WORDS // (2 * spec.n + 1))
     rows, cols, outputs = [], [], []
     for blo in range(lo, hi, block):
         bhi = min(blo + block, hi)
         ens = Ensemble.from_grid_units(spec, np.arange(blo, bhi))
-        outputs.append(np.array(ens.rec.output(ens)))  # a copy: it may view a buffer row
-        ens.rec.run(ens, 1)
+        ens.rec.run(ens, 1, outputs)
         r, c = grid_bits(spec, ens.window, ens.lung)
         rows.append(r)
         cols.append(c + blo)

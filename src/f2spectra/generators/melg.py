@@ -7,8 +7,8 @@ the sheared lung, writes the new lung, and appends the newest word.
 The output tempers the newest word and XORs in a lagged state word,
 which keeps the output map linear in the post-step state.  ``Melg.run``
 is the per-step loop and ``Melg.temper`` the one output expression;
-``output`` applies it to the newest and the lagged word, and ``blocks``
-to all of its new words at once.
+``run`` applies it to each new newest word and its lagged word, and
+``blocks`` to all of its new words at once.
 
 A step appends x[j + n] = x' ^ l ^ (l >> s2), where x' splices x[j]
 and x[j + 1] and the lung runs l <- A l ^ u[j], with
@@ -58,10 +58,6 @@ class Melg(Recurrence):
                 if emit is not None:
                     emit(temper(v, buf[c + lag]))
         ring.lung = lung
-
-    def output(self, ring):
-        buf, c = ring.buf, ring.start
-        return self.temper(buf[c + self.n - 1], buf[c + self.lag - 1])
 
     def _lung_factors(self, sign: int) -> list[tuple[int, np.ndarray]]:
         """(s1 2^b, word mask where bit b of (sign (t + 1)) mod P is set,

@@ -5,8 +5,8 @@ step splices the top w-r bits of the oldest word with the low r bits of
 its successor, applies the twist, XORs the feedback tap(s), and appends
 the result as the newest word.  The output runs through the usual
 four-stage tempering.  ``Mt.run`` is the per-step loop and ``Mt.temper``
-the one output expression; ``output`` applies it to the newest word, and
-``blocks`` to all of its new words at once.
+the one output expression; ``run`` applies it to each new newest word,
+and ``blocks`` to all of its new words at once.
 
 The recurrence appends x[j + n] = f(x[j], x[j + 1], x[j + m]) for each
 tap m, and both forms read those offsets from the window start j.  So a
@@ -50,9 +50,6 @@ class Mt(Recurrence):
                 buf[c + n] = v
                 if emit is not None:
                     emit(temper(v))
-
-    def output(self, ring):
-        return self.temper(ring.buf[ring.start + self.n - 1])
 
     def blocks(self, buf, count, lung):
         n, span, upper, lower, a = self.n, self.span, self.upper, self.lower, self.a

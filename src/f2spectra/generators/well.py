@@ -4,8 +4,8 @@ One step combines the newest word, three tap words, and a splice of the
 two oldest words through eight per-slot linear transforms T0..T7, then
 writes two words: the new second-newest (z3) over the old newest word and
 the new newest (z4) after it.  The published generators emit the newest
-word untempered.  ``Well.run`` is the per-step loop; ``output`` reads the
-newest word.  The published code keeps its newest word first, and so do
+word untempered.  ``Well.run`` is the per-step loop; it emits each z4 as
+it writes it.  The published code keeps its newest word first, and so do
 seed files (``Well.newest_first``).
 
 Transform grammar (shared with the .params files): ``XS:t`` is
@@ -81,9 +81,6 @@ class Well(Recurrence):
                 buf[y + 1] = z4 = t4(z0) ^ t5(z1) ^ t6(z2) ^ t7(z3)
                 if emit is not None:
                     emit(z4)
-
-    def output(self, ring):
-        return ring.buf[ring.start + self.n - 1]
 
     @cached_property
     def chain_tables(self) -> tuple[list[int], ...]:

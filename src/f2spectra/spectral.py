@@ -9,7 +9,7 @@ computes full dense spectra, the entropy
 
     h = - sum over |lambda| < 1 of ln |lambda|,
 
-and the CSV/JSON views downstream tooling consumes.
+as the ``entropy`` command's report dict, and the spectrum CSV.
 
 The eigensolver is a standard dense nonsymmetric solve (balancing +
 Hessenberg reduction + shifted QR), LAPACK's ``dgeev`` through
@@ -25,8 +25,6 @@ setting as ``openblas_threads``.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -34,8 +32,8 @@ import numpy as np
 
 from .bitlinalg import SparseBitMatrix
 
-#: Eigensolves above this dimension are refused unless the caller
-#: raises the cap explicitly (dense O(k^3) work: 19937 takes hours).
+#: The ``entropy`` command refuses eigensolves above this dimension
+#: unless ``--extended`` is given (dense O(k^3) work: 19937 takes hours).
 DEFAULT_EIGEN_CAP = 4096
 
 #: Moduli at or below this are treated as numerically singular.
@@ -70,39 +68,6 @@ class Spectrum:
         return np.abs(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Entropy statistics of a spectrum.
-
-    ``count_inside`` counts eigenvalues strictly inside the unit circle
-    (below the boundary band), ``count_outside`` strictly outside it;
-    eigenvalues within BOUNDARY_TOL of modulus 1 belong to neither.
-    """
-
-    name: str
-    k: int
-    w: int
-    h: float
-    h_per_bit: float
-    min_modulus: float
-    max_modulus: float
-    count_inside: int
-    count_outside: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "k": self.k,
-                "w": self.w,
-                "h": self.h,
-                "h_per_bit": self.h_per_bit,
-                "min_modulus": self.min_modulus,
-                "max_modulus": self.max_modulus,
-            }
-        )
-
-
 def to_real_matrix(mat: SparseBitMatrix) -> np.ndarray:
     """The 0/1 matrix as float64, column-major (LAPACK's layout, so the
     eigensolver's copy of it is a plain block copy): the nonzeros are
@@ -112,21 +77,15 @@ def to_real_matrix(mat: SparseBitMatrix) -> np.ndarray:
     return out
 
 
-def eigenvalues(
-    mat: SparseBitMatrix, source: str = "", cap: int = DEFAULT_EIGEN_CAP
-) -> Spectrum:
+def eigenvalues(mat: SparseBitMatrix, source: str = "") -> Spectrum:
     """Full complex spectrum of a square 0/1 matrix, read as a real matrix.
 
-    Dimensions above ``cap`` are refused: the dense solve is O(k^3).
+    The dense solve is O(k^3) and holds two k-square float64 matrices;
+    callers decide which dimensions are worth it (``entropy`` refuses
+    k > ``DEFAULT_EIGEN_CAP`` without ``--extended``).
     """
     if mat.rows != mat.cols:
         raise ValueError("matrix must be square")
-    dim = mat.rows
-    if dim > cap:
-        raise ValueError(
-            f"dimension {dim} exceeds the eigensolve cap {cap}; "
-            "raise the cap explicitly for long dense solves"
-        )
     vals = np.linalg.eigvals(to_real_matrix(mat)).astype(np.complex128, copy=False)
     spectrum = Spectrum(eigenvalues=vals, source=source)
     if spectrum.k and float(np.min(np.abs(vals))) <= SINGULAR_MODULUS:
@@ -136,10 +95,14 @@ def eigenvalues(
     return spectrum
 
 
-def entropy(spectrum: Spectrum, w: int, name: str | None = None) -> EntropyReport:
+def entropy(spectrum: Spectrum, w: int, name: str | None = None) -> dict:
     """Entropy report: h = - sum of ln|lambda| over contracting eigenvalues.
 
-    ``w`` is the generator's word size, used for the per-bit rate.
+    ``w`` is the generator's word size, used for the per-bit rate.  The
+    report is the ``entropy`` command's payload, with the keys ``name``
+    (default: the spectrum's source), ``k``, ``w``, ``h``, ``h_per_bit``,
+    ``min_modulus`` and ``max_modulus`` in that order.  Eigenvalues within
+    BOUNDARY_TOL of modulus 1 do not count as contracting.
     """
     if spectrum.k == 0:
         raise ValueError("spectrum is empty")
@@ -151,19 +114,16 @@ def entropy(spectrum: Spectrum, w: int, name: str | None = None) -> EntropyRepor
             "eigenvalue modulus at or below 1e-12: entropy diverges"
         )
     inside = moduli < 1.0 - BOUNDARY_TOL
-    outside = moduli > 1.0 + BOUNDARY_TOL
     h = float(-np.sum(np.log(moduli[inside]))) if np.any(inside) else 0.0
-    return EntropyReport(
-        name=name if name is not None else spectrum.source,
-        k=spectrum.k,
-        w=w,
-        h=h,
-        h_per_bit=h / w,
-        min_modulus=float(np.min(moduli)),
-        max_modulus=float(np.max(moduli)),
-        count_inside=int(np.count_nonzero(inside)),
-        count_outside=int(np.count_nonzero(outside)),
-    )
+    return {
+        "name": name if name is not None else spectrum.source,
+        "k": spectrum.k,
+        "w": w,
+        "h": h,
+        "h_per_bit": h / w,
+        "min_modulus": float(np.min(moduli)),
+        "max_modulus": float(np.max(moduli)),
+    }
 
 
 # -- tabular views ----------------------------------------------------------

@@ -15,17 +15,18 @@ long-period generators based on linear recurrences modulo 2", ACM TOMS
 seed.  For balanced output gamma is approximately normal with mean 1/2
 and variance 1/(4 p k w).
 
-The ensemble sweep steps no lanes.  Lane j's output after i steps is
-T B^i e_j, with T the output map and B the one-step matrix, so the
-ensemble total at step i is the weight of the k canonical columns of
-U_i = T B^i, one w-bit word per column.  The adjoint recurrence
-U_{i+1} = U_i B moves those columns instead of the k lanes: B shifts
-all but a few hundred coordinates by one word, so a step rewrites only
-those few columns of U.  U has a column for every coordinate of the
-state grid (``generators.base.canonical_grid``), dead bits included: an
-output may read the dead bits (a MELG lag of 1 reads the whole oldest
-word), so leaving them out of U changes the totals even though no lane
-starts there.
+The ensemble sweep steps no lanes.  Lane j's output at step i >= 1 is
+T B^i e_j, with B the one-step matrix and T the output map of the state a
+step leaves, so the ensemble total at step i is the weight of the k
+canonical columns of U_i = T B^i, one w-bit word per column.  The sweep
+starts from U_1 = T B, which the one-step probe yields, and the adjoint
+recurrence U_{i+1} = U_i B moves those columns instead of the k lanes:
+B shifts all but a few hundred coordinates by one word, so a step
+rewrites only those few columns of U.  U has a column for every
+coordinate of the state grid (``generators.base.canonical_grid``), dead
+bits included: an output may read the dead bits (a MELG lag of 1 reads
+the whole oldest word), so leaving them out of U changes the totals even
+though no lane starts there.
 
 Word-size normalization: to compare 32- and 64-bit generators on one
 axis, one iteration of a 64-bit generator counts as two normalized
@@ -106,8 +107,9 @@ def _adjoint_weight_totals(spec: GeneratorSpec, steps: int, threads: int | None)
     """Total output weight of the k unit-vector lanes after 1..steps steps.
 
     U_i[j] = T B^i e_j over the state grid, one word per coordinate j, so
-    U_0 = T, U_{i+1}[j] is the XOR of U_i[r] over the rows r of B's column
-    j, and a step's total is the weight of U_i over the canonical j.
+    U_1 = T B is the probe's output words, U_{i+1}[j] is the XOR of U_i[r]
+    over the rows r of B's column j, and a step's total is the weight of
+    U_i over the canonical j.  The adjoint loop below makes U_2 .. U_steps.
     B = S ^ R, where S moves every coordinate down by delta (the commonest
     positive row - col offset of B's nonzeros) and R holds the rest,
     including the entries that cancel S where B lacks them.  U lives in
@@ -136,7 +138,8 @@ def _adjoint_weight_totals(spec: GeneratorSpec, steps: int, threads: int | None)
     dead_words = np.empty((run, spec.r), dtype=u.dtype)
     totals = np.empty(steps, dtype=np.int64)
     weight = int(np.bitwise_count(u).sum())
-    for done in range(0, steps, run):
+    totals[0] = weight - int(np.bitwise_count(u[dead]).sum())
+    for done in range(1, steps, run):
         count = min(run, steps - done)
         off = 0
         for i in range(count):

@@ -234,9 +234,9 @@ def ensemble_weight_totals(spec: GeneratorSpec, steps: int) -> np.ndarray:
     totals = np.zeros(steps, dtype=np.int64)
     for lo in range(0, spec.k, _LANES):
         ens = _unit_vectors(spec, lo, min(lo + _LANES, spec.k))
-        for i in range(steps):
-            ens.rec.run(ens, 1)
-            totals[i] += int(np.bitwise_count(ens.rec.output(ens)).sum(dtype=np.int64))
+        words: list[np.ndarray] = []
+        ens.rec.run(ens, steps, words)
+        totals += np.bitwise_count(np.array(words)).sum(axis=1, dtype=np.int64)
     return totals
 
 

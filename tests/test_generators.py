@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from f2spectra import (
     make_generator,
 )
 from f2spectra.bitlinalg import BitVector
-from f2spectra.generators import base
+from f2spectra.generators import base, parse_params
 from f2spectra.generators.base import (
     canonical_grid,
     dead_bits,
@@ -140,6 +142,75 @@ def test_unknown_name_raises():
         get_spec("nosuch")
 
 
+# -- the .params parser -------------------------------------------------------
+
+#: SHA-256 of ``repr(spec)`` for each bundled .params file, as parsed.
+SPEC_REPR_SHA256 = {
+    "mt19937": "5cc65f338c5057057cc94c108f2c9de2e998c3972a8db1c7b640f963b74dc880",
+    "mt19937-64id1": "8b99a15790f22bcc1dead6bfe0bc3f5d5c1a74ddbf3ff4fe4475f13553d2f7c4",
+    "mt19937-64id3": "dd5db6ce59311c36c12db7fc0a9f4fc3b55e8496f97036370285e5c8b5b0a45a",
+    "well607b": "2c6325f8dd1b880f2493eec0d42b5482784b6df8654f79f0dfdfc554f2ccb520",
+    "well1024a": "dc306ad4abc761ac658b8fee0f6059ff4c2c8bc5d1006a1d0d187fe0adac6760",
+    "well19937a": "cedd9167bdab7ec28d98e7cbc19b94dfe9671c62baa80c4f75e50f1e99bb9b0b",
+    "melg607": "777652beb9d03ba4230c559fafdb0f8bfbb3e4faf55bc973d3edb2e6fac07cd9",
+    "melg19937": "2592ba155a4b0276f5e777b0d2a856f99e429e347a1c2e3f9f7d0d93cde26355",
+}
+
+
+def _params_text(name):
+    path = resources.files("f2spectra") / "params" / f"{name.replace('-', '_')}.params"
+    return path.read_text()
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_bundled_params_parse_to_frozen_specs(name):
+    spec = parse_params(_params_text(name))
+    assert hashlib.sha256(repr(spec).encode()).hexdigest() == SPEC_REPR_SHA256[name]
+    assert spec == get_spec(name)
+
+
+def _edited(name, old, new):
+    text = _params_text(name)
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+PARAMS_ERRORS = {
+    "no-equals": ("mt19937", "n=624\n", "n 624\n", r"^line 7: expected key=value, got 'n 624'$"),
+    "unknown-key": ("mt19937", "m=397\n", "m=397\nmm=3\n", r"^line 9: unrecognized key 'mm'$"),
+    "folded-field": ("mt19937", "temper_u=11\n", "temper_u=11\ntemper=11\n",
+                     r"^line 12: unrecognized key 'temper'$"),
+    "r-beside-p": ("well607b", "p=1\n", "p=1\nr=1\n", r"^line 15: unrecognized key 'r'$"),
+    "p-on-mt": ("mt19937", "r=31\n", "r=31\np=1\n", r"^line 10: unrecognized key 'p'$"),
+    "missing-n": ("mt19937", "n=624\n", "", r"^missing key 'n'$"),
+    "missing-r": ("mt19937", "r=31\n", "", r"^missing key 'r'$"),
+    "missing-temper": ("mt19937", "temper_s=7\n", "", r"^missing key 'temper_s'$"),
+    "missing-family": ("well607b", "family=WELL\n", "", r"^missing key 'family'$"),
+    "missing-p": ("well607b", "p=1\n", "", r"^missing key 'p'$"),
+    "missing-transform": ("well607b", "T7=ZERO\n", "", r"^missing key 'T7'$"),
+    "bad-kind": ("well607b", "T2=ZERO\n", "T2=ROT:3\n", r"^bad transform 'ROT:3'$"),
+    "no-amount": ("well607b", "T2=ZERO\n", "T2=XS\n", r"^bad transform 'XS'$"),
+    "shift-right": ("well607b", "T2=ZERO\n", "T2=SH:32\n",
+                    r"^transform shift 32 out of range for 32-bit words$"),
+    "shift-left": ("well607b", "T2=ZERO\n", "T2=XS:-32\n",
+                   r"^transform shift -32 out of range for 32-bit words$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAMS_ERRORS))
+def test_params_errors_name_their_line_or_key(case):
+    name, old, new, message = PARAMS_ERRORS[case]
+    with pytest.raises(ValueError, match=message):
+        parse_params(_edited(name, old, new))
+
+
+def test_params_shift_bounds_are_open():
+    text = _edited("well607b", "T2=ZERO\n", "T2=SH:31\n")
+    assert parse_params(text).transforms[2] == ("SH", 31)
+    text = _edited("well607b", "T2=ZERO\n", "T2=XS:-31\n")
+    assert parse_params(text).transforms[2] == ("XS", -31)
+
+
 @pytest.mark.parametrize("name", sorted(CXX_GOLDENS))
 def test_cxx_reference_streams(name):
     for seed, words in CXX_GOLDENS[name].items():
@@ -196,10 +267,10 @@ def test_outputs_fit_word_width(name):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_next_real_unit_interval(name):
     gen = make_generator(name, seed=11)
-    values = [gen.next_real() for _ in range(500)]
+    values = gen.reals(500)
     assert all(0.0 <= v < 1.0 for v in values)
     twin = make_generator(name, seed=11)
-    assert values == [twin.next_real() for _ in range(500)]
+    assert values == [twin.reals(1)[0] for _ in range(500)]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -399,8 +470,9 @@ def test_ensemble_lanes_match_scalar_generators(name):
             gen.step(start)
         assert ens.start == start
         for _ in range(len(ens.buf) - spec.n - start + 3):
-            ens.rec.run(ens, 1)
-            assert ens.rec.output(ens).tolist() == [gen.next_word() for gen in gens]
+            out = []
+            ens.rec.run(ens, 1, out)
+            assert out[0].tolist() == [gen.next_word() for gen in gens]
         assert ens.start == 3
         rows = [BitVector.from_limbs(row, spec.k) for row in ens.state_rows()]
         assert rows == [gen.state_vector() for gen in gens]
@@ -438,11 +510,9 @@ def test_run_equals_single_steps_on_a_scalar_ring(spec):
             batched.rec.run(batched, count, out)
             expected = [-1]
             for _ in range(count):
-                single.rec.run(single, 1)
-                expected.append(single.rec.output(single))
+                single.rec.run(single, 1, expected)
             assert out == expected, (start, count)
             assert batched.get_raw_state() == single.get_raw_state(), (start, count)
-            assert batched.rec.output(batched) == single.rec.output(single)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
@@ -454,11 +524,12 @@ def test_run_equals_single_steps_on_an_ensemble_ring(spec):
             for ens in (batched, single):
                 ens.rec.run(ens, start)
                 assert ens.start == start
-            batched.rec.run(batched, count)
+            out, expected = [], []
+            batched.rec.run(batched, count, out)
             for _ in range(count):
-                single.rec.run(single, 1)
+                single.rec.run(single, 1, expected)
+            assert np.array_equal(np.array(out), np.array(expected)), (start, count)
             assert np.array_equal(batched.window, single.window), (start, count)
-            assert np.array_equal(batched.rec.output(batched), single.rec.output(single))
             if spec.has_lung:
                 assert np.array_equal(batched.lung, single.lung)
 
@@ -469,7 +540,7 @@ def test_words_and_reals_equal_the_single_call_streams(name):
     count = spec.n + 3
     batched, single = make_generator(spec, seed=77), make_generator(spec, seed=77)
     assert batched.words(count) == [single.next_word() for _ in range(count)]
-    assert batched.reals(count) == [single.next_real() for _ in range(count)]
+    assert batched.reals(count) == [single.reals(1)[0] for _ in range(count)]
     batched.step(count)
     for _ in range(count):
         single.step()

@@ -103,6 +103,20 @@ def test_adjoint_sweep_matches_ensemble_oracle(spec):
     assert trace.values.tolist() == expect.tolist()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [get_spec("mt19937"), get_spec("melg607"), TOY_MELG, TOY_WELL_DEAD_TAP],
+    ids=lambda s: s.name,
+)
+def test_one_step_sweep_matches_ensemble_oracle(spec):
+    # p = max_n = one step (two normalized on 64-bit words): the total is
+    # the probe's T B alone, and the adjoint loop runs zero times.
+    nu = 2 if spec.w == 64 else 1
+    trace = unit_seed_sweep(spec, p=nu, max_n=nu)
+    expect = ensemble_weight_totals(spec, 1) / float(spec.k * spec.w)
+    assert trace.values.tolist() == expect.tolist()
+
+
 def test_dead_tap_toy_reads_its_dead_bits():
     # The premise of its sweep test: B has nonzeros in the dead-bit
     # columns, so those columns of the sweep's U fill up and must be left
