@@ -82,15 +82,21 @@ class Result:
     specs: Sequence[str] = ()
 
 
-def _int_arg(text: str, minimum: int = 0) -> int:
-    """Integer >= ``minimum``; accepts 0x/0o/0b prefixes and underscores."""
+def _int_arg(text: str, minimum: int | None = 0) -> int:
+    """Integer >= ``minimum`` (of any size when None); accepts 0x/0o/0b
+    prefixes and underscores."""
     try:
         value = int(text.replace("_", ""), 0)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _signed_int_arg(text: str) -> int:
+    """Integer of either sign, such as a step count that may run backward."""
+    return _int_arg(text, minimum=None)
 
 
 def _positive_int_arg(text: str) -> int:
@@ -282,11 +288,12 @@ def cmd_badseed(args: argparse.Namespace) -> Result:
 
 
 def cmd_jump(args: argparse.Namespace) -> Result:
-    if args.verify and args.steps > 2_000_000:
-        raise ValueError("--verify steps one at a time; keep --steps <= 2000000 with it")
+    if args.verify and abs(args.steps) > 2_000_000:
+        raise ValueError("--verify steps one at a time; keep |--steps| <= 2000000 with it")
     spec = args.spec
     gen = make_generator(spec, seed=args.seed)
     jump_ahead(gen, args.steps)
+    landed = gen.get_raw_state()
     jumped = gen.words(args.emit)
     payload: dict[str, Any] = {
         "name": spec.name,
@@ -299,10 +306,12 @@ def cmd_jump(args: argparse.Namespace) -> Result:
     ] + [f"  {word:#x}" for word in jumped]
     ok = True
     if args.verify:
-        twin = make_generator(spec, seed=args.seed)
-        twin.step(args.steps)
-        stepped = twin.words(args.emit)
-        ok = stepped == jumped
+        # step the earlier of the seeded and the jumped state to the later one
+        seeded, twin = make_generator(spec, seed=args.seed), make_generator(spec)
+        twin.set_raw_state(landed)
+        early, late = (seeded, twin) if args.steps >= 0 else (twin, seeded)
+        early.step(abs(args.steps))
+        ok = early.words(args.emit) == late.words(args.emit)
         payload["verified"] = ok
         lines.append(f"single-step replay {'matches' if ok else 'DIFFERS'}")
     return Result(payload, lines, ok=ok)
@@ -441,7 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = add("jump", "Jump a generator ahead by an arbitrary step count.")
     sub.add_argument("--seed", type=_int_arg, default=12345, help="initialization seed")
-    sub.add_argument("--steps", type=_int_arg, required=True, help="recurrence steps to skip")
+    sub.add_argument("--steps", type=_signed_int_arg, required=True,
+                     help="recurrence steps to skip, backward when negative")
     sub.add_argument("--emit", type=_positive_int_arg, default=5,
                      help="outputs to print after the jump")
     sub.add_argument("--verify", action="store_true",

@@ -54,12 +54,17 @@ def parse_params(text: str) -> GeneratorSpec:
     """Build a spec from key=value text; ``#`` starts a comment.
 
     The keys are ``GeneratorSpec``'s field names, and three the files keep
-    in their published form, which are folded into fields: ``temper_u`` ..
-    ``temper_l`` into ``temper``, WELL's ``T0`` .. ``T7`` into
-    ``transforms`` (grammar in ``well.py``), and the ``p`` of WELL (dead
-    low bits) and MELG (live high bits) into ``r``, which MT files state.
-    Every value but ``name`` and ``family`` is an integer literal.  Errors
-    are ``ValueError``s naming the offending line or key.
+    in their published form, which are folded into fields: MT's
+    ``temper_u`` .. ``temper_l`` into ``temper``, WELL's ``T0`` .. ``T7``
+    into ``transforms`` (grammar in ``well.py``), and the ``p`` of WELL
+    (dead low bits) and MELG (live high bits) into ``r``, which MT files
+    state.  Every value but ``name`` and ``family`` is an integer literal.
+    Besides the fields without a default, each family needs the keys its
+    recurrence reads: MT ``a``, the tempering and either one tap ``m`` or
+    three ``m1`` .. ``m3``; WELL ``m1`` .. ``m3`` and the transforms; MELG
+    ``a``, ``b``, ``m``, ``lag`` and ``s1`` .. ``s3``.  Errors are
+    ``ValueError``s naming the offending line or key; a key may be given
+    once.
     """
     lines: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,31 +74,48 @@ def parse_params(text: str) -> GeneratorSpec:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            first = lines[key][0]
+            raise ValueError(f"line {lineno}: key {key!r} given twice, first on line {first}")
         lines[key] = (lineno, value)
 
-    def take(key: str) -> str:
+    def take(key: str) -> tuple[int, str]:
+        """(line number, value) of ``key``, which must be given."""
         if key not in lines:
             raise ValueError(f"missing key {key!r}")
-        return lines.pop(key)[1]
+        return lines.pop(key)
 
-    family, w = Family(take("family")), int(take("w"), 0)
+    def integer(key: str, lineno: int, value: str) -> int:
+        try:
+            return int(value, 0)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {key}={value} is not an integer literal") from None
+
+    def take_int(key: str) -> int:
+        return integer(key, *take(key))
+
+    family, w = Family(take("family")[1]), take_int("w")
     fields: dict[str, object] = {"family": family, "w": w}
-    if "temper_u" in lines:
-        fields["temper"] = tuple(int(take(f"temper_{x}"), 0) for x in "udsbtcl")
     if family is Family.WELL:
-        fields["transforms"] = tuple(_parse_transform(take(f"T{t}"), w) for t in range(8))
-        fields["r"] = int(take("p"), 0)
+        fields["transforms"] = tuple(_parse_transform(take(f"T{t}")[1], w) for t in range(8))
+        fields["r"] = take_int("p")
+        needed: tuple[str, ...] = ("m1", "m2", "m3")
     elif family is Family.MELG:
-        fields["r"] = w - int(take("p"), 0)
+        fields["r"] = w - take_int("p")
+        needed = ("a", "b", "m", "lag", "s1", "s2", "s3")
+    else:
+        fields["temper"] = tuple(take_int(f"temper_{x}") for x in "udsbtcl")
+        needed = ("a", "m") if "m" in lines else ("a", "m1", "m2", "m3")
     spec_fields = dataclasses.fields(GeneratorSpec)
+    needed += tuple(f.name for f in spec_fields if f.default is dataclasses.MISSING)
     plain = {field.name for field in spec_fields} - {"temper", "transforms"}
     for key, (lineno, value) in lines.items():
         if key not in plain or key in fields:  # ``r`` where ``p`` gives it
             raise ValueError(f"line {lineno}: unrecognized key {key!r}")
-        fields[key] = value if key == "name" else int(value, 0)
-    for field in spec_fields:
-        if field.default is dataclasses.MISSING and field.name not in fields:
-            raise ValueError(f"missing key {field.name!r}")
+        fields[key] = value if key == "name" else integer(key, lineno, value)
+    for key in needed:
+        if key not in fields:
+            raise ValueError(f"missing key {key!r}")
     return GeneratorSpec(**fields)
 
 

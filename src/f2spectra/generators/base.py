@@ -370,24 +370,34 @@ class Generator:
         """Advance the recurrence ``count`` steps (no output)."""
         self.rec.run(self, count)
 
+    def block_recurrence(self, count: int) -> Recurrence | None:
+        """The recurrence cast to the word type, for the block path, when
+        ``count`` steps at a time take it, else None.
+
+        Runs of at least ``_BLOCK_WORDS`` steps of a family whose span is
+        at least ``_BLOCK_SPAN`` take the block path; the rest take the
+        per-step loop.
+        """
+        if count < _BLOCK_WORDS or self.rec.span < _BLOCK_SPAN:
+            return None
+        return _array_recurrence(type(self.rec), self.spec)
+
     def word_array(self, count: int) -> np.ndarray:
         """The next ``count`` output words, as one word array.
 
-        At least ``_BLOCK_WORDS`` words of a family whose span is at least
-        ``_BLOCK_SPAN`` come from the block path: the ring is copied into
-        one word array, advanced there and copied back.  Other counts come
-        from the per-step loop.
+        On the block path (``block_recurrence``) the ring is copied into
+        one word array, advanced there and copied back.
         """
-        rec, n = self.rec, self.spec.n
-        dtype = np.dtype(word_dtype(self.spec))
-        if count < _BLOCK_WORDS or rec.span < _BLOCK_SPAN:
+        n, dtype = self.spec.n, np.dtype(word_dtype(self.spec))
+        rec = self.block_recurrence(count)
+        if rec is None:
             out: list[int] = []
-            rec.run(self, count, out)
+            self.rec.run(self, count, out)
             return np.array(out, dtype=dtype)
         buf = np.empty(n + count, dtype=dtype)
         # array.array reads a list of ints about twice as fast as np.array
         buf[:n] = np.frombuffer(array(dtype.char, self.window), dtype=dtype)
-        words, self.lung = _array_recurrence(type(rec), self.spec).blocks(buf, count, self.lung)
+        words, self.lung = rec.blocks(buf, count, self.lung)
         self.window = buf[count:].tolist()
         return words
 

@@ -3,11 +3,22 @@
 A GF2Poly is an int-backed bitset: coefficient i of the polynomial is
 bit i of ``bits``.  Small products use a shift-XOR schoolbook loop.
 Products whose shorter operand exceeds ``_FFT_THRESHOLD_BITS`` are an
-exact float64 FFT convolution of the 0/1 coefficient vectors: every
+exact float64 FFT convolution of the coefficient vectors: every
 coefficient of the integer product is a count no larger than the
 shorter operand's length, so it is recovered by rounding, and its low
-bit is the GF(2) coefficient.  Each FFT product checks its own rounding
-residual and raises ``ArithmeticError`` rather than return a wrong bit.
+bit is the GF(2) coefficient.  The transforms carry two coefficients per
+element, c_2j + c_(2j+1) 2^15, so they run at half the length: a product
+element is then lo + mid 2^15 + hi 2^30, and coefficient 2j is the
+parity of lo_j + hi_(j-1), coefficient 2j + 1 that of mid_j.  That holds
+while no field reaches 2^15, which ``_per_element`` states as a bound on
+the shorter operand (32766 coefficients); longer products take one
+coefficient per element.  Lengths below count elements, not
+coefficients.  Each FFT product checks its own rounding residual and its
+fields' width, and raises ``ArithmeticError`` rather than return a wrong
+bit.  At degree 19937 the residual measured at most 0.001 on reduced
+squares of random operands and 0.0047 on all-ones operands, against the
+guard of 0.25.
+
 Squaring respaces bits, and ``_Barrett``, which ``pow_mod`` builds once
 per call, reduces the square modulo a fixed polynomial of degree d with
 two products by fixed operands, q = t^(2d) // mod and the modulus.  Each
@@ -16,7 +27,8 @@ bits when it is sparse (mt19937's have 161 and 135), else its spectra,
 computed once.  The quotient of a square then takes three transforms of
 half the full product's length, not two of the full length: the high
 half of x^2 is x's upper half respaced, so it meets q's even and odd
-halves in two half-length products.
+halves in two half-length products.  With the remainder's two, a dense
+reduced square at k = 19937 makes five transforms of 10240 elements.
 
 ``berlekamp_massey`` recovers the minimal LFSR connection polynomial of
 a bit sequence; fed 2k+64 output bits of a k-dimensional generator it
@@ -26,11 +38,9 @@ g = t^steps mod p at B on the state by a sliding-window Horner walk.  Its
 table holds J sub-tables of 2^q rows of n words, oldest first like the
 generator's ring (plus the lung), row v of sub-table j being
 v(B) B^(q j) x for a polynomial v of degree below q.  One XOR of J
-rows, one per sub-table, thus adds W = q J coefficients at once, and the
-walk moves the scalar ring between its list and numpy once per W
-coefficients for the XOR, a round trip that costs far more than the XOR
-itself, and once for the W steps, which the k = 19937 generators take on
-the block path of ``Generator.word_array``.
+rows, one per sub-table, thus adds W = q J coefficients at once, in
+place on a word stream that the k = 19937 generators advance by their
+block path, W steps per call.
 q = 4 and J = 32 give W = 128 from 2^9 rows, 1.3 MB at k = 19937; the
 wider q = 9 of a single table would need the same 2^9 rows for W = 9.
 A backward jump needs only that B is invertible, which p(0) = 1 states:
@@ -60,11 +70,14 @@ BigUint = int
 _FFT_THRESHOLD_BITS = 1024
 #: Largest accepted distance of an FFT coefficient from its integer.
 _ROUNDING_GUARD = 0.25
+#: Width of each field of a packed transform element, c_2j + c_(2j+1) 2^15.
+_FIELD_BITS = 15
 #: Above the FFT threshold, a fixed Barrett operand lighter than this many
 #: set bits multiplies by a shift-XOR loop over them, and a heavier one by
 #: its cached spectra.  At k = 19937 the loop measured as fast as the
-#: transforms at about 1450 bits of q and 510 of the modulus, whose loop
-#: shifts left into twice as many words.
+#: packed transforms at about 1200 bits of q and 400 of the modulus, whose
+#: loop shifts left into twice as many words.  mt19937-64id1, at 579 and
+#: 285 bits, jumps both ways in 58 ms on the loops and 101 ms on spectra.
 _SPARSE_QUOTIENT_WEIGHT = 1024
 _SPARSE_MODULUS_WEIGHT = 384
 
@@ -80,23 +93,57 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _per_element(short: int) -> int:
+    """Coefficients per transform element for a product whose shorter
+    operand has ``short`` coefficients: 2 while the packed fields cannot
+    overflow, else 1.
+
+    Packed operands of L and L' elements give product element j =
+    lo_j + mid_j 2^15 + hi_j 2^30, where lo_j (even times even
+    coefficients) and hi_j (odd times odd) count at most min(L, L') terms
+    and mid_j (the cross terms) at most twice that.  So the fields stay
+    apart while 2 ceil(short / 2) < 2^15, up to 32766 coefficients.
+    """
+    return 2 if 2 * ((short + 1) // 2) < 1 << _FIELD_BITS else 1
+
+
 def _bytes_of(x: int) -> np.ndarray:
     """The little-endian bytes of ``x``, as a uint8 array."""
     return np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
 
 
-def _spectrum(x: int, n: int) -> np.ndarray:
-    """Real FFT of the 0/1 coefficient vector of ``x``, zero-padded to length n."""
+@lru_cache(maxsize=1)
+def _pack_table() -> np.ndarray:
+    """Byte value -> its four packed elements c_2i + c_(2i+1) 2^15."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    return bits[:, 0::2] + bits[:, 1::2] * float(1 << _FIELD_BITS)
+
+
+def _spectrum(x: int, n: int, per: int) -> np.ndarray:
+    """Real FFT of the coefficients of ``x``, ``per`` to an element (1 or
+    2, see ``_per_element``), zero-padded to n elements."""
+    if per == 2:
+        return np.fft.rfft(_pack_table()[_bytes_of(x)].reshape(-1), n)
     return np.fft.rfft(np.unpackbits(_bytes_of(x), bitorder="little"), n)
 
 
-def _product_bits(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Invert a product spectrum and round it to its GF(2) coefficients.
+def _product_bits(spectrum: np.ndarray, n: int, per: int, short: int) -> np.ndarray:
+    """Invert a product spectrum of n elements and round it to its per n
+    GF(2) coefficients, the cyclic product modulo t^(per n) - 1.
 
-    Raises ``ArithmeticError`` when any coefficient lies ``_ROUNDING_GUARD``
-    or further from an integer, as the rounding could then pick the wrong
-    parity.
+    ``short`` is the shorter operand's coefficient count.  Raises
+    ``ArithmeticError`` when any element lies ``_ROUNDING_GUARD`` or
+    further from an integer, as the rounding could then pick the wrong
+    parity, and when a packed product's fields could overflow into each
+    other, which no rounding check can see.  Coefficient 2j is the parity
+    of packed element j's low field plus element j - 1's high field
+    (cyclically), and coefficient 2j + 1 that of element j's middle field.
     """
+    if per > _per_element(short):
+        raise ArithmeticError(
+            f"packed FFT product of length {n} is not exact: "
+            f"a {short}-coefficient operand overflows its {_FIELD_BITS}-bit fields"
+        )
     c = np.fft.irfft(spectrum, n)
     counts = np.rint(c)
     c -= counts
@@ -105,9 +152,16 @@ def _product_bits(spectrum: np.ndarray, n: int) -> np.ndarray:
         raise ArithmeticError(
             f"FFT product of length {n} is not exact: rounding residual {residual:.3g}"
         )
-    parity = counts.astype(np.int64)
-    parity &= 1
-    return parity.astype(np.uint8)
+    fields = counts.astype(np.int64)
+    if per == 1:
+        fields &= 1
+        return fields.astype(np.uint8)
+    high = fields >> 2 * _FIELD_BITS
+    fields[1:] ^= high[:-1]
+    fields[0] ^= high[-1]
+    fields &= 1 | 1 << _FIELD_BITS
+    fields |= fields >> _FIELD_BITS - 8  # coefficient 2j + 1 to bit 8
+    return fields.astype("<u2").view(np.uint8) & 1
 
 
 def _exponents(x: int) -> list[int]:
@@ -124,11 +178,13 @@ def _mul_bits(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
     la, lb = a.bit_length(), b.bit_length()
-    if min(la, lb) > _FFT_THRESHOLD_BITS:
-        n = _fft_length(la + lb - 1)
-        spectrum = _spectrum(a, n)
-        spectrum *= _spectrum(b, n)
-        return _from_bit_vector(_product_bits(spectrum, n))
+    short = min(la, lb)
+    if short > _FFT_THRESHOLD_BITS:
+        per = _per_element(short)
+        n = _fft_length(-(-(la + lb - 1) // per))
+        spectrum = _spectrum(a, n, per)
+        spectrum *= _spectrum(b, n, per)
+        return _from_bit_vector(_product_bits(spectrum, n, per, short))
     if la < lb:
         a, b = b, a
     acc = 0
@@ -317,22 +373,26 @@ class _Barrett:
       of transforms.  The quotient is the XOR of ``hi >> (d - e)`` over
       q's exponents e, and the remainder the XOR of ``qhat << e`` over the
       modulus's exponents into r.
-    - otherwise spectra computed once, all at m = ``_fft_length(d + 1)``:
+    - otherwise spectra computed once, all of m elements, where
+      ``per`` = ``_per_element(d)`` coefficients share an element (2 up
+      to d = 32766, as the variable operands have below d coefficients)
+      and m = ``_fft_length(ceil((d + 1) / per))``, so M = per m >= d + 1
+      coefficients; 10240 elements at d = 19937:
 
-      - ``qhat * mod`` has fewer than 2d coefficients, so at length m its
-        coefficients j + m wrap onto j.  Only the low d are needed, and
+      - ``qhat * mod`` has fewer than 2d coefficients, so at M of them its
+        coefficients j + M wrap onto j.  Only the low d are needed, and
         the wrapped ones are known: the remainder has degree below d, so
         from d up the product equals r itself.  The low half is thus the
-        wrapped result XOR ``r >> m``, masked to d bits.
+        wrapped result XOR ``r >> M``, masked to d bits.
       - q is kept as the spectra of its even and odd halves, q = q0(t^2) +
         t q1(t^2), for ``square``.  The high half of x^2 is t^delta u(t^2),
         where u = x >> ceil(d/2) holds x's upper coefficients and
         delta = 2 ceil(d/2) - d.  So ``hi * q`` is
         t^delta (a(t^2) + t b(t^2)) with a = u q0 and b = u q1, two
-        products of halves that fit in length m without wrapping, and the
-        quotient's even and odd coefficients are a's and b's from index
-        (d - delta)/2 on: one forward and two inverse transforms at m,
-        where the full product needs two at twice that length.  The
+        products of halves that fit in M coefficients without wrapping,
+        and the quotient's even and odd coefficients are a's and b's from
+        index (d - delta)/2 on: one forward and two inverse transforms of
+        m elements, where the full product needs two of twice that.  The
         quotient of a general ``reduce`` is a plain ``_mul_bits`` product.
 
     A square of degree below d needs no reduction at all.  At d up to the
@@ -350,16 +410,20 @@ class _Barrett:
         self.q_shifts = self.q_spectra = self.mod_terms = self.mod_spectrum = None
         if d <= _FFT_THRESHOLD_BITS:
             return
-        self.m = m = _fft_length(d + 1)
+        # the variable operands, x's upper half and the quotient, have below d bits
+        self.per = per = _per_element(d)
+        self.m = m = _fft_length(-(-(d + 1) // per))
         if self.q.bit_count() < _SPARSE_QUOTIENT_WEIGHT:
             self.q_shifts = [d - e for e in _exponents(self.q)]
         else:
             halves = np.unpackbits(_bytes_of(self.q), bitorder="little")
-            self.q_spectra = (np.fft.rfft(halves[0::2], m), np.fft.rfft(halves[1::2], m))
+            self.q_spectra = tuple(
+                _spectrum(_from_bit_vector(half), m, per) for half in (halves[0::2], halves[1::2])
+            )
         if mod.weight < _SPARSE_MODULUS_WEIGHT:
             self.mod_terms = _exponents(mod.bits)
         else:
-            self.mod_spectrum = _spectrum(mod.bits, m)
+            self.mod_spectrum = _spectrum(mod.bits, m, per)
 
     def reduce(self, p: GF2Poly) -> GF2Poly:
         r = p.bits
@@ -377,12 +441,13 @@ class _Barrett:
             return r
         if self.q_spectra is None:
             return self._remainder(r, self._quotient(hi))
-        m, lo = self.m, d // 2
-        u = _spectrum(x >> (d + 1) // 2, m)
+        m, per, lo = self.m, self.per, d // 2
+        upper = x >> (d + 1) // 2
+        u, short = _spectrum(upper, m, per), upper.bit_length()
         even, odd = self.q_spectra
         qhat = np.empty(d, dtype=np.uint8)
-        qhat[0::2] = _product_bits(u * even, m)[lo : lo + (d + 1) // 2]
-        qhat[1::2] = _product_bits(u * odd, m)[lo : lo + d // 2]
+        qhat[0::2] = _product_bits(u * even, m, per, short)[lo : lo + (d + 1) // 2]
+        qhat[1::2] = _product_bits(u * odd, m, per, short)[lo : lo + d // 2]
         return self._remainder(r, _from_bit_vector(qhat))
 
     def _quotient(self, hi: int) -> int:
@@ -401,10 +466,11 @@ class _Barrett:
             for e in self.mod_terms:
                 r ^= qhat << e
         elif self.mod_spectrum is not None and qhat.bit_length() > _FFT_THRESHOLD_BITS:
-            m = self.m
-            spectrum = _spectrum(qhat, m)
+            m, per = self.m, self.per
+            spectrum = _spectrum(qhat, m, per)
             spectrum *= self.mod_spectrum
-            r ^= _from_bit_vector(_product_bits(spectrum, m)) ^ (r >> m)
+            wrapped = _product_bits(spectrum, m, per, qhat.bit_length())
+            r ^= _from_bit_vector(wrapped) ^ (r >> per * m)
         else:
             r ^= _mul_bits(qhat, self.mod.bits)
         return r & self.low_mask
@@ -574,8 +640,8 @@ def _window_table(gen: "Generator", degree: int) -> np.ndarray:
     once.
 
     A window of the walk is W = q J coefficients, and it costs one XOR of
-    J selected rows, so the table's J 2^q rows buy W coefficients per ring
-    round trip at a gather of cols/q words per coefficient.  q = 4 and
+    J selected rows, so the table's J 2^q rows buy W coefficients per
+    window at a gather of cols/q words per coefficient.  q = 4 and
     J = 32 hold the table at 2^9 rows (1.3 MB at k = 19937) and give
     W = 128; a larger q gathers fewer words but fits fewer sub-tables,
     a smaller q the opposite.  Shorter polynomials take fewer sub-tables,
@@ -611,17 +677,25 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
 
     The walk takes the coefficients of ``poly`` W = q J at a time from the
     top, where ``_window_table`` holds J sub-tables of 2^q rows: W generator
-    steps of an accumulator, in one ``Generator.word_array(W)`` call, so
-    that the k = 19937 generators take the block path, then one XOR of the
-    J rows the window's q-bit digits select, one row per sub-table,
-    XOR-reduced straight into the accumulator's ring, whose words are in
-    the table's order.  So the cost is deg(poly) steps plus one or two
-    ring round trips between the accumulator's list and numpy per W
-    coefficients, regardless of the jump count encoded in ``poly``;
-    W = 128 from degree 127 up, with a table of at most 2^9 rows (1.3 MB
-    at k = 19937).  The block path takes the W steps faster than the
-    per-step loop, even with the output words it computes and the walk
-    drops.  Dead bits introduced by whole-word XORs never feed live
+    steps of an accumulator, then one XOR of the J rows the window's q-bit
+    digits select, one row per sub-table, XOR-reduced into the
+    accumulator, whose words are in the table's order.  So the cost is
+    deg(poly) steps plus one row gather per W coefficients, regardless of
+    the jump count encoded in ``poly``; W = 128 from degree 127 up, with a
+    table of at most 2^9 rows (1.3 MB at k = 19937).
+
+    When W steps take the block path (``Generator.block_recurrence``, the
+    five k = 19937 generators), the accumulator is one word stream, zero
+    at first: each window advances the ring at ``stream[pos : pos + n]``
+    by one ``blocks`` call on ``stream[pos : pos + n + W]``, whose output
+    words the walk drops, and XORs the row into the new ring at
+    ``pos + W`` in place.  The stream has room for 8 windows past the
+    ring, and the ring is copied back to its front when the room runs
+    out, as a generator's ring buffer is; a stream of n + deg(poly) + W
+    words, with no copies, raised the peak RSS of the five k = 19937
+    jumps by 0.2 MB.  Otherwise the accumulator is a scalar generator
+    taking W single steps, and its ring crosses to numpy and back for
+    each XOR.  Dead bits introduced by whole-word XORs never feed live
     coordinates and are cleared at the end.
     """
     from .generators import make_generator
@@ -633,18 +707,41 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
     q = rows.bit_length() - 1
     width = q * subtables
     which, shifts = np.arange(subtables), range(0, width, q)
-    bits = poly.bits
+    bits, top = poly.bits, poly.degree // width * width
+
+    def window_rows():
+        """Each window's table row, or None for a window of zeros, top first."""
+        for i in range(top, -1, -width):
+            v = (bits >> i) & ((1 << width) - 1)
+            yield np.bitwise_xor.reduce(
+                table[which, [(v >> s) & (rows - 1) for s in shifts]]
+            ) if v else None
+
     acc = make_generator(spec)  # zero state
-    for i in range(poly.degree // width * width, -1, -width):
-        acc.word_array(width)  # W steps; their output words are dropped
-        v = (bits >> i) & ((1 << width) - 1)
-        if v:
-            row = np.bitwise_xor.reduce(table[which, [(v >> s) & (rows - 1) for s in shifts]])
-            # array.array reads a list of ints about twice as fast as np.array
-            ring = np.frombuffer(array(table.dtype.char, acc.window), dtype=table.dtype)
-            acc.window = (ring ^ row[:n]).tolist()
-            if spec.has_lung:
-                acc.lung ^= int(row[n])
+    rec = acc.block_recurrence(width)
+    if rec is None:
+        for row in window_rows():
+            acc.step(width)
+            if row is not None:
+                # array.array reads a list of ints about twice as fast as np.array
+                ring = np.frombuffer(array(table.dtype.char, acc.window), dtype=table.dtype)
+                acc.window = (ring ^ row[:n]).tolist()
+                if spec.has_lung:
+                    acc.lung ^= int(row[n])
+    else:
+        stream = np.zeros(n + 8 * width, dtype=table.dtype)  # room for 8 windows
+        pos, lung = 0, acc.lung
+        for row in window_rows():
+            if pos + n + width > len(stream):
+                stream[:n] = stream[pos : pos + n]
+                pos = 0
+            _, lung = rec.blocks(stream[pos : pos + n + width], width, lung)
+            pos += width
+            if row is not None:
+                stream[pos : pos + n] ^= row[:n]
+                if spec.has_lung:
+                    lung ^= int(row[n])
+        acc.window, acc.lung = stream[pos : pos + n].tolist(), lung
     gen.set_raw_state(acc.get_raw_state())  # clears the dead bits
 
 

@@ -275,13 +275,15 @@ def test_unwritable_out_names_the_path(capsys):
 
 
 def test_jump_verify(capsys):
-    code, stdout, _ = run(
-        capsys, "jump", "--spec", "well1024a", "--steps", "12345", "--verify", "--json"
-    )
-    assert code == 0
-    payload = json.loads(stdout)
-    assert payload["verified"] is True
-    assert len(payload["outputs"]) == 5
+    for steps in (12345, -12345):  # a negative count jumps backward
+        code, stdout, _ = run(
+            capsys, "jump", "--spec", "well1024a", "--steps", str(steps), "--verify", "--json"
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["verified"] is True
+        assert payload["steps"] == steps
+        assert len(payload["outputs"]) == 5
 
 
 def test_jump_verify_refuses_huge_step_counts(capsys):
@@ -289,11 +291,10 @@ def test_jump_verify_refuses_huge_step_counts(capsys):
         capsys, "jump", "--spec", "well607b", "--steps", "2**31", "--verify"
     )
     assert code == 2  # argparse rejects the malformed integer
-    code, _, stderr = run(
-        capsys, "jump", "--spec", "well607b", "--steps", "5000000", "--verify"
-    )
-    assert code == 1
-    assert "--verify" in stderr
+    for steps in ("5000000", "-5000000"):
+        code, _, stderr = run(capsys, "jump", "--spec", "well607b", "--steps", steps, "--verify")
+        assert code == 1
+        assert "--verify" in stderr
 
 
 def test_jump_verify_limit_is_checked_before_jumping(capsys, monkeypatch):

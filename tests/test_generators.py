@@ -194,6 +194,23 @@ PARAMS_ERRORS = {
                     r"^transform shift 32 out of range for 32-bit words$"),
     "shift-left": ("well607b", "T2=ZERO\n", "T2=XS:-32\n",
                    r"^transform shift -32 out of range for 32-bit words$"),
+    "key-twice": ("mt19937", "n=624\n", "n=624\nn=625\n",
+                  r"^line 8: key 'n' given twice, first on line 7$"),
+    "bad-integer": ("mt19937", "m=397\n", "m=39x\n", r"^line 8: m=39x is not an integer literal$"),
+    "bad-folded-integer": ("melg607", "p=31\n", "p=3l\n",
+                           r"^line \d+: p=3l is not an integer literal$"),
+    "temper-on-melg": ("melg607", "lag=3\n", "lag=3\ntemper_u=11\n",
+                       r"^line \d+: unrecognized key 'temper_u'$"),
+    # each key the family's recurrence reads
+    "missing-mt-a": ("mt19937", "a=0x9908B0DF\n", "", r"^missing key 'a'$"),
+    "missing-mt-m": ("mt19937", "m=397\n", "", r"^missing key 'm1'$"),  # the three-tap form
+    "missing-mt-temper_u": ("mt19937", "temper_u=11\n", "", r"^missing key 'temper_u'$"),
+    "missing-mt64id3-m2": ("mt19937-64id3", "m2=151\n", "", r"^missing key 'm2'$"),
+    "missing-well-m3": ("well607b", "m3=13\n", "", r"^missing key 'm3'$"),
+    **{f"missing-melg-{key}": ("melg607", line, "", f"^missing key '{key}'$") for key, line in (
+        ("a", "a=0x81F1FD68012348BC\n"), ("b", "b=0x66EDC62A6BF8C826\n"), ("m", "m=5\n"),
+        ("lag", "lag=3\n"), ("s1", "s1=13\n"), ("s2", "s2=35\n"), ("s3", "s3=30\n"),
+    )},
 }
 
 

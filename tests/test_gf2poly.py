@@ -8,7 +8,7 @@ from itertools import cycle
 import numpy as np
 import pytest
 from _oracles import berlekamp_massey_prefix, horner_apply, square
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2spectra import get_spec, make_generator
@@ -21,6 +21,7 @@ from f2spectra.gf2poly import (
     _barrett_quotient,
     _fft_length,
     _mul_bits,
+    _product_bits,
     _window_table,
     apply_transition_polynomial,
     berlekamp_massey,
@@ -124,12 +125,28 @@ _PRODUCT_SIZES = [
     la=st.sampled_from(_PRODUCT_SIZES),
     lb=st.sampled_from(_PRODUCT_SIZES),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ones=st.just(False),
 )
-def test_fft_product_equals_schoolbook(la, lb, seed):
+# All-ones operands fill the packed fields the most: 2^15 - 2 coefficients
+# is the longest shorter operand that packs, and from 2^15 - 1 on a 15-bit
+# field would overflow without a trace in the rounding residual.
+@example(la=2**15 - 2, lb=2**15 - 2, seed=0, ones=True)
+@example(la=2**15 - 1, lb=2**15 - 1, seed=0, ones=True)
+@example(la=2**15 + 1, lb=2**15 + 1, seed=0, ones=True)
+@example(la=65_536, lb=65_536, seed=0, ones=True)
+@example(la=70_000, lb=70_000, seed=0, ones=True)
+def test_fft_product_equals_schoolbook(la, lb, seed, ones):
     rng = random.Random(seed)
-    a = rng.getrandbits(la) | (1 << (la - 1))
-    b = rng.getrandbits(lb) | (1 << (lb - 1))
+    a = (1 << la) - 1 if ones else rng.getrandbits(la) | (1 << (la - 1))
+    b = (1 << lb) - 1 if ones else rng.getrandbits(lb) | (1 << (lb - 1))
     assert _mul_bits(a, b) == _schoolbook_product(a, b)
+
+
+def test_packed_product_checks_its_field_width():
+    spectrum = np.fft.rfft(np.zeros(16))
+    assert not _product_bits(spectrum, 16, 2, 2**15 - 2).any()
+    with pytest.raises(ArithmeticError, match="overflows its 15-bit fields"):
+        _product_bits(spectrum, 16, 2, 2**15 - 1)
 
 
 def test_fft_length_is_the_smallest_smooth_size():
@@ -154,9 +171,9 @@ def test_barrett_reduce_matches_long_division_at_full_degree(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", recording)
     ctx.reduce(GF2Poly(random.Random(2).getrandbits(2 * d)))
     # the quotient product needs its high half unwrapped; the remainder
-    # product only its low d coefficients
-    assert lengths == [_fft_length(2 * d), _fft_length(d + 1)]
-    assert _fft_length(d + 1) < _fft_length(2 * d)
+    # product only its low d coefficients; both carry two to an element
+    assert lengths == [_fft_length(d), _fft_length((d + 2) // 2)]
+    assert _fft_length((d + 2) // 2) < _fft_length(d)
     rng = random.Random(19937)
     samples = [rng.getrandbits(2 * d) for _ in range(3)]
     samples += [
@@ -264,13 +281,15 @@ def test_pow_mod_matches_the_oracle_on_each_pairing_of_engines(mod, sparse_q, sp
             assert base.pow_mod(e, mod) == _pow_mod_oracle(base, e, mod), (base, e)
 
 
-@pytest.mark.parametrize("d", [2600, 2601])
+@pytest.mark.parametrize("d", [2600, 2601, 2**15 - 2, 2**15 - 1])
 def test_half_length_square_matches_long_division_on_random_moduli(d):
-    # delta = 2 ceil(d/2) - d is 0 at even d and 1 at odd d
+    # delta = 2 ceil(d/2) - d is 0 at even d and 1 at odd d; from 2^15 - 1
+    # on, the transforms take one coefficient per element
     rng = random.Random(d)
     mod = GF2Poly(1 << d | rng.getrandbits(d) | 1)
     ctx = _Barrett(mod)
     assert ctx.q_spectra is not None and ctx.mod_spectrum is not None
+    assert ctx.per == (2 if d < 2**15 - 1 else 1)
     assert ctx.q == (GF2Poly.x_power(2 * d) // mod).bits  # Newton's iteration
     half = (d + 1) // 2
     squares = [rng.getrandbits(d) for _ in range(4)]
@@ -336,7 +355,7 @@ def test_rounding_guard_checks_the_half_length_product(monkeypatch):
     d = mod.degree
     ctx = _Barrett(mod)
     exact = np.fft.irfft
-    half = _fft_length(d + 1)
+    half = _fft_length((d + 2) // 2)  # d + 1 coefficients, two to an element
 
     def skew_half_length(spectrum, n, *args, **kw):
         out = exact(spectrum, n, *args, **kw)
