@@ -274,7 +274,8 @@ def cmd_badseed(args: argparse.Namespace) -> Result:
     gen = make_generator(spec)
     gen.set_state_vector(BitVector.unit(spec.k, 0))
     jump_ahead(gen, -args.d)
-    text = format_seed_text(gen.get_raw_state(), spec)
+    state = gen.get_raw_state()
+    text = format_seed_text(state, spec)
     if args.out:
         Path(args.out).write_text(text)
         lines = [
@@ -283,7 +284,7 @@ def cmd_badseed(args: argparse.Namespace) -> Result:
         ]
     else:
         lines = [text.rstrip("\n")]
-    payload = {"name": spec.name, "d": args.d, "words": len(gen.get_raw_state().words)}
+    payload = {"name": spec.name, "d": args.d, "words": len(state.words)}
     return Result(payload, lines, [args.out] if args.out else [])
 
 

@@ -50,13 +50,13 @@ it computes up to ``span`` new words per numpy pass, where ``span`` is
 the longest run of steps in which no step reads a word an earlier step
 of the run wrote.
 
-``Generator.word_array`` is the one way many outputs leave a scalar
-generator; ``words`` and ``reals`` read it.  Long runs on a family with a
-long span (the five k = 19937 generators) copy the window into one word
-array and take the block path; short runs, and the k <= 1024
-generators, whose spans are 3-8 words, take the per-step loop, which
-holds the buffer and the constants in locals.  The per-step loop is also
-the oracle the tests hold the block path to.
+``advance_stream`` is the one place that chooses between the two: it
+advances a ring along one word array, and ``Generator.word_array`` (so
+``words`` and ``reals``) and the Horner walk of ``gf2poly`` both call
+it.  A family with a long span (the five k = 19937 generators) takes the
+block path at every count; the k <= 1024 generators, whose spans are 3-8
+words, take the per-step loop on one list copy of the stream.  The
+per-step loop is also the oracle the tests hold the block path to.
 """
 
 from __future__ import annotations
@@ -75,16 +75,12 @@ from ..bitlinalg import BitVector
 _INV32 = 1.0 / 4294967296.0  # 2^-32
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 
-#: ``Generator.word_array`` takes the block path for at least
-#: ``_BLOCK_WORDS`` words on a family whose span is at least
-#: ``_BLOCK_SPAN`` steps, and the per-step loop otherwise.  A numpy pass
-#: costs 15-45 us, as much as 10 MT, 30 WELL or 40 MELG steps (WELL's
+#: ``advance_stream`` takes the block path on a family whose span is at
+#: least ``_BLOCK_SPAN`` steps, and the per-step loop otherwise.  A numpy
+#: pass costs 15-45 us, as much as 10 MT, 30 WELL or 40 MELG steps (WELL's
 #: pass leaves a 0.45 us chain step per word), so those are the spans
 #: from which the block path pays; the bundled spans are 3-8 and 70-230.
-#: With the ring's round trip through a word array, the two paths break
-#: even at 45-95 words on the five k = 19937 generators.
 _BLOCK_SPAN = 40
-_BLOCK_WORDS = 64
 
 
 class Family(enum.Enum):
@@ -251,19 +247,20 @@ def canonical_rows(spec: GeneratorSpec, st: np.ndarray, lung: np.ndarray | None)
 class Recurrence(ABC):
     """One family's F2-linear recurrence, on either kind of ring.
 
-    ``run`` acts on a ring holder with attributes ``buf`` (a list of 2n
-    ints, or a (2n, E) array whose rows are words), ``start`` and
-    ``lung``: the ring is ``buf[start : start + n]``, oldest word first.
-    Every constant is cast once by ``cast`` (``int``, or the array's word
-    type) so one set of expressions serves both; left shifts are masked
-    explicitly because ints do not wrap.
+    ``run`` acts on a ring holder with attributes ``buf`` (a list of ints,
+    or an array whose rows are words), ``start`` and ``lung``: the ring
+    is ``buf[start : start + n]``, oldest word first, and the rest of
+    ``buf`` is room.  ``Generator``, ``ensemble.Ensemble`` and the plain
+    ``Ring`` are such holders.  Every constant is cast once by ``cast``
+    (``int``, or the array's word type) so one set of expressions serves
+    both; left shifts are masked explicitly because ints do not wrap.
 
     ``run`` is the family's per-step loop.  The step from window start c
     reads its operands at fixed offsets from c and writes the new newest
     word at c + n; ``blocks`` reads the same offsets from j.  ``span`` is
     the most steps the block path computes in one numpy pass; 0 turns it
-    off.  ``newest_first`` is the seed-file word order (see the module
-    docstring).
+    off.  ``advance_stream`` chooses between the two.  ``newest_first``
+    is the seed-file word order (see the module docstring).
     """
 
     newest_first = False
@@ -278,23 +275,23 @@ class Recurrence(ABC):
 
     def stretches(self, ring, count: int) -> Iterator[tuple[int, int]]:
         """(j, e) pairs, one per stretch of the buffer's room: the next
-        ``count`` steps start from the windows at j .. j + e - 1.
+        ``count`` steps start from the windows at j .. j + e - 1, e > 0.
 
         Moves the ring's ``start`` past each stretch before the caller runs
         it, and copies the window back to the front of the buffer when the
-        room runs out, between two stretches.
+        room has run out, before the next stretch.
         """
         n, buf, j = self.n, ring.buf, ring.start
         end = len(buf) - n  # the first window start with no room for a step
-        while True:
+        while count:
+            if j == end:
+                buf[:n] = buf[end:]
+                j = 0
             e = min(count, end - j)
             ring.start = j + e
             yield j, e
+            j += e
             count -= e
-            if not count:
-                return
-            buf[:n] = buf[end:]
-            j = 0
 
     @abstractmethod
     def run(self, ring, count: int, out: list | None = None) -> None:
@@ -320,6 +317,45 @@ def _array_recurrence(family: type[Recurrence], spec: GeneratorSpec) -> Recurren
     """The recurrence of ``spec`` with its constants cast to its word type,
     for the block path."""
     return family(spec, word_dtype(spec))
+
+
+def _words(values: list[int], dtype: np.dtype) -> np.ndarray:
+    """A list of words as a word array."""
+    # array.array reads a list of ints about twice as fast as np.array
+    return np.frombuffer(array(dtype.char, values), dtype=dtype)
+
+
+class Ring:
+    """A plain ring holder for ``Recurrence.run``: the ring is
+    ``buf[start : start + n]``, oldest word first, of a list or word array
+    with room past it, and ``lung`` is the lung word, or None."""
+
+    __slots__ = ("buf", "start", "lung")
+
+    def __init__(self, buf, lung) -> None:
+        self.buf, self.lung, self.start = buf, lung, 0
+
+
+def advance_stream(rec: Recurrence, stream: np.ndarray, count: int, lung):
+    """Advance the ring ``stream[:n]`` ``count`` steps along ``stream``.
+
+    ``stream`` is a word array of n + count words, the ring first in
+    logical order; on return ``stream[count:]`` is the advanced ring.
+    ``rec`` is the family's recurrence with int constants, and ``lung``
+    the lung word, or None.  Returns the ``count`` output words as a word
+    array, and the new lung.
+
+    A family whose span is at least ``_BLOCK_SPAN`` takes the block path
+    at every count.  The others run the per-step loop on one list copy of
+    the stream and copy back ``count`` words on, not n: a WELL step also
+    rewrites the word before the one it appends.
+    """
+    if rec.span >= _BLOCK_SPAN:
+        return _array_recurrence(type(rec), rec.spec).blocks(stream, count, lung)
+    ring, out = Ring(stream.tolist(), lung), []
+    rec.run(ring, count, out)
+    stream[count:] = _words(ring.buf[count:], stream.dtype)
+    return _words(out, stream.dtype), ring.lung
 
 
 class Generator:
@@ -370,35 +406,15 @@ class Generator:
         """Advance the recurrence ``count`` steps (no output)."""
         self.rec.run(self, count)
 
-    def block_recurrence(self, count: int) -> Recurrence | None:
-        """The recurrence cast to the word type, for the block path, when
-        ``count`` steps at a time take it, else None.
-
-        Runs of at least ``_BLOCK_WORDS`` steps of a family whose span is
-        at least ``_BLOCK_SPAN`` take the block path; the rest take the
-        per-step loop.
-        """
-        if count < _BLOCK_WORDS or self.rec.span < _BLOCK_SPAN:
-            return None
-        return _array_recurrence(type(self.rec), self.spec)
-
     def word_array(self, count: int) -> np.ndarray:
-        """The next ``count`` output words, as one word array.
-
-        On the block path (``block_recurrence``) the ring is copied into
-        one word array, advanced there and copied back.
-        """
+        """The next ``count`` output words, as one word array: the ring is
+        copied into a stream of n + count words, advanced there by
+        ``advance_stream`` and copied back."""
         n, dtype = self.spec.n, np.dtype(word_dtype(self.spec))
-        rec = self.block_recurrence(count)
-        if rec is None:
-            out: list[int] = []
-            self.rec.run(self, count, out)
-            return np.array(out, dtype=dtype)
-        buf = np.empty(n + count, dtype=dtype)
-        # array.array reads a list of ints about twice as fast as np.array
-        buf[:n] = np.frombuffer(array(dtype.char, self.window), dtype=dtype)
-        words, self.lung = rec.blocks(buf, count, self.lung)
-        self.window = buf[count:].tolist()
+        stream = np.empty(n + count, dtype=dtype)
+        stream[:n] = _words(self.window, dtype)
+        words, self.lung = advance_stream(self.rec, stream, count, self.lung)
+        self.window = stream[count:].tolist()
         return words
 
     def words(self, count: int) -> list[int]:

@@ -39,8 +39,8 @@ table holds J sub-tables of 2^q rows of n words, oldest first like the
 generator's ring (plus the lung), row v of sub-table j being
 v(B) B^(q j) x for a polynomial v of degree below q.  One XOR of J
 rows, one per sub-table, thus adds W = q J coefficients at once, in
-place on a word stream that the k = 19937 generators advance by their
-block path, W steps per call.
+place on one word stream, which ``generators.base.advance_stream``
+moves W steps per window on every generator.
 q = 4 and J = 32 give W = 128 from 2^9 rows, 1.3 MB at k = 19937; the
 wider q = 9 of a single table would need the same 2^9 rows for W = 9.
 A backward jump needs only that B is invertible, which p(0) = 1 states:
@@ -635,7 +635,8 @@ def _window_table(gen: "Generator", degree: int) -> np.ndarray:
     x0 is the state of ``gen``, its ring oldest word first and its lung,
     if any, as the last column, so the array has shape (J, 2^q, cols).
     Row 2^b of sub-table j is B^(q j + b) x0, taken from the first q J
-    states of one walker; the rows between 2^b and 2^(b+1) are the rows
+    states of a ``Ring`` copied from ``gen`` and stepped by ``gen.rec``
+    one step at a time; the rows between 2^b and 2^(b+1) are the rows
     below 2^b, each XORed with it, in q passes over all J sub-tables at
     once.
 
@@ -647,23 +648,22 @@ def _window_table(gen: "Generator", degree: int) -> np.ndarray:
     a smaller q the opposite.  Shorter polynomials take fewer sub-tables,
     one per q coefficients, and q shrinks below 4 coefficients.
     """
-    from .generators import make_generator
-    from .generators.base import word_dtype
+    from .generators.base import Ring, word_dtype
 
     spec = gen.spec
     dtype = np.dtype(word_dtype(spec))
-    cols = spec.n + (1 if spec.has_lung else 0)
+    n = spec.n
+    cols = n + (1 if spec.has_lung else 0)
     coeffs = max(1, degree + 1)
     q = min(4, coeffs)
     subtables = min(32, -(-coeffs // q))
-    walker = make_generator(spec)
-    walker.set_raw_state(gen.get_raw_state())
+    walker = Ring(gen.window + [0] * n, gen.lung)
     words = array(dtype.char)
     for _ in range(q * subtables):
-        words.extend(walker.window)
+        words.extend(walker.buf[walker.start : walker.start + n])
         if spec.has_lung:
             words.append(walker.lung)
-        walker.step()
+        gen.rec.run(walker, 1)
     powers = np.frombuffer(words, dtype=dtype).reshape(subtables, q, 1, cols)
     table = np.zeros((subtables, 1 << q, cols), dtype=dtype)
     for b in range(q):
@@ -684,65 +684,39 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
     the jump count encoded in ``poly``; W = 128 from degree 127 up, with a
     table of at most 2^9 rows (1.3 MB at k = 19937).
 
-    When W steps take the block path (``Generator.block_recurrence``, the
-    five k = 19937 generators), the accumulator is one word stream, zero
-    at first: each window advances the ring at ``stream[pos : pos + n]``
-    by one ``blocks`` call on ``stream[pos : pos + n + W]``, whose output
-    words the walk drops, and XORs the row into the new ring at
-    ``pos + W`` in place.  The stream has room for 8 windows past the
-    ring, and the ring is copied back to its front when the room runs
-    out, as a generator's ring buffer is; a stream of n + deg(poly) + W
-    words, with no copies, raised the peak RSS of the five k = 19937
-    jumps by 0.2 MB.  Otherwise the accumulator is a scalar generator
-    taking W single steps, and its ring crosses to numpy and back for
-    each XOR.  Dead bits introduced by whole-word XORs never feed live
-    coordinates and are cleared at the end.
+    The accumulator is one word stream, zero at first, held as a ``Ring``
+    with room for 8 windows past the ring and moved along it by
+    ``Recurrence.stretches``, which copies the ring back to the front when
+    the room runs out.  Each window advances the ring by
+    ``advance_stream`` (the block path on the five k = 19937 generators,
+    the per-step loop on the others), drops the output words, and XORs
+    the row into the new ring in place.  Dead bits introduced by
+    whole-word XORs never feed live coordinates and are cleared at the
+    end.
     """
-    from .generators import make_generator
+    from .generators.base import Ring, advance_stream
 
     spec = gen.spec
-    n = spec.n
+    n, rec = spec.n, gen.rec
     table = _window_table(gen, poly.degree)
     subtables, rows, _ = table.shape
     q = rows.bit_length() - 1
     width = q * subtables
     which, shifts = np.arange(subtables), range(0, width, q)
     bits, top = poly.bits, poly.degree // width * width
-
-    def window_rows():
-        """Each window's table row, or None for a window of zeros, top first."""
-        for i in range(top, -1, -width):
-            v = (bits >> i) & ((1 << width) - 1)
-            yield np.bitwise_xor.reduce(
-                table[which, [(v >> s) & (rows - 1) for s in shifts]]
-            ) if v else None
-
-    acc = make_generator(spec)  # zero state
-    rec = acc.block_recurrence(width)
-    if rec is None:
-        for row in window_rows():
-            acc.step(width)
-            if row is not None:
-                # array.array reads a list of ints about twice as fast as np.array
-                ring = np.frombuffer(array(table.dtype.char, acc.window), dtype=table.dtype)
-                acc.window = (ring ^ row[:n]).tolist()
-                if spec.has_lung:
-                    acc.lung ^= int(row[n])
-    else:
-        stream = np.zeros(n + 8 * width, dtype=table.dtype)  # room for 8 windows
-        pos, lung = 0, acc.lung
-        for row in window_rows():
-            if pos + n + width > len(stream):
-                stream[:n] = stream[pos : pos + n]
-                pos = 0
-            _, lung = rec.blocks(stream[pos : pos + n + width], width, lung)
-            pos += width
-            if row is not None:
-                stream[pos : pos + n] ^= row[:n]
-                if spec.has_lung:
-                    lung ^= int(row[n])
-        acc.window, acc.lung = stream[pos : pos + n].tolist(), lung
-    gen.set_raw_state(acc.get_raw_state())  # clears the dead bits
+    acc = Ring(np.zeros(n + 8 * width, dtype=table.dtype), 0 if spec.has_lung else None)
+    for i in range(top, -1, -width):
+        for j, e in rec.stretches(acc, width):
+            _, acc.lung = advance_stream(rec, acc.buf[j : j + n + e], e, acc.lung)
+        v = (bits >> i) & ((1 << width) - 1)
+        if v:
+            row = np.bitwise_xor.reduce(table[which, [(v >> s) & (rows - 1) for s in shifts]])
+            acc.buf[acc.start : acc.start + n] ^= row[:n]
+            if spec.has_lung:
+                acc.lung ^= int(row[n])
+    ring = acc.buf[acc.start : acc.start + n].tolist()
+    ring[0] &= spec.upper_mask  # the oldest word's dead bits
+    gen.window, gen.lung = ring, acc.lung
 
 
 def jump_ahead(gen: "Generator", steps: int) -> None:

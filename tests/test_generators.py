@@ -589,13 +589,12 @@ def _per_step_words(gen, count):
 
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_block_path_equals_the_per_step_loop(spec, monkeypatch):
-    # Every family takes the block path from _BLOCK_WORDS words on, whatever
-    # its span, so the small generators and the toys test it too.
+    # Every family takes the block path at every count, whatever its span,
+    # so the small generators and the toys test it too.
     monkeypatch.setattr(base, "_BLOCK_SPAN", 1)
     span = make_generator(spec).rec.span
     assert span >= 1
-    counts = {base._BLOCK_WORDS - 1, base._BLOCK_WORDS, span - 1, span, span + 1,
-              spec.n, 2 * spec.n + 3}
+    counts = {1, 2, span - 1, span, span + 1, spec.n, 2 * spec.n + 3} - {0}
     if spec.name in ALL_NAMES:  # the toys' spans of 1-2 words would take seconds
         counts.add(40000)
     for start in _offsets(spec):
@@ -631,20 +630,46 @@ def test_block_readers_equal_their_per_step_versions(name):
     assert trace.values.tolist() == expected  # both divisions are correctly rounded
 
 
-def test_small_spans_and_counts_keep_the_per_step_loop(monkeypatch):
-    def no_blocks(family, spec):
-        raise AssertionError(f"{spec.name} took the block path")
+SMALL_SPAN_NAMES = ("well607b", "well1024a", "melg607")
 
-    monkeypatch.setattr(base, "_array_recurrence", no_blocks)
-    for name in ("well607b", "well1024a", "melg607"):
+
+@pytest.mark.parametrize("name", SMALL_SPAN_NAMES)
+def test_word_array_on_the_per_step_path_equals_the_per_step_loop(name):
+    # A WELL step rewrites the word before the one it appends, so the
+    # stream is copied back from word count on, not from word n.
+    spec = get_spec(name)
+    for start in _offsets(spec):
+        for count in (1, 2, spec.n - 1, spec.n, spec.n + 1):
+            stream, single = _at_offset(spec, 5, start), _at_offset(spec, 5, start)
+            words = stream.word_array(count)
+            assert words.dtype == np.dtype(word_dtype(spec)), (start, count)
+            assert words.tolist() == _per_step_words(single, count), (start, count)
+            assert stream.window == single.window, (start, count)
+            assert stream.lung == single.lung, (start, count)
+
+
+def test_the_span_alone_picks_the_block_path(monkeypatch):
+    reached, array_recurrence = [], base._array_recurrence
+
+    def record(family, spec):
+        reached.append(spec.name)
+        return array_recurrence(family, spec)
+
+    monkeypatch.setattr(base, "_array_recurrence", record)
+    counts = (1, 2, 63, 64, 5000)
+    for name in SMALL_SPAN_NAMES:
         assert make_generator(name).rec.span < base._BLOCK_SPAN
-        make_generator(name, seed=1).word_array(5000)
-    for name in ("mt19937", "well19937a", "melg19937"):
+        gen = make_generator(name, seed=1)
+        for count in counts:
+            gen.word_array(count)
+    assert reached == []
+    for name in ("mt19937", "mt19937-64id1", "mt19937-64id3", "well19937a", "melg19937"):
         assert make_generator(name).rec.span >= base._BLOCK_SPAN
         gen = make_generator(name, seed=1)
-        gen.word_array(base._BLOCK_WORDS - 1)
-        with pytest.raises(AssertionError, match="took the block path"):
-            gen.word_array(base._BLOCK_WORDS)
+        for count in counts:
+            gen.word_array(count)
+            assert reached.pop() == name, count
+            assert reached == []
 
 
 def test_spans_of_the_bundled_generators():
