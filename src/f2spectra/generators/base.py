@@ -51,12 +51,14 @@ the longest run of steps in which no step reads a word an earlier step
 of the run wrote.
 
 ``advance_stream`` is the one place that chooses between the two: it
-advances a ring along one word array, and ``Generator.word_array`` (so
-``words`` and ``reals``) and the Horner walk of ``gf2poly`` both call
-it.  A family with a long span (the five k = 19937 generators) takes the
-block path at every count; the k <= 1024 generators, whose spans are 3-8
-words, take the per-step loop on one list copy of the stream.  The
-per-step loop is also the oracle the tests hold the block path to.
+advances a ring along one word array, forming the output words or not,
+and ``Generator.word_array`` (so ``words`` and ``reals``), the Horner
+walk of ``gf2poly`` and ``stream_states``, which gives the walk's table
+its first states, all call it.  A family with a long span (the five
+k = 19937 generators) takes the block path at every count; the
+k <= 1024 generators, whose spans are 3-8 words, take the per-step loop
+on one list copy of the stream.  The per-step loop is also the oracle
+the tests hold the block path to.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import enum
 from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -259,8 +261,9 @@ class Recurrence(ABC):
     reads its operands at fixed offsets from c and writes the new newest
     word at c + n; ``blocks`` reads the same offsets from j.  ``span`` is
     the most steps the block path computes in one numpy pass; 0 turns it
-    off.  ``advance_stream`` chooses between the two.  ``newest_first``
-    is the seed-file word order (see the module docstring).
+    off.  ``advance_stream`` chooses between the two, and runs ``blocks``
+    on ``block_form``.  ``newest_first`` is the seed-file word order (see
+    the module docstring).
     """
 
     newest_first = False
@@ -301,15 +304,21 @@ class Recurrence(ABC):
         """
 
     @abstractmethod
-    def blocks(self, buf: np.ndarray, count: int, lung):
+    def blocks(self, buf: np.ndarray, count: int, lung, emit: bool):
         """Advance one stream ``count`` steps, ``span`` steps per numpy pass.
 
         ``buf`` holds n + count words, the first n of them the ring in
         logical order; on return its last n words are the advanced ring.
         ``lung`` is the lung word, or None.  Returns the ``count`` output
-        words as an array, and the new lung.  The instance's constants
-        must be cast to ``buf``'s word type.
+        words as an array, or None unless ``emit``, and the new lung.  The
+        instance's constants must be cast to ``buf``'s word type.
         """
+
+    @cached_property
+    def block_form(self) -> "Recurrence":
+        """This recurrence with its constants cast to its word type, for
+        the block path; resolved once per instance."""
+        return _array_recurrence(type(self), self.spec)
 
 
 @lru_cache(maxsize=None)
@@ -336,26 +345,57 @@ class Ring:
         self.buf, self.lung, self.start = buf, lung, 0
 
 
-def advance_stream(rec: Recurrence, stream: np.ndarray, count: int, lung):
+def advance_stream(rec: Recurrence, stream: np.ndarray, count: int, lung, emit: bool = True):
     """Advance the ring ``stream[:n]`` ``count`` steps along ``stream``.
 
     ``stream`` is a word array of n + count words, the ring first in
-    logical order; on return ``stream[count:]`` is the advanced ring.
-    ``rec`` is the family's recurrence with int constants, and ``lung``
-    the lung word, or None.  Returns the ``count`` output words as a word
-    array, and the new lung.
+    logical order; on return it holds every word the steps wrote, so
+    ``stream[count:]`` is the advanced ring.  ``rec`` is the family's
+    recurrence with int constants, and ``lung`` the lung word, or None.
+    Returns the ``count`` output words as a word array, or None unless
+    ``emit`` (no output map runs then), and the new lung.
 
     A family whose span is at least ``_BLOCK_SPAN`` takes the block path
     at every count.  The others run the per-step loop on one list copy of
-    the stream and copy back ``count`` words on, not n: a WELL step also
-    rewrites the word before the one it appends.
+    the stream and copy it back from word n - 1 on, not n: a WELL step
+    also rewrites the word before the one it appends.
     """
     if rec.span >= _BLOCK_SPAN:
-        return _array_recurrence(type(rec), rec.spec).blocks(stream, count, lung)
-    ring, out = Ring(stream.tolist(), lung), []
+        return rec.block_form.blocks(stream, count, lung, emit)
+    ring, out = Ring(stream.tolist(), lung), [] if emit else None
     rec.run(ring, count, out)
-    stream[count:] = _words(ring.buf[count:], stream.dtype)
-    return _words(out, stream.dtype), ring.lung
+    stream[rec.n - 1 :] = _words(ring.buf[rec.n - 1 :], stream.dtype)
+    return (None if out is None else _words(out, stream.dtype)), ring.lung
+
+
+def stream_states(gen: Generator, count: int) -> np.ndarray:
+    """The states of ``gen`` after 0 .. count - 1 steps, one row each: the
+    ring oldest word first, then the lung when present.  ``gen`` does not
+    move.
+
+    The rows come from one stream of n + count - 1 words that
+    ``advance_stream`` runs: state i is the window ``stream[i : i + n]``,
+    with two exceptions.  A WELL step rewrites the word before the one it
+    appends, so the stream keeps each step's z3 where its state had the
+    newest word; that word is the one the step before emits.  A MELG
+    state's lung is not in the stream; ``Melg.lungs`` reads it back.
+    """
+    spec, rec = gen.spec, gen.rec
+    n, dtype = spec.n, np.dtype(word_dtype(spec))
+    stream = np.empty(n + count - 1, dtype=dtype)
+    stream[:n] = _words(gen.window, dtype)
+    newest = stream[n - 1]
+    well = spec.family is Family.WELL
+    words, _ = advance_stream(rec, stream, count - 1, gen.lung, emit=well)
+    states = np.empty((count, n + (1 if spec.has_lung else 0)), dtype=dtype)
+    states[:, :n] = np.lib.stride_tricks.sliding_window_view(stream, n)
+    if well:
+        states[0, n - 1] = newest
+        states[1:, n - 1] = words
+    if spec.has_lung:
+        states[0, n] = gen.lung
+        states[1:, n] = rec.block_form.lungs(stream, count - 1)
+    return states
 
 
 class Generator:

@@ -23,10 +23,14 @@ power of two P with s1 P >= w (A^P = I + L^(s1 P)), so
 and A^e for e < P is the product of I + L^(s1 2^b) over the set bits b
 of e.  The lagged word of step j is x[j + lag] (with lag n for a lag of
 0: the word just written), which the block path reads from the
-finished array, so the lag does not bound the span.
+finished array, so the lag does not bound the span.  ``Melg.lungs``
+reads each step's lung back from the word it appended, for the states
+``base.stream_states`` takes from a stream.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -59,19 +63,27 @@ class Melg(Recurrence):
                     emit(temper(v, buf[c + lag]))
         ring.lung = lung
 
-    def _lung_factors(self, sign: int) -> list[tuple[int, np.ndarray]]:
-        """(s1 2^b, word mask where bit b of (sign (t + 1)) mod P is set,
-        else 0), one pair per factor I + L^(s1 2^b) of A^(sign (t + 1))."""
+    @cached_property
+    def lung_factors(self) -> tuple[list[tuple[int, np.ndarray]], ...]:
+        """The factors of A^-(t + 1) and of A^(t + 1), for the block path's
+        lung scan: per factor I + L^(s1 2^b), the pair (s1 2^b, word mask
+        where bit b of (-(t + 1)) mod P, or of (t + 1) mod P, is set, else
+        0).  Built once per recurrence."""
         w, s1 = self.spec.w, self.spec.s1
         period = 1 << (-(-w // s1) - 1).bit_length()  # the smallest power of two >= w / s1
-        powers = sign * np.arange(1, self.span + 1) % period
-        return [(s1 << b, np.where(powers >> b & 1, self.mask, 0).astype(type(self.mask)))
-                for b in range(period.bit_length() - 1)]
+        factors = []
+        for sign in (-1, 1):
+            powers = sign * np.arange(1, self.span + 1) % period
+            factors.append([
+                (s1 << b, np.where(powers >> b & 1, self.mask, 0).astype(type(self.mask)))
+                for b in range(period.bit_length() - 1)
+            ])
+        return tuple(factors)
 
-    def blocks(self, buf, count, lung):
+    def blocks(self, buf, count, lung, emit):
         n, m, span, upper, lower, a = self.n, self.spec.m, self.span, self.upper, self.lower, self.a
         s2, lag = self.spec.s2, self.lag
-        inverse, forward = self._lung_factors(-1), self._lung_factors(1)
+        inverse, forward = self.lung_factors
         lung = self.mask & lung
         for j in range(0, count, span):
             e = min(span, count - j)
@@ -85,4 +97,17 @@ class Melg(Recurrence):
                 scan ^= (scan << shift) & where[:e]
             lung = scan[-1]  # the scan now holds l[1..e]
             buf[n + j : n + j + e] = x ^ scan ^ (scan >> s2)
-        return self.temper(buf[n:], buf[lag : lag + count]), int(lung)
+        return (self.temper(buf[n:], buf[lag : lag + count]) if emit else None), int(lung)
+
+    def lungs(self, buf, count):
+        """The lung after each of the ``count`` steps that appended
+        ``buf[n:]`` to the ring ``buf[:n]``, read back from the words they
+        appended: x[j + n] ^ x' is l ^ (l >> s2), which the product of
+        I + R^(s2 2^b) over s2 2^b < w inverts (R the right shift)."""
+        x = (buf[:count] & self.upper) | (buf[1 : count + 1] & self.lower)
+        lung = buf[self.n :] ^ x
+        shift = self.spec.s2
+        while shift < self.spec.w:
+            lung ^= lung >> shift
+            shift <<= 1
+        return lung

@@ -51,7 +51,7 @@ class Mt(Recurrence):
                 if emit is not None:
                     emit(temper(v))
 
-    def blocks(self, buf, count, lung):
+    def blocks(self, buf, count, lung, emit):
         n, span, upper, lower, a = self.n, self.span, self.upper, self.lower, self.a
         for j in range(0, count, span):
             e = min(span, count - j)
@@ -61,4 +61,4 @@ class Mt(Recurrence):
             new ^= (x & 1) * a
             for t in self.taps:  # every tap reads a word older than the block
                 new ^= buf[j + t : j + t + e]
-        return self.temper(buf[n:]), lung
+        return (self.temper(buf[n:]) if emit else None), lung

@@ -93,7 +93,7 @@ class Well(Recurrence):
             tables.append((t5(y) ^ t7(y)).tolist())
         return tuple(tables)
 
-    def blocks(self, buf, count, lung):
+    def blocks(self, buf, count, lung, emit):
         n, span, upper, lower = self.n, self.span, self.upper, self.lower
         t0, t1, t2, t3, t4, t5, t6, t7 = self.t
         g0, g1, g2, g3 = self.chain_tables
@@ -115,4 +115,4 @@ class Well(Recurrence):
             newest[j + 1 : j + e + 1] = chain
             buf[n - 1 + j : n - 1 + j + e] = t0(newest[j : j + e]) ^ z3_tap
         buf[n - 1 + count] = y
-        return newest[1:], lung
+        return (newest[1:] if emit else None), lung

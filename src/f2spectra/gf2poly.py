@@ -22,13 +22,18 @@ guard of 0.25.
 Squaring respaces bits, and ``_Barrett``, which ``pow_mod`` builds once
 per call, reduces the square modulo a fixed polynomial of degree d with
 two products by fixed operands, q = t^(2d) // mod and the modulus.  Each
-operand picks its engine by its weight: a shift-XOR loop over its set
-bits when it is sparse (mt19937's have 161 and 135), else its spectra,
-computed once.  The quotient of a square then takes three transforms of
+operand picks its engine by its weight: shifts and XORs over its set
+bits when it is sparse (mt19937's have 161 and 135), paired at a common
+distance so that a pair costs one shift, else its spectra, computed
+once.  The quotient of a square then takes three transforms of
 half the full product's length, not two of the full length: the high
 half of x^2 is x's upper half respaced, so it meets q's even and odd
 halves in two half-length products.  With the remainder's two, a dense
 reduced square at k = 19937 makes five transforms of 10240 elements.
+Around them, each inverse transform rounds and decodes only the
+elements whose coefficients the square keeps, about half of them for
+the quotient, and the quotient's two halves are packed straight into
+the remainder's transform.
 
 ``berlekamp_massey`` recovers the minimal LFSR connection polynomial of
 a bit sequence; fed 2k+64 output bits of a k-dimensional generator it
@@ -37,10 +42,13 @@ returns the full characteristic polynomial p of the transition matrix B.
 g = t^steps mod p at B on the state by a sliding-window Horner walk.  Its
 table holds J sub-tables of 2^q rows of n words, oldest first like the
 generator's ring (plus the lung), row v of sub-table j being
-v(B) B^(q j) x for a polynomial v of degree below q.  One XOR of J
-rows, one per sub-table, thus adds W = q J coefficients at once, in
-place on one word stream, which ``generators.base.advance_stream``
-moves W steps per window on every generator.
+v(B) B^(q j) x for a polynomial v of degree below q; their q J powers
+of B are the first states of one stream run
+(``generators.base.stream_states``).  One XOR of J rows, one per
+sub-table, thus adds W = q J coefficients at once, in place on one word
+stream, which ``generators.base.advance_stream`` moves W steps per
+window on every generator without forming output words.  The rows each
+window selects, one per nibble of g, are found for all windows at once.
 q = 4 and J = 32 give W = 128 from 2^9 rows, 1.3 MB at k = 19937; the
 wider q = 9 of a single table would need the same 2^9 rows for W = 9.
 A backward jump needs only that B is invertible, which p(0) = 1 states:
@@ -50,7 +58,7 @@ shift and at most one XOR, as it multiplies by t.  No period is assumed.
 
 from __future__ import annotations
 
-from array import array
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -73,11 +81,11 @@ _ROUNDING_GUARD = 0.25
 #: Width of each field of a packed transform element, c_2j + c_(2j+1) 2^15.
 _FIELD_BITS = 15
 #: Above the FFT threshold, a fixed Barrett operand lighter than this many
-#: set bits multiplies by a shift-XOR loop over them, and a heavier one by
-#: its cached spectra.  At k = 19937 the loop measured as fast as the
-#: packed transforms at about 1200 bits of q and 400 of the modulus, whose
-#: loop shifts left into twice as many words.  mt19937-64id1, at 579 and
-#: 285 bits, jumps both ways in 58 ms on the loops and 101 ms on spectra.
+#: set bits multiplies by shifts and XORs (``_shift_plan``), and a heavier
+#: one by its cached spectra.  At k = 19937 a plain loop over the set bits
+#: measured as fast as the packed transforms at about 1200 bits of q and
+#: 400 of the modulus, whose loop shifts left into twice as many words;
+#: the paired plans make the shift side cheaper still.
 _SPARSE_QUOTIENT_WEIGHT = 1024
 _SPARSE_MODULUS_WEIGHT = 384
 
@@ -119,20 +127,43 @@ def _pack_table() -> np.ndarray:
     return bits[:, 0::2] + bits[:, 1::2] * float(1 << _FIELD_BITS)
 
 
-def _spectrum(x: int, n: int, per: int) -> np.ndarray:
-    """Real FFT of the coefficients of ``x``, ``per`` to an element (1 or
-    2, see ``_per_element``), zero-padded to n elements."""
+def _elements(x: int, per: int) -> np.ndarray:
+    """The coefficients of ``x``, ``per`` to a transform element (1 or 2,
+    see ``_per_element``)."""
     if per == 2:
-        return np.fft.rfft(_pack_table()[_bytes_of(x)].reshape(-1), n)
-    return np.fft.rfft(np.unpackbits(_bytes_of(x), bitorder="little"), n)
+        return _pack_table()[_bytes_of(x)].reshape(-1)
+    return np.unpackbits(_bytes_of(x), bitorder="little")
 
 
-def _product_bits(spectrum: np.ndarray, n: int, per: int, short: int) -> np.ndarray:
-    """Invert a product spectrum of n elements and round it to its per n
-    GF(2) coefficients, the cyclic product modulo t^(per n) - 1.
+def _interleaved(even: np.ndarray, odd: np.ndarray, per: int) -> np.ndarray:
+    """The transform elements, ``per`` coefficients to one, of the
+    polynomial whose even and odd coefficients are the bit arrays ``even``
+    and ``odd``, which is no longer: a packed element is even_j + odd_j 2^15."""
+    if per == 2:
+        elements = even.astype(np.float64)
+        elements[: len(odd)] += odd * float(1 << _FIELD_BITS)
+        return elements
+    bits = np.empty(len(even) + len(odd), dtype=np.uint8)
+    bits[0::2], bits[1::2] = even, odd
+    return bits
 
+
+def _spectrum(x: int, n: int, per: int) -> np.ndarray:
+    """Real FFT of the coefficients of ``x``, ``per`` to an element,
+    zero-padded to n elements."""
+    return np.fft.rfft(_elements(x, per), n)
+
+
+def _product_bits(
+    spectrum: np.ndarray, n: int, per: int, short: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Invert a product spectrum of n elements and round it to GF(2)
+    coefficients ``start`` .. ``stop`` - 1 of the cyclic product modulo
+    t^(per n) - 1, all per n of them by default.
+
+    Only the elements those coefficients read are rounded and decoded.
     ``short`` is the shorter operand's coefficient count.  Raises
-    ``ArithmeticError`` when any element lies ``_ROUNDING_GUARD`` or
+    ``ArithmeticError`` when any element read lies ``_ROUNDING_GUARD`` or
     further from an integer, as the rounding could then pick the wrong
     parity, and when a packed product's fields could overflow into each
     other, which no rounding check can see.  Coefficient 2j is the parity
@@ -144,7 +175,15 @@ def _product_bits(spectrum: np.ndarray, n: int, per: int, short: int) -> np.ndar
             f"packed FFT product of length {n} is not exact: "
             f"a {short}-coefficient operand overflows its {_FIELD_BITS}-bit fields"
         )
+    if stop is None:
+        stop = per * n
     c = np.fft.irfft(spectrum, n)
+    if per == 2:
+        first, last = start // 2, (stop + 1) // 2
+        # elements first - 1 (for its high field) .. last - 1
+        c = c[first - 1 : last] if first else np.concatenate((c[-1:], c[:last]))
+    else:
+        c = c[start:stop]
     counts = np.rint(c)
     c -= counts
     residual = float(np.abs(c, out=c).max())
@@ -156,17 +195,66 @@ def _product_bits(spectrum: np.ndarray, n: int, per: int, short: int) -> np.ndar
     if per == 1:
         fields &= 1
         return fields.astype(np.uint8)
-    high = fields >> 2 * _FIELD_BITS
-    fields[1:] ^= high[:-1]
-    fields[0] ^= high[-1]
-    fields &= 1 | 1 << _FIELD_BITS
-    fields |= fields >> _FIELD_BITS - 8  # coefficient 2j + 1 to bit 8
-    return fields.astype("<u2").view(np.uint8) & 1
+    low = fields[1:]
+    low ^= fields[:-1] >> 2 * _FIELD_BITS
+    low &= 1 | 1 << _FIELD_BITS
+    low |= low >> _FIELD_BITS - 8  # coefficient 2j + 1 to bit 8
+    bits = low.astype("<u2").view(np.uint8) & 1  # coefficients 2 first .. 2 last - 1
+    return bits[start - 2 * first : stop - 2 * first]
 
 
 def _exponents(x: int) -> list[int]:
     """Exponents of the set bits of ``x``, ascending."""
     return np.flatnonzero(np.unpackbits(_bytes_of(x), bitorder="little")).tolist()
+
+
+def _shift_plan(shifts: list[int]):
+    """How to XOR an operand shifted by each of ``shifts`` with fewer
+    shifts: ``shifts`` sorted, or (delta, pairs, rest).
+
+    y shifted by x and by x + delta XOR to y ^ (y shifted by delta),
+    shifted by x, so after one shared shift each pair costs one shift, not
+    two.  delta is the most common difference between two of the shifts;
+    ``pairs`` plans the x paired off with x + delta, in ascending order,
+    and ``rest`` the others, each in turn the same way.  A plan pairs
+    while that saves a shift, at two pairs or more.
+    """
+    xs = sorted(shifts)
+    if len(xs) < 4:  # two pairs need four shifts
+        return xs
+    delta = _common_difference(xs)
+    members, partners, pairs, rest = set(xs), set(), [], []
+    for x in xs:
+        if x in partners:
+            continue
+        if x + delta in members:
+            partners.add(x + delta)
+            pairs.append(x)
+        else:
+            rest.append(x)
+    if len(pairs) < 2:
+        return xs
+    return delta, _shift_plan(pairs), _shift_plan(rest)
+
+
+def _common_difference(xs: list[int]) -> int:
+    """The most common difference between two of the ascending ``xs``."""
+    values = np.array(xs)
+    counts = np.zeros(xs[-1] - xs[0] + 1, dtype=np.int32)
+    for i in range(len(xs) - 1):  # one row at a time, whose differences are distinct
+        counts[values[i + 1 :] - values[i]] += 1
+    return int(counts.argmax())
+
+
+def _shifted_sum(y: int, plan, shift) -> int:
+    """The XOR of ``shift(y, x)`` over the shifts x of a ``_shift_plan``."""
+    if isinstance(plan, list):
+        acc = 0
+        for x in plan:
+            acc ^= shift(y, x)
+        return acc
+    delta, pairs, rest = plan
+    return _shifted_sum(y ^ shift(y, delta), pairs, shift) ^ _shifted_sum(y, rest, shift)
 
 
 def _from_bit_vector(bits: np.ndarray) -> int:
@@ -369,10 +457,13 @@ class _Barrett:
     its engine by its weight w:
 
     - w below ``_SPARSE_QUOTIENT_WEIGHT`` (q) or ``_SPARSE_MODULUS_WEIGHT``
-      (the modulus): a shift-XOR loop over its w set bits, exact and free
+      (the modulus): shifts and XORs over its w set bits, exact and free
       of transforms.  The quotient is the XOR of ``hi >> (d - e)`` over
       q's exponents e, and the remainder the XOR of ``qhat << e`` over the
-      modulus's exponents into r.
+      modulus's exponents into r, each taken by a ``_shift_plan`` that
+      pairs exponents at a common distance: 48 and 34 shifts for
+      mt19937's 161 and 135 set bits, 147 and 58 for mt19937-64id1's 579
+      and 285.
     - otherwise spectra computed once, all of m elements, where
       ``per`` = ``_per_element(d)`` coefficients share an element (2 up
       to d = 32766, as the variable operands have below d coefficients)
@@ -392,8 +483,11 @@ class _Barrett:
         products of halves that fit in M coefficients without wrapping,
         and the quotient's even and odd coefficients are a's and b's from
         index (d - delta)/2 on: one forward and two inverse transforms of
-        m elements, where the full product needs two of twice that.  The
-        quotient of a general ``reduce`` is a plain ``_mul_bits`` product.
+        m elements, where the full product needs two of twice that.  Each
+        inverse decodes only the quotient coefficients it yields, and
+        ``_interleaved`` packs the two halves into the remainder's
+        transform elements directly.  The quotient of a general
+        ``reduce`` is a plain ``_mul_bits`` product.
 
     A square of degree below d needs no reduction at all.  At d up to the
     threshold both products stay on the schoolbook loop, and inputs of
@@ -414,14 +508,14 @@ class _Barrett:
         self.per = per = _per_element(d)
         self.m = m = _fft_length(-(-(d + 1) // per))
         if self.q.bit_count() < _SPARSE_QUOTIENT_WEIGHT:
-            self.q_shifts = [d - e for e in _exponents(self.q)]
+            self.q_shifts = _shift_plan([d - e for e in _exponents(self.q)])
         else:
             halves = np.unpackbits(_bytes_of(self.q), bitorder="little")
             self.q_spectra = tuple(
                 _spectrum(_from_bit_vector(half), m, per) for half in (halves[0::2], halves[1::2])
             )
         if mod.weight < _SPARSE_MODULUS_WEIGHT:
-            self.mod_terms = _exponents(mod.bits)
+            self.mod_terms = _shift_plan(_exponents(mod.bits))
         else:
             self.mod_spectrum = _spectrum(mod.bits, m, per)
 
@@ -444,36 +538,39 @@ class _Barrett:
         m, per, lo = self.m, self.per, d // 2
         upper = x >> (d + 1) // 2
         u, short = _spectrum(upper, m, per), upper.bit_length()
-        even, odd = self.q_spectra
-        qhat = np.empty(d, dtype=np.uint8)
-        qhat[0::2] = _product_bits(u * even, m, per, short)[lo : lo + (d + 1) // 2]
-        qhat[1::2] = _product_bits(u * odd, m, per, short)[lo : lo + d // 2]
-        return self._remainder(r, _from_bit_vector(qhat))
+        q0, q1 = self.q_spectra
+        even = _product_bits(u * q0, m, per, short, lo, lo + (d + 1) // 2)
+        odd = _product_bits(u * q1, m, per, short, lo, lo + d // 2)
+        if self.mod_spectrum is None:
+            return self._remainder(r, _from_bit_vector(_interleaved(even, odd, 1)))
+        return self._wrapped_remainder(r, _interleaved(even, odd, per))
 
     def _quotient(self, hi: int) -> int:
         """(hi * q) >> d, for hi of degree below d."""
         if self.q_shifts is None:
             return _mul_bits(hi, self.q) >> self.d
-        qhat = 0
-        for s in self.q_shifts:
-            qhat ^= hi >> s
-        return qhat
+        return _shifted_sum(hi, self.q_shifts, operator.rshift)
 
     def _remainder(self, r: int, qhat: int) -> int:
         """The low d coefficients of r - qhat * mod, all of it when qhat is
         the quotient r // mod."""
         if self.mod_terms is not None:
-            for e in self.mod_terms:
-                r ^= qhat << e
+            r ^= _shifted_sum(qhat, self.mod_terms, operator.lshift)
         elif self.mod_spectrum is not None and qhat.bit_length() > _FFT_THRESHOLD_BITS:
-            m, per = self.m, self.per
-            spectrum = _spectrum(qhat, m, per)
-            spectrum *= self.mod_spectrum
-            wrapped = _product_bits(spectrum, m, per, qhat.bit_length())
-            r ^= _from_bit_vector(wrapped) ^ (r >> per * m)
+            return self._wrapped_remainder(r, _elements(qhat, self.per))
         else:
             r ^= _mul_bits(qhat, self.mod.bits)
         return r & self.low_mask
+
+    def _wrapped_remainder(self, r: int, qhat: np.ndarray) -> int:
+        """``_remainder`` by the modulus's spectrum, for qhat given as its
+        transform elements: the low d coefficients of the wrapped product,
+        XOR r and r's wrapped part."""
+        m, per, d = self.m, self.per, self.d
+        spectrum = np.fft.rfft(qhat, m)
+        spectrum *= self.mod_spectrum
+        wrapped = _product_bits(spectrum, m, per, d, 0, d)
+        return (r ^ (r >> per * m) ^ _from_bit_vector(wrapped)) & self.low_mask
 
 
 #: Steps per slice of the reversed sequence in ``berlekamp_massey``, and
@@ -634,11 +731,10 @@ def _window_table(gen: "Generator", degree: int) -> np.ndarray:
 
     x0 is the state of ``gen``, its ring oldest word first and its lung,
     if any, as the last column, so the array has shape (J, 2^q, cols).
-    Row 2^b of sub-table j is B^(q j + b) x0, taken from the first q J
-    states of a ``Ring`` copied from ``gen`` and stepped by ``gen.rec``
-    one step at a time; the rows between 2^b and 2^(b+1) are the rows
-    below 2^b, each XORed with it, in q passes over all J sub-tables at
-    once.
+    Row 2^b of sub-table j is B^(q j + b) x0, one of the first q J states
+    that ``generators.base.stream_states`` takes from one stream; the rows
+    between 2^b and 2^(b+1) are the rows below 2^b, each XORed with it, in
+    q passes over all J sub-tables at once.
 
     A window of the walk is W = q J coefficients, and it costs one XOR of
     J selected rows, so the table's J 2^q rows buy W coefficients per
@@ -648,24 +744,15 @@ def _window_table(gen: "Generator", degree: int) -> np.ndarray:
     a smaller q the opposite.  Shorter polynomials take fewer sub-tables,
     one per q coefficients, and q shrinks below 4 coefficients.
     """
-    from .generators.base import Ring, word_dtype
+    from .generators.base import stream_states
 
-    spec = gen.spec
-    dtype = np.dtype(word_dtype(spec))
-    n = spec.n
-    cols = n + (1 if spec.has_lung else 0)
     coeffs = max(1, degree + 1)
     q = min(4, coeffs)
     subtables = min(32, -(-coeffs // q))
-    walker = Ring(gen.window + [0] * n, gen.lung)
-    words = array(dtype.char)
-    for _ in range(q * subtables):
-        words.extend(walker.buf[walker.start : walker.start + n])
-        if spec.has_lung:
-            words.append(walker.lung)
-        gen.rec.run(walker, 1)
-    powers = np.frombuffer(words, dtype=dtype).reshape(subtables, q, 1, cols)
-    table = np.zeros((subtables, 1 << q, cols), dtype=dtype)
+    powers = stream_states(gen, q * subtables)
+    cols = powers.shape[1]
+    powers = powers.reshape(subtables, q, 1, cols)
+    table = np.zeros((subtables, 1 << q, cols), dtype=powers.dtype)
     for b in range(q):
         np.bitwise_xor(table[:, : 1 << b], powers[:, b], out=table[:, 1 << b : 2 << b])
     return table
@@ -684,39 +771,48 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
     the jump count encoded in ``poly``; W = 128 from degree 127 up, with a
     table of at most 2^9 rows (1.3 MB at k = 19937).
 
-    The accumulator is one word stream, zero at first, held as a ``Ring``
-    with room for 8 windows past the ring and moved along it by
-    ``Recurrence.stretches``, which copies the ring back to the front when
-    the room runs out.  Each window advances the ring by
-    ``advance_stream`` (the block path on the five k = 19937 generators,
-    the per-step loop on the others), drops the output words, and XORs
-    the row into the new ring in place.  Dead bits introduced by
-    whole-word XORs never feed live coordinates and are cleared at the
-    end.
+    The digits of every window are found once, as one (windows, J) array
+    of rows of the flattened table: q is 4 wherever there is more than one
+    sub-table, so a digit is a nibble of ``poly``, and below 4
+    coefficients the one window's one digit is all of ``poly``.  The
+    accumulator is one word stream, zero at first, with room for 8
+    windows past the ring, whose ring is copied back to the front when
+    the room runs out.  Each window after the top one advances the ring W
+    steps by one ``advance_stream`` call that forms no output words (the
+    block path on the five k = 19937 generators, the per-step loop on the
+    others), and XORs its row into the new ring in place.  Dead bits
+    introduced by whole-word XORs never feed live coordinates and are
+    cleared at the end.
     """
-    from .generators.base import Ring, advance_stream
+    from .generators.base import advance_stream
 
     spec = gen.spec
-    n, rec = spec.n, gen.rec
+    n, rec, has_lung = spec.n, gen.rec, spec.has_lung
     table = _window_table(gen, poly.degree)
-    subtables, rows, _ = table.shape
-    q = rows.bit_length() - 1
-    width = q * subtables
-    which, shifts = np.arange(subtables), range(0, width, q)
-    bits, top = poly.bits, poly.degree // width * width
-    acc = Ring(np.zeros(n + 8 * width, dtype=table.dtype), 0 if spec.has_lung else None)
-    for i in range(top, -1, -width):
-        for j, e in rec.stretches(acc, width):
-            _, acc.lung = advance_stream(rec, acc.buf[j : j + n + e], e, acc.lung)
-        v = (bits >> i) & ((1 << width) - 1)
-        if v:
-            row = np.bitwise_xor.reduce(table[which, [(v >> s) & (rows - 1) for s in shifts]])
-            acc.buf[acc.start : acc.start + n] ^= row[:n]
-            if spec.has_lung:
-                acc.lung ^= int(row[n])
-    ring = acc.buf[acc.start : acc.start + n].tolist()
+    subtables, rows, cols = table.shape
+    width = subtables * (rows.bit_length() - 1)
+    windows = poly.degree // width + 1  # none for the zero polynomial
+    packed = np.frombuffer(poly.bits.to_bytes(-(-windows * subtables // 2), "little"), np.uint8)
+    nibbles = np.stack((packed & 15, packed >> 4), axis=1).reshape(-1)[: windows * subtables]
+    selected = nibbles.reshape(windows, subtables)[::-1] + np.arange(subtables) * rows
+    flat = table.reshape(-1, cols)
+    room = 8 * width
+    buf = np.zeros(n + room, dtype=table.dtype)
+    j, lung = 0, 0 if has_lung else None
+    for i, select in enumerate(selected):
+        if i:
+            if j == room:
+                buf[:n] = buf[room:]
+                j = 0
+            _, lung = advance_stream(rec, buf[j : j + n + width], width, lung, emit=False)
+            j += width
+        row = np.bitwise_xor.reduce(flat[select])
+        buf[j : j + n] ^= row[:n]
+        if has_lung:
+            lung ^= int(row[n])
+    ring = buf[j : j + n].tolist()
     ring[0] &= spec.upper_mask  # the oldest word's dead bits
-    gen.window, gen.lung = ring, acc.lung
+    gen.window, gen.lung = ring, lung
 
 
 def jump_ahead(gen: "Generator", steps: int) -> None:

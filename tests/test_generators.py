@@ -30,6 +30,9 @@ from f2spectra.generators.base import (
     word_dtype,
 )
 from f2spectra.generators.ensemble import Ensemble
+from f2spectra.generators.melg import Melg
+from f2spectra.generators.mt import Mt
+from f2spectra.generators.well import Well
 from f2spectra.gf2poly import output_bit_sequence
 from f2spectra.zeroland import trajectory_trace
 
@@ -636,7 +639,7 @@ SMALL_SPAN_NAMES = ("well607b", "well1024a", "melg607")
 @pytest.mark.parametrize("name", SMALL_SPAN_NAMES)
 def test_word_array_on_the_per_step_path_equals_the_per_step_loop(name):
     # A WELL step rewrites the word before the one it appends, so the
-    # stream is copied back from word count on, not from word n.
+    # stream is copied back from word n - 1 on, not from word n.
     spec = get_spec(name)
     for start in _offsets(spec):
         for count in (1, 2, spec.n - 1, spec.n, spec.n + 1):
@@ -649,20 +652,29 @@ def test_word_array_on_the_per_step_path_equals_the_per_step_loop(name):
 
 
 def test_the_span_alone_picks_the_block_path(monkeypatch):
-    reached, array_recurrence = [], base._array_recurrence
+    # The block path runs on each count; the cast recurrence it runs on is
+    # resolved once per recurrence, not once per call.
+    resolved, array_recurrence = [], base._array_recurrence
+    reached = []
 
     def record(family, spec):
-        reached.append(spec.name)
+        resolved.append(spec.name)
         return array_recurrence(family, spec)
 
     monkeypatch.setattr(base, "_array_recurrence", record)
+    for family in (Mt, Well, Melg):
+        def blocks(self, buf, *args, _blocks=family.blocks):
+            reached.append(self.spec.name)
+            return _blocks(self, buf, *args)
+
+        monkeypatch.setattr(family, "blocks", blocks)
     counts = (1, 2, 63, 64, 5000)
     for name in SMALL_SPAN_NAMES:
         assert make_generator(name).rec.span < base._BLOCK_SPAN
         gen = make_generator(name, seed=1)
         for count in counts:
             gen.word_array(count)
-    assert reached == []
+    assert reached == resolved == []
     for name in ("mt19937", "mt19937-64id1", "mt19937-64id3", "well19937a", "melg19937"):
         assert make_generator(name).rec.span >= base._BLOCK_SPAN
         gen = make_generator(name, seed=1)
@@ -670,6 +682,8 @@ def test_the_span_alone_picks_the_block_path(monkeypatch):
             gen.word_array(count)
             assert reached.pop() == name, count
             assert reached == []
+        assert resolved == [name]
+        resolved.clear()
 
 
 def test_spans_of_the_bundled_generators():

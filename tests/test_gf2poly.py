@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from itertools import cycle
 
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from f2spectra import get_spec, make_generator
 from f2spectra.bitlinalg import BitVector
 from f2spectra.cli import main
+from f2spectra.generators.melg import Melg
+from f2spectra.generators.mt import Mt
 from f2spectra.gf2poly import (
     _FFT_THRESHOLD_BITS,
     GF2Poly,
@@ -22,6 +25,9 @@ from f2spectra.gf2poly import (
     _fft_length,
     _mul_bits,
     _product_bits,
+    _shift_plan,
+    _shifted_sum,
+    _spectrum,
     _window_table,
     apply_transition_polynomial,
     berlekamp_massey,
@@ -149,6 +155,26 @@ def test_packed_product_checks_its_field_width():
         _product_bits(spectrum, 16, 2, 2**15 - 1)
 
 
+@pytest.mark.parametrize("per", [1, 2])
+def test_product_bits_decodes_any_range_of_coefficients(per):
+    # The product wraps (5499 coefficients modulo t^3072 - 1), so the top
+    # element's high field feeds coefficient 0.  A range reads only the
+    # elements its coefficients need, the previous one's high field too.
+    rng = random.Random(per)
+    a, b = rng.getrandbits(3000) | 1 << 2999, rng.getrandbits(2500) | 1 << 2499
+    n = 3072 // per
+    size = per * n
+    product = _schoolbook_product(a, b)
+    cyclic = (product ^ product >> size) & ((1 << size) - 1)
+    spectrum = _spectrum(a, n, per) * _spectrum(b, n, per)
+    full = _product_bits(spectrum, n, per, 2500)
+    assert full.tolist() == [cyclic >> i & 1 for i in range(size)]
+    for start, stop in [(0, 1), (0, 2), (1, 2), (2, 3), (0, 2001), (1, 2000),
+                        (1000, 2999), (1001, 3000), (2998, size), (size - 1, size)]:
+        part = _product_bits(spectrum, n, per, 2500, start, stop)
+        assert part.tolist() == full[start:stop].tolist(), (start, stop)
+
+
 def test_fft_length_is_the_smallest_smooth_size():
     smooth = sorted({f << e for f in (1, 3, 5) for e in range(20)})
     for n in list(range(1, 3000)) + [2 * 19937, 140_000]:
@@ -245,6 +271,46 @@ def test_sparse_barrett_makes_no_fft_call_and_matches_long_division(monkeypatch)
     assert calls == []
 
 
+def _plan_shifts(plan) -> int:
+    """Shifts a ``_shift_plan`` takes: one per leaf entry and per pairing."""
+    if isinstance(plan, list):
+        return len(plan)
+    _, pairs, rest = plan
+    return 1 + _plan_shifts(pairs) + _plan_shifts(rest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scattered=st.lists(st.integers(min_value=0, max_value=3000), max_size=40),
+    start=st.integers(min_value=0, max_value=3000),
+    step=st.integers(min_value=1, max_value=500),
+    run=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_shift_plan_xors_each_shift_once(scattered, start, step, run, seed):
+    # an arithmetic run gives the plan pairs to find, scattered shifts break them up
+    shifts = sorted(set(scattered) | {start + i * step for i in range(run)})
+    plan = _shift_plan(shifts)
+    y = random.Random(seed).getrandbits(4000)
+    for shift in (operator.rshift, operator.lshift):
+        expect = 0
+        for x in shifts:
+            expect ^= shift(y, x)
+        assert _shifted_sum(y, plan, shift) == expect
+    assert _plan_shifts(plan) <= len(shifts)
+    if run >= 4 and not scattered:
+        assert _plan_shifts(plan) < len(shifts)
+
+
+def test_sparse_barrett_operands_take_fewer_shifts_than_set_bits():
+    # the shift plans pay only through structure the bundled operands have
+    for name in ("mt19937", "mt19937-64id1"):
+        mod = minimal_polynomial(get_spec(name))
+        ctx = _Barrett(mod)
+        assert _plan_shifts(ctx.q_shifts) < ctx.q.bit_count() / 2, name
+        assert _plan_shifts(ctx.mod_terms) < mod.weight / 2, name
+
+
 def _sparse_quotient_modulus(d: int) -> GF2Poly:
     """A dense modulus with p(0) = 1 whose q = t^(2d) // p is sparse.
 
@@ -296,6 +362,21 @@ def test_half_length_square_matches_long_division_on_random_moduli(d):
     squares += [1 << (half - 1), 1 << half, (1 << half) - 1, (1 << d) - 1, 1 << (d - 1), 1, 0]
     for x in squares:
         assert GF2Poly(ctx.square(x)) == square(GF2Poly(x)) % mod, x.bit_length()
+
+
+@pytest.mark.parametrize("name", ["mt19937-64id3", "well19937a", "melg19937"])
+def test_chained_squares_match_long_division_on_the_dense_moduli(name):
+    # Each square decodes only the quotient coefficients it keeps, packs
+    # them into the remainder's transform without a round trip through an
+    # int, and feeds the next square, as in pow_mod.
+    mod = minimal_polynomial(get_spec(name))
+    ctx = _Barrett(mod)
+    assert ctx.q_spectra is not None and ctx.mod_spectrum is not None
+    x = random.Random(name).getrandbits(mod.degree)
+    for i in range(60):
+        y = ctx.square(x)
+        assert GF2Poly(y) == square(GF2Poly(x)) % mod, i
+        x = y
 
 
 @pytest.mark.parametrize("name", BIG)
@@ -611,9 +692,13 @@ def test_window_apply_matches_horner_oracle(name):
         assert fast.get_raw_state() == slow.get_raw_state(), (start, poly)
 
 
-@pytest.mark.parametrize("name", ["mt19937", "melg607"])
+@pytest.mark.parametrize(
+    "name", ["mt19937", "well607b", "well19937a", "melg607", "melg19937"]
+)
 def test_window_table_rows_are_shifted_window_polynomials(name):
-    # row v of sub-table j is v(B) B^(q j) x0, up to the dead bits
+    # row v of sub-table j is v(B) B^(q j) x0, up to the dead bits; the rows
+    # come from one stream, where WELL's newest words and MELG's lungs are
+    # not plain windows of it, on the per-step and the block path
     spec = get_spec(name)
     gen = _stepped(spec)
     table = _window_table(gen, spec.k - 1)
@@ -643,6 +728,24 @@ def test_window_width_follows_the_degree():
     qs, js = zip(*shapes)
     assert list(qs) == sorted(qs) and list(js) == sorted(js)
     assert q * subtables >= 64  # many coefficients per ring XOR at full degree
+
+
+def test_the_walk_forms_no_output_words(monkeypatch):
+    # Neither the table nor the accumulator needs an output word, so the
+    # walk never runs MT's or MELG's output map, on either path.
+    def refuse(*args):
+        raise AssertionError("output map called")
+
+    monkeypatch.setattr(Mt, "temper", refuse)
+    monkeypatch.setattr(Melg, "temper", refuse)
+    for name in ("mt19937", "mt19937-64id3", "melg607", "melg19937"):
+        spec = get_spec(name)
+        with pytest.raises(AssertionError, match="output map called"):
+            make_generator(spec, seed=5).words(1)
+        jumped, stepped = make_generator(spec, seed=5), make_generator(spec, seed=5)
+        apply_transition_polynomial(jumped, jump_polynomial(spec, 1000))
+        stepped.step(1000)
+        assert jumped.state_vector() == stepped.state_vector(), name
 
 
 def test_apply_polynomial_x_is_one_step():
