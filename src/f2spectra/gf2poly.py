@@ -10,23 +10,25 @@ bit is the GF(2) coefficient.  The transforms carry two coefficients per
 element, c_2j + c_(2j+1) 2^15, so they run at half the length: a product
 element is then lo + mid 2^15 + hi 2^30, and coefficient 2j is the
 parity of lo_j + hi_(j-1), coefficient 2j + 1 that of mid_j.  That holds
-while no field reaches 2^15, which ``_per_element`` states as a bound on
-the shorter operand (32766 coefficients); longer products take one
-coefficient per element.  Lengths below count elements, not
-coefficients.  Each FFT product checks its own rounding residual and its
-fields' width, and raises ``ArithmeticError`` rather than return a wrong
-bit.  At degree 19937 the residual measured at most 0.001 on reduced
-squares of random operands and 0.0047 on all-ones operands, against the
-guard of 0.25.
+while no field reaches 2^15, which bounds the shorter operand at
+``_PACKED_LIMIT`` = 2^15 - 2 coefficients; longer products, which no
+bundled generator makes, take the schoolbook loop.  Lengths below count
+elements, not coefficients.  Each FFT product checks its own rounding
+residual and its fields' width, and raises ``ArithmeticError`` rather
+than return a wrong bit.  At degree 19937 the residual measured at most
+0.001 on reduced squares of random operands and 0.0047 on all-ones
+operands, against the guard of 0.25.
 
 Squaring respaces bits, and ``_Barrett``, which ``pow_mod`` builds once
 per call, reduces the square modulo a fixed polynomial of degree d with
-two products by fixed operands, q = t^(2d) // mod and the modulus.  Each
-operand picks its engine by its weight: shifts and XORs over its set
-bits when it is sparse (mt19937's have 161 and 135), paired at a common
-distance so that a pair costs one shift, else its spectra, computed
-once.  The quotient of a square then takes three transforms of
-half the full product's length, not two of the full length: the high
+two products by fixed operands, q = t^(2d) // mod and the modulus.  It
+picks one engine per modulus for both.  Small and very large moduli take
+``_mul_bits``.  At k = 19937, the sparse moduli of MT (mt19937 and
+mt19937-64id1, whose q and modulus have a few hundred set bits) take
+shifts and XORs over the set bits, paired at a common distance so that a
+pair costs one shift.  The dense ones (mt19937-64id3, WELL and MELG)
+take spectra computed once.  There the quotient takes three transforms
+of half the full product's length, not two of the full length: the high
 half of x^2 is x's upper half respaced, so it meets q's even and odd
 halves in two half-length products.  With the remainder's two, a dense
 reduced square at k = 19937 makes five transforms of 10240 elements.
@@ -80,12 +82,21 @@ _FFT_THRESHOLD_BITS = 1024
 _ROUNDING_GUARD = 0.25
 #: Width of each field of a packed transform element, c_2j + c_(2j+1) 2^15.
 _FIELD_BITS = 15
-#: Above the FFT threshold, a fixed Barrett operand lighter than this many
-#: set bits multiplies by shifts and XORs (``_shift_plan``), and a heavier
-#: one by its cached spectra.  At k = 19937 a plain loop over the set bits
-#: measured as fast as the packed transforms at about 1200 bits of q and
-#: 400 of the modulus, whose loop shifts left into twice as many words;
-#: the paired plans make the shift side cheaper still.
+#: Longest shorter operand, in coefficients, of an FFT product.  Packed
+#: operands of L and L' elements give product element j =
+#: lo_j + mid_j 2^15 + hi_j 2^30, where lo_j (even times even
+#: coefficients) and hi_j (odd times odd) count at most min(L, L') terms
+#: and mid_j (the cross terms) at most twice that.  So the fields stay
+#: apart while 2 ceil(short / 2) < 2^15, up to 2^15 - 2 coefficients.
+_PACKED_LIMIT = (1 << _FIELD_BITS) - 2
+#: A Barrett modulus of degree above the FFT threshold takes the shift
+#: engine (``_shift_plan``) when q has fewer set bits than the first and
+#: the modulus fewer than the second, and its cached spectra otherwise.
+#: At k = 19937 a plain loop over the set bits measured as fast as the
+#: packed transforms at about 1200 bits of q and 400 of the modulus, whose
+#: loop shifts left into twice as many words; the paired plans make the
+#: shift side cheaper still.  The bundled moduli lie far to either side
+#: (see ``_Barrett``).
 _SPARSE_QUOTIENT_WEIGHT = 1024
 _SPARSE_MODULUS_WEIGHT = 384
 
@@ -101,20 +112,6 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _per_element(short: int) -> int:
-    """Coefficients per transform element for a product whose shorter
-    operand has ``short`` coefficients: 2 while the packed fields cannot
-    overflow, else 1.
-
-    Packed operands of L and L' elements give product element j =
-    lo_j + mid_j 2^15 + hi_j 2^30, where lo_j (even times even
-    coefficients) and hi_j (odd times odd) count at most min(L, L') terms
-    and mid_j (the cross terms) at most twice that.  So the fields stay
-    apart while 2 ceil(short / 2) < 2^15, up to 32766 coefficients.
-    """
-    return 2 if 2 * ((short + 1) // 2) < 1 << _FIELD_BITS else 1
-
-
 def _bytes_of(x: int) -> np.ndarray:
     """The little-endian bytes of ``x``, as a uint8 array."""
     return np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
@@ -127,63 +124,49 @@ def _pack_table() -> np.ndarray:
     return bits[:, 0::2] + bits[:, 1::2] * float(1 << _FIELD_BITS)
 
 
-def _elements(x: int, per: int) -> np.ndarray:
-    """The coefficients of ``x``, ``per`` to a transform element (1 or 2,
-    see ``_per_element``)."""
-    if per == 2:
-        return _pack_table()[_bytes_of(x)].reshape(-1)
-    return np.unpackbits(_bytes_of(x), bitorder="little")
+def _interleaved(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The transform elements of the polynomial whose even and odd
+    coefficients are the bit arrays ``even`` and ``odd``, which is no
+    longer: element j is even_j + odd_j 2^15."""
+    elements = even.astype(np.float64)
+    elements[: len(odd)] += odd * float(1 << _FIELD_BITS)
+    return elements
 
 
-def _interleaved(even: np.ndarray, odd: np.ndarray, per: int) -> np.ndarray:
-    """The transform elements, ``per`` coefficients to one, of the
-    polynomial whose even and odd coefficients are the bit arrays ``even``
-    and ``odd``, which is no longer: a packed element is even_j + odd_j 2^15."""
-    if per == 2:
-        elements = even.astype(np.float64)
-        elements[: len(odd)] += odd * float(1 << _FIELD_BITS)
-        return elements
-    bits = np.empty(len(even) + len(odd), dtype=np.uint8)
-    bits[0::2], bits[1::2] = even, odd
-    return bits
-
-
-def _spectrum(x: int, n: int, per: int) -> np.ndarray:
-    """Real FFT of the coefficients of ``x``, ``per`` to an element,
+def _spectrum(x: int, n: int) -> np.ndarray:
+    """Real FFT of the coefficients of ``x``, two to an element,
     zero-padded to n elements."""
-    return np.fft.rfft(_elements(x, per), n)
+    return np.fft.rfft(_pack_table()[_bytes_of(x)].reshape(-1), n)
 
 
 def _product_bits(
-    spectrum: np.ndarray, n: int, per: int, short: int, start: int = 0, stop: int | None = None
+    spectrum: np.ndarray, n: int, short: int, start: int = 0, stop: int | None = None
 ) -> np.ndarray:
     """Invert a product spectrum of n elements and round it to GF(2)
     coefficients ``start`` .. ``stop`` - 1 of the cyclic product modulo
-    t^(per n) - 1, all per n of them by default.
+    t^(2n) - 1, all 2n of them by default.
 
     Only the elements those coefficients read are rounded and decoded.
     ``short`` is the shorter operand's coefficient count.  Raises
     ``ArithmeticError`` when any element read lies ``_ROUNDING_GUARD`` or
     further from an integer, as the rounding could then pick the wrong
-    parity, and when a packed product's fields could overflow into each
-    other, which no rounding check can see.  Coefficient 2j is the parity
-    of packed element j's low field plus element j - 1's high field
-    (cyclically), and coefficient 2j + 1 that of element j's middle field.
+    parity, and when the product's fields could overflow into each other
+    (``short`` above ``_PACKED_LIMIT``), which no rounding check can see.
+    Coefficient 2j is the parity of element j's low field plus element
+    j - 1's high field (cyclically), and coefficient 2j + 1 that of
+    element j's middle field.
     """
-    if per > _per_element(short):
+    if short > _PACKED_LIMIT:
         raise ArithmeticError(
             f"packed FFT product of length {n} is not exact: "
             f"a {short}-coefficient operand overflows its {_FIELD_BITS}-bit fields"
         )
     if stop is None:
-        stop = per * n
+        stop = 2 * n
     c = np.fft.irfft(spectrum, n)
-    if per == 2:
-        first, last = start // 2, (stop + 1) // 2
-        # elements first - 1 (for its high field) .. last - 1
-        c = c[first - 1 : last] if first else np.concatenate((c[-1:], c[:last]))
-    else:
-        c = c[start:stop]
+    first, last = start // 2, (stop + 1) // 2
+    # elements first - 1 (for its high field) .. last - 1
+    c = c[first - 1 : last] if first else np.concatenate((c[-1:], c[:last]))
     counts = np.rint(c)
     c -= counts
     residual = float(np.abs(c, out=c).max())
@@ -192,9 +175,6 @@ def _product_bits(
             f"FFT product of length {n} is not exact: rounding residual {residual:.3g}"
         )
     fields = counts.astype(np.int64)
-    if per == 1:
-        fields &= 1
-        return fields.astype(np.uint8)
     low = fields[1:]
     low ^= fields[:-1] >> 2 * _FIELD_BITS
     low &= 1 | 1 << _FIELD_BITS
@@ -267,12 +247,11 @@ def _mul_bits(a: int, b: int) -> int:
         return 0
     la, lb = a.bit_length(), b.bit_length()
     short = min(la, lb)
-    if short > _FFT_THRESHOLD_BITS:
-        per = _per_element(short)
-        n = _fft_length(-(-(la + lb - 1) // per))
-        spectrum = _spectrum(a, n, per)
-        spectrum *= _spectrum(b, n, per)
-        return _from_bit_vector(_product_bits(spectrum, n, per, short))
+    if _FFT_THRESHOLD_BITS < short <= _PACKED_LIMIT:
+        n = _fft_length(-(-(la + lb - 1) // 2))
+        spectrum = _spectrum(a, n)
+        spectrum *= _spectrum(b, n)
+        return _from_bit_vector(_product_bits(spectrum, n, short))
     if la < lb:
         a, b = b, a
     acc = 0
@@ -365,19 +344,18 @@ class GF2Poly:
     def pow_mod(self, e: BigUint, mod: "GF2Poly") -> "GF2Poly":
         """self**e mod ``mod`` by square-and-multiply (e may be huge).
 
-        The squares go through ``_Barrett.square``.  A base of t or, when
-        mod(0) = 1, of t^-1 = (mod + 1)/t multiplies with one shift and at
-        most one XOR: x t is x << 1, less mod when it reaches degree d,
-        and x t^-1 is (x + x_0 mod) >> 1, with x_0 the constant term of x.
-        Any other base takes a product and a ``reduce``.
+        The squares go through ``_Barrett.square``.  ``jump_polynomial``
+        passes a base of t or, as mod(0) = 1, of t^-1 = (mod + 1)/t, and
+        each multiplies with one shift and at most one XOR: x t is
+        x << 1, less mod when it reaches degree d, and x t^-1 is
+        (x + x_0 mod) >> 1, with x_0 the constant term of x.  Any other
+        base, which no command passes, multiplies by a product and long
+        division.
         """
         if e < 0:
             raise ValueError("negative exponent")
         ctx = _Barrett(mod)
-        result = ctx.reduce(GF2Poly(1)).bits
-        if e == 0:
-            return GF2Poly(result)
-        base = ctx.reduce(self).bits
+        base = (self % mod).bits
         d, mb = ctx.d, mod.bits
         if base == 2:  # t: one shift, and one XOR when the degree reaches d
 
@@ -393,8 +371,9 @@ class GF2Poly:
         else:
 
             def times(x: int) -> int:
-                return ctx.reduce(GF2Poly(_mul_bits(x, base))).bits
+                return (GF2Poly(_mul_bits(x, base)) % mod).bits
 
+        result = 1  # the modulus has positive degree
         for ch in format(e, "b"):
             result = ctx.square(result)
             if ch == "1":
@@ -447,38 +426,35 @@ def _barrett_quotient(mod: GF2Poly) -> int:
 
 
 class _Barrett:
-    """Reduction modulo a fixed polynomial of degree d, by Barrett's method.
+    """Reduction of squares modulo a fixed polynomial of degree d, by
+    Barrett's method.
 
     ``q = t^(2d) // mod`` is found once (``_barrett_quotient``).  A
-    polynomial r of degree below 2d then reduces with two products and no
-    division: ``qhat = ((r >> d) * q) >> d`` is the exact quotient
-    r // mod, and ``r - qhat * mod`` the remainder.  Above
-    ``_FFT_THRESHOLD_BITS`` each fixed operand, q and the modulus, picks
-    its engine by its weight w:
+    square r = x^2, x of degree below d, then reduces with two products
+    by the fixed operands q and the modulus, and no division: ``qhat =
+    ((r >> d) * q) >> d`` is the exact quotient r // mod, and the low d
+    coefficients of ``r - qhat * mod`` the remainder.  ``engine`` names
+    how both products are taken, chosen once per modulus:
 
-    - w below ``_SPARSE_QUOTIENT_WEIGHT`` (q) or ``_SPARSE_MODULUS_WEIGHT``
-      (the modulus): shifts and XORs over its w set bits, exact and free
-      of transforms.  The quotient is the XOR of ``hi >> (d - e)`` over
-      q's exponents e, and the remainder the XOR of ``qhat << e`` over the
-      modulus's exponents into r, each taken by a ``_shift_plan`` that
-      pairs exponents at a common distance: 48 and 34 shifts for
-      mt19937's 161 and 135 set bits, 147 and 58 for mt19937-64id1's 579
-      and 285.
-    - otherwise spectra computed once, all of m elements, where
-      ``per`` = ``_per_element(d)`` coefficients share an element (2 up
-      to d = 32766, as the variable operands have below d coefficients)
-      and m = ``_fft_length(ceil((d + 1) / per))``, so M = per m >= d + 1
+    - ``"products"``: ``_mul_bits``, at d up to ``_FFT_THRESHOLD_BITS``,
+      where both stay on the schoolbook loop, and above
+      ``_PACKED_LIMIT``, which the spectra's fields cannot hold.
+    - ``"shift"``: when q has fewer than ``_SPARSE_QUOTIENT_WEIGHT`` set
+      bits and the modulus fewer than ``_SPARSE_MODULUS_WEIGHT``, shifts
+      and XORs over them, exact and free of transforms.  The quotient is
+      the XOR of ``hi >> (d - e)`` over q's exponents e, and the
+      remainder the XOR of ``qhat << e`` over the modulus's exponents
+      into r, each taken by a ``_shift_plan`` that pairs exponents at a
+      common distance: 48 and 34 shifts for mt19937's 161 and 135 set
+      bits, 147 and 58 for mt19937-64id1's 579 and 285.
+    - ``"spectra"``: for every other modulus, the spectra of q's even
+      and odd halves and of the modulus, computed once, all of
+      m = ``_fft_length(ceil((d + 1) / 2))`` elements, so M = 2m >= d + 1
       coefficients; 10240 elements at d = 19937:
 
-      - ``qhat * mod`` has fewer than 2d coefficients, so at M of them its
-        coefficients j + M wrap onto j.  Only the low d are needed, and
-        the wrapped ones are known: the remainder has degree below d, so
-        from d up the product equals r itself.  The low half is thus the
-        wrapped result XOR ``r >> M``, masked to d bits.
-      - q is kept as the spectra of its even and odd halves, q = q0(t^2) +
-        t q1(t^2), for ``square``.  The high half of x^2 is t^delta u(t^2),
-        where u = x >> ceil(d/2) holds x's upper coefficients and
-        delta = 2 ceil(d/2) - d.  So ``hi * q`` is
+      - q = q0(t^2) + t q1(t^2).  The high half of x^2 is
+        t^delta u(t^2), where u = x >> ceil(d/2) holds x's upper
+        coefficients and delta = 2 ceil(d/2) - d.  So ``hi * q`` is
         t^delta (a(t^2) + t b(t^2)) with a = u q0 and b = u q1, two
         products of halves that fit in M coefficients without wrapping,
         and the quotient's even and odd coefficients are a's and b's from
@@ -486,45 +462,47 @@ class _Barrett:
         m elements, where the full product needs two of twice that.  Each
         inverse decodes only the quotient coefficients it yields, and
         ``_interleaved`` packs the two halves into the remainder's
-        transform elements directly.  The quotient of a general
-        ``reduce`` is a plain ``_mul_bits`` product.
+        transform elements directly.
+      - ``qhat * mod`` has fewer than 2d coefficients, so at M of them its
+        coefficients j + M wrap onto j.  Only the low d are needed, and
+        the wrapped ones are known: the remainder has degree below d, so
+        from d up the product equals r itself.  The low half is thus the
+        wrapped result XOR ``r >> M``, masked to d bits.
 
-    A square of degree below d needs no reduction at all.  At d up to the
-    threshold both products stay on the schoolbook loop, and inputs of
-    degree 2d or more fall back to long division.
+    The bundled minimal polynomials take these engines:
+
+    ==============  =====  ==============  ========  ========
+    generator       d      modulus weight  q weight  engine
+    ==============  =====  ==============  ========  ========
+    well607b        607    313             298       products
+    melg607         607    313             298       products
+    well1024a       1024   407             495       products
+    mt19937         19937  135             161       shift
+    mt19937-64id1   19937  285             579       shift
+    mt19937-64id3   19937  5795            7774      spectra
+    well19937a      19937  8585            9872      spectra
+    melg19937       19937  9603            9800      spectra
+    ==============  =====  ==============  ========  ========
+
+    A square of degree below d needs no reduction at all.
     """
 
     def __init__(self, mod: GF2Poly) -> None:
         if mod.degree < 1:
             raise ValueError("modulus must have positive degree")
-        self.mod = mod
         d = self.d = mod.degree
         self.low_mask = (1 << d) - 1
-        self.q = _barrett_quotient(mod)
-        self.q_shifts = self.q_spectra = self.mod_terms = self.mod_spectrum = None
-        if d <= _FFT_THRESHOLD_BITS:
-            return
-        # the variable operands, x's upper half and the quotient, have below d bits
-        self.per = per = _per_element(d)
-        self.m = m = _fft_length(-(-(d + 1) // per))
-        if self.q.bit_count() < _SPARSE_QUOTIENT_WEIGHT:
-            self.q_shifts = _shift_plan([d - e for e in _exponents(self.q)])
+        q = self.q = _barrett_quotient(mod)
+        if d <= _FFT_THRESHOLD_BITS or d > _PACKED_LIMIT:
+            self.engine, self.operands = "products", (q, mod.bits)
+        elif q.bit_count() < _SPARSE_QUOTIENT_WEIGHT and mod.weight < _SPARSE_MODULUS_WEIGHT:
+            plans = _shift_plan([d - e for e in _exponents(q)]), _shift_plan(_exponents(mod.bits))
+            self.engine, self.operands = "shift", plans
         else:
-            halves = np.unpackbits(_bytes_of(self.q), bitorder="little")
-            self.q_spectra = tuple(
-                _spectrum(_from_bit_vector(half), m, per) for half in (halves[0::2], halves[1::2])
-            )
-        if mod.weight < _SPARSE_MODULUS_WEIGHT:
-            self.mod_terms = _shift_plan(_exponents(mod.bits))
-        else:
-            self.mod_spectrum = _spectrum(mod.bits, m, per)
-
-    def reduce(self, p: GF2Poly) -> GF2Poly:
-        r = p.bits
-        if r.bit_length() > 2 * self.d:
-            return p % self.mod
-        hi = r >> self.d
-        return GF2Poly(self._remainder(r, self._quotient(hi))) if hi else p
+            self.m = m = _fft_length(-(-(d + 1) // 2))
+            halves = np.unpackbits(_bytes_of(q), bitorder="little")
+            q0, q1 = (_spectrum(_from_bit_vector(half), m) for half in (halves[0::2], halves[1::2]))
+            self.engine, self.operands = "spectra", (q0, q1, _spectrum(mod.bits, m))
 
     def square(self, x: int) -> int:
         """x^2 mod the modulus, for x of degree below d."""
@@ -533,44 +511,23 @@ class _Barrett:
         hi = r >> d
         if not hi:
             return r
-        if self.q_spectra is None:
-            return self._remainder(r, self._quotient(hi))
-        m, per, lo = self.m, self.per, d // 2
-        upper = x >> (d + 1) // 2
-        u, short = _spectrum(upper, m, per), upper.bit_length()
-        q0, q1 = self.q_spectra
-        even = _product_bits(u * q0, m, per, short, lo, lo + (d + 1) // 2)
-        odd = _product_bits(u * q1, m, per, short, lo, lo + d // 2)
-        if self.mod_spectrum is None:
-            return self._remainder(r, _from_bit_vector(_interleaved(even, odd, 1)))
-        return self._wrapped_remainder(r, _interleaved(even, odd, per))
-
-    def _quotient(self, hi: int) -> int:
-        """(hi * q) >> d, for hi of degree below d."""
-        if self.q_shifts is None:
-            return _mul_bits(hi, self.q) >> self.d
-        return _shifted_sum(hi, self.q_shifts, operator.rshift)
-
-    def _remainder(self, r: int, qhat: int) -> int:
-        """The low d coefficients of r - qhat * mod, all of it when qhat is
-        the quotient r // mod."""
-        if self.mod_terms is not None:
-            r ^= _shifted_sum(qhat, self.mod_terms, operator.lshift)
-        elif self.mod_spectrum is not None and qhat.bit_length() > _FFT_THRESHOLD_BITS:
-            return self._wrapped_remainder(r, _elements(qhat, self.per))
+        if self.engine == "products":
+            q, mod = self.operands
+            r ^= _mul_bits(_mul_bits(hi, q) >> d, mod)
+        elif self.engine == "shift":
+            q_plan, mod_plan = self.operands
+            r ^= _shifted_sum(_shifted_sum(hi, q_plan, operator.rshift), mod_plan, operator.lshift)
         else:
-            r ^= _mul_bits(qhat, self.mod.bits)
+            m, lo = self.m, d // 2
+            q0, q1, mod = self.operands
+            upper = x >> (d + 1) // 2
+            u, short = _spectrum(upper, m), upper.bit_length()
+            even = _product_bits(u * q0, m, short, lo, lo + (d + 1) // 2)
+            odd = _product_bits(u * q1, m, short, lo, lo + d // 2)
+            spectrum = np.fft.rfft(_interleaved(even, odd), m)
+            spectrum *= mod
+            r ^= (r >> 2 * m) ^ _from_bit_vector(_product_bits(spectrum, m, d, 0, d))
         return r & self.low_mask
-
-    def _wrapped_remainder(self, r: int, qhat: np.ndarray) -> int:
-        """``_remainder`` by the modulus's spectrum, for qhat given as its
-        transform elements: the low d coefficients of the wrapped product,
-        XOR r and r's wrapped part."""
-        m, per, d = self.m, self.per, self.d
-        spectrum = np.fft.rfft(qhat, m)
-        spectrum *= self.mod_spectrum
-        wrapped = _product_bits(spectrum, m, per, d, 0, d)
-        return (r ^ (r >> per * m) ^ _from_bit_vector(wrapped)) & self.low_mask
 
 
 #: Steps per slice of the reversed sequence in ``berlekamp_massey``, and

@@ -51,6 +51,17 @@ N1_TABLE = {
 }
 #: The paper-size generators (k = 19937).
 BIG = ("mt19937", "mt19937-64id1", "mt19937-64id3", "well19937a", "melg19937")
+#: The ``_Barrett`` engine each bundled minimal polynomial takes.
+ENGINES = {
+    "mt19937": "shift",
+    "mt19937-64id1": "shift",
+    "mt19937-64id3": "spectra",
+    "well607b": "products",
+    "well1024a": "products",
+    "well19937a": "spectra",
+    "melg607": "products",
+    "melg19937": "spectra",
+}
 
 
 def _poly_from_int(bits: int) -> GF2Poly:
@@ -150,28 +161,27 @@ def test_fft_product_equals_schoolbook(la, lb, seed, ones):
 
 def test_packed_product_checks_its_field_width():
     spectrum = np.fft.rfft(np.zeros(16))
-    assert not _product_bits(spectrum, 16, 2, 2**15 - 2).any()
+    assert not _product_bits(spectrum, 16, 2**15 - 2).any()
     with pytest.raises(ArithmeticError, match="overflows its 15-bit fields"):
-        _product_bits(spectrum, 16, 2, 2**15 - 1)
+        _product_bits(spectrum, 16, 2**15 - 1)
 
 
-@pytest.mark.parametrize("per", [1, 2])
-def test_product_bits_decodes_any_range_of_coefficients(per):
+def test_product_bits_decodes_any_range_of_coefficients():
     # The product wraps (5499 coefficients modulo t^3072 - 1), so the top
     # element's high field feeds coefficient 0.  A range reads only the
     # elements its coefficients need, the previous one's high field too.
-    rng = random.Random(per)
+    rng = random.Random(2)
     a, b = rng.getrandbits(3000) | 1 << 2999, rng.getrandbits(2500) | 1 << 2499
-    n = 3072 // per
-    size = per * n
+    n = 1536
+    size = 2 * n
     product = _schoolbook_product(a, b)
     cyclic = (product ^ product >> size) & ((1 << size) - 1)
-    spectrum = _spectrum(a, n, per) * _spectrum(b, n, per)
-    full = _product_bits(spectrum, n, per, 2500)
+    spectrum = _spectrum(a, n) * _spectrum(b, n)
+    full = _product_bits(spectrum, n, 2500)
     assert full.tolist() == [cyclic >> i & 1 for i in range(size)]
     for start, stop in [(0, 1), (0, 2), (1, 2), (2, 3), (0, 2001), (1, 2000),
                         (1000, 2999), (1001, 3000), (2998, size), (size - 1, size)]:
-        part = _product_bits(spectrum, n, per, 2500, start, stop)
+        part = _product_bits(spectrum, n, 2500, start, stop)
         assert part.tolist() == full[start:stop].tolist(), (start, stop)
 
 
@@ -180,37 +190,6 @@ def test_fft_length_is_the_smallest_smooth_size():
     for n in list(range(1, 3000)) + [2 * 19937, 140_000]:
         assert _fft_length(n) == next(m for m in smooth if m >= n)
     assert _fft_length(2 * 19937) == 40960
-
-
-def test_barrett_reduce_matches_long_division_at_full_degree(monkeypatch):
-    # well19937a's q and modulus are dense, so both products run on the FFT
-    mod = minimal_polynomial(get_spec("well19937a"))
-    d = mod.degree
-    ctx = _Barrett(mod)
-    lengths: list[int] = []
-    exact = np.fft.irfft
-
-    def recording(spectrum, n, *args, **kw):
-        lengths.append(n)
-        return exact(spectrum, n, *args, **kw)
-
-    monkeypatch.setattr(np.fft, "irfft", recording)
-    ctx.reduce(GF2Poly(random.Random(2).getrandbits(2 * d)))
-    # the quotient product needs its high half unwrapped; the remainder
-    # product only its low d coefficients; both carry two to an element
-    assert lengths == [_fft_length(d), _fft_length((d + 2) // 2)]
-    assert _fft_length((d + 2) // 2) < _fft_length(d)
-    rng = random.Random(19937)
-    samples = [rng.getrandbits(2 * d) for _ in range(3)]
-    samples += [
-        rng.getrandbits(d + _FFT_THRESHOLD_BITS // 2),  # short quotient: schoolbook
-        rng.getrandbits(3 * d),  # beyond the cached transforms: long division
-        mod.bits,
-        1,
-    ]
-    for bits in samples:
-        p = GF2Poly(bits)
-        assert ctx.reduce(p) == p % mod
 
 
 @settings(max_examples=25, deadline=None)
@@ -222,10 +201,9 @@ def test_barrett_reduce_matches_long_division_just_above_the_fft_threshold(d, se
     rng = random.Random(seed)
     mod = GF2Poly(1 << d | rng.getrandbits(d) | 1)
     ctx = _Barrett(mod)
-    assert ctx.mod_spectrum is not None  # the remainder product runs on the FFT
-    for bits in (rng.getrandbits(2 * d), rng.getrandbits(2 * d - 1) | 1 << (2 * d - 2)):
-        p = GF2Poly(bits)
-        assert ctx.reduce(p) == p % mod
+    assert ctx.engine == "spectra"  # a random modulus is dense
+    for x in (rng.getrandbits(d), rng.getrandbits(d - 1) | 1 << (d - 1)):
+        assert GF2Poly(ctx.square(x)) == square(GF2Poly(x)) % mod
 
 
 def _pow_mod_oracle(base: GF2Poly, e: int, mod: GF2Poly) -> GF2Poly:
@@ -258,14 +236,11 @@ def test_sparse_barrett_makes_no_fft_call_and_matches_long_division(monkeypatch)
     mod = minimal_polynomial(get_spec("mt19937"))
     d = mod.degree
     rng = random.Random(161)
-    samples = [rng.getrandbits(2 * d) for _ in range(3)] + [mod.bits, 1 << (2 * d - 1), 1]
     squares = [rng.getrandbits(d) for _ in range(3)] + [(1 << d) - 1, 1 << (d // 2), 1]
-    expect = [GF2Poly(bits) % mod for bits in samples]
     expect_squares = [square(GF2Poly(x)) % mod for x in squares]
     calls = _fft_calls(monkeypatch)
     ctx = _Barrett(mod)
-    assert ctx.q_shifts is not None and ctx.mod_terms is not None
-    assert [ctx.reduce(GF2Poly(bits)) for bits in samples] == expect
+    assert ctx.engine == "shift"
     assert [GF2Poly(ctx.square(x)) for x in squares] == expect_squares
     assert GF2Poly(2).pow_mod(random.Random(5).getrandbits(64), mod).degree < d
     assert calls == []
@@ -307,8 +282,9 @@ def test_sparse_barrett_operands_take_fewer_shifts_than_set_bits():
     for name in ("mt19937", "mt19937-64id1"):
         mod = minimal_polynomial(get_spec(name))
         ctx = _Barrett(mod)
-        assert _plan_shifts(ctx.q_shifts) < ctx.q.bit_count() / 2, name
-        assert _plan_shifts(ctx.mod_terms) < mod.weight / 2, name
+        q_plan, mod_plan = ctx.operands
+        assert _plan_shifts(q_plan) < ctx.q.bit_count() / 2, name
+        assert _plan_shifts(mod_plan) < mod.weight / 2, name
 
 
 def _sparse_quotient_modulus(d: int) -> GF2Poly:
@@ -319,22 +295,22 @@ def _sparse_quotient_modulus(d: int) -> GF2Poly:
     return GF2Poly.x_power(2 * d) // GF2Poly.from_degrees([d, d - 1, 2, 0])
 
 
-# (modulus, q sparse, modulus sparse), at odd and even degree
+# (modulus, its engine), at odd and even degree: only a modulus whose q
+# and itself are both sparse takes shifts
 _PAIRINGS = {
-    "sparse q, sparse modulus": (GF2Poly.from_degrees([3001, 2401, 0]), True, True),
-    "sparse q, dense modulus": (_sparse_quotient_modulus(3000), True, False),
-    "dense q, sparse modulus": (GF2Poly.from_degrees([3001, 3000, 0]), False, True),
+    "sparse q, sparse modulus": (GF2Poly.from_degrees([3001, 2401, 0]), "shift"),
+    "sparse q, dense modulus": (_sparse_quotient_modulus(3000), "spectra"),
+    "dense q, sparse modulus": (GF2Poly.from_degrees([3001, 3000, 0]), "spectra"),
     "dense q, dense modulus": (GF2Poly(1 << 3000 | random.Random(3000).getrandbits(3000) | 1),
-                               False, False),
+                               "spectra"),
 }
 
 
-@pytest.mark.parametrize("mod,sparse_q,sparse_mod", _PAIRINGS.values(), ids=_PAIRINGS.keys())
-def test_pow_mod_matches_the_oracle_on_each_pairing_of_engines(mod, sparse_q, sparse_mod):
+@pytest.mark.parametrize("mod,engine", _PAIRINGS.values(), ids=_PAIRINGS.keys())
+def test_pow_mod_matches_the_oracle_on_each_pairing_of_engines(mod, engine):
     d = mod.degree
     ctx = _Barrett(mod)
-    assert (ctx.q_shifts is not None, ctx.mod_terms is not None) == (sparse_q, sparse_mod)
-    assert (ctx.q_spectra is None, ctx.mod_spectrum is None) == (sparse_q, sparse_mod)
+    assert ctx.engine == engine
     assert ctx.q == (GF2Poly.x_power(2 * d) // mod).bits
     rng = random.Random(d)
     # t^e's last square first crosses degree d at e = d + 1 (odd d) or d (even d)
@@ -350,12 +326,11 @@ def test_pow_mod_matches_the_oracle_on_each_pairing_of_engines(mod, sparse_q, sp
 @pytest.mark.parametrize("d", [2600, 2601, 2**15 - 2, 2**15 - 1])
 def test_half_length_square_matches_long_division_on_random_moduli(d):
     # delta = 2 ceil(d/2) - d is 0 at even d and 1 at odd d; from 2^15 - 1
-    # on, the transforms take one coefficient per element
+    # on, the packed fields could overflow, and the products engine runs
     rng = random.Random(d)
     mod = GF2Poly(1 << d | rng.getrandbits(d) | 1)
     ctx = _Barrett(mod)
-    assert ctx.q_spectra is not None and ctx.mod_spectrum is not None
-    assert ctx.per == (2 if d < 2**15 - 1 else 1)
+    assert ctx.engine == ("spectra" if d < 2**15 - 1 else "products")
     assert ctx.q == (GF2Poly.x_power(2 * d) // mod).bits  # Newton's iteration
     half = (d + 1) // 2
     squares = [rng.getrandbits(d) for _ in range(4)]
@@ -364,14 +339,16 @@ def test_half_length_square_matches_long_division_on_random_moduli(d):
         assert GF2Poly(ctx.square(x)) == square(GF2Poly(x)) % mod, x.bit_length()
 
 
-@pytest.mark.parametrize("name", ["mt19937-64id3", "well19937a", "melg19937"])
+@pytest.mark.parametrize("name", ENGINES)
 def test_chained_squares_match_long_division_on_the_dense_moduli(name):
-    # Each square decodes only the quotient coefficients it keeps, packs
-    # them into the remainder's transform without a round trip through an
-    # int, and feeds the next square, as in pow_mod.
+    # Each bundled modulus takes the engine its weights pick, so a moved
+    # threshold cannot move a generator onto another path unseen.  On the
+    # spectra, each square decodes only the quotient coefficients it
+    # keeps, packs them into the remainder's transform without a round
+    # trip through an int, and feeds the next square, as in pow_mod.
     mod = minimal_polynomial(get_spec(name))
     ctx = _Barrett(mod)
-    assert ctx.q_spectra is not None and ctx.mod_spectrum is not None
+    assert ctx.engine == ENGINES[name]
     x = random.Random(name).getrandbits(mod.degree)
     for i in range(60):
         y = ctx.square(x)
@@ -444,7 +421,7 @@ def test_rounding_guard_checks_the_half_length_product(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", skew_half_length)
     with pytest.raises(ArithmeticError, match=f"length {half} is not exact"):
-        ctx.reduce(GF2Poly(random.Random(3).getrandbits(2 * d)))
+        ctx.square(random.Random(3).getrandbits(d))
 
 
 def test_rounding_guard_failure_is_an_error_line(monkeypatch, capsys):
