@@ -192,13 +192,14 @@ def grid_bits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(state-grid coordinate, member) of every set bit of E states.
 
-    ``st`` is an (n, E) window in logical order, and ``lung`` an (E,)
-    row, or None without a lung.
+    ``st`` holds the newest rows of an (n, E) window in logical order:
+    all n of them, or fewer, whose bits then fall in the first grid
+    words.  ``lung`` is an (E,) row, or None without a lung.
     """
     n, w = spec.n, spec.w
     # flatnonzero of a bool mask is several times faster than nonzero of words
     row, member = np.divmod(np.flatnonzero(st != 0), st.shape[1])
-    word, values = n - 1 - row, st[row, member]  # grid word g is logical word n - 1 - g
+    word, values = len(st) - 1 - row, st[row, member]  # grid word g is the g-th newest row
     if lung is not None:
         lung_members = np.flatnonzero(lung)
         word = np.concatenate((word, np.full(len(lung_members), n)))
@@ -259,7 +260,11 @@ class Recurrence(ABC):
 
     ``run`` is the family's per-step loop.  The step from window start c
     reads its operands at fixed offsets from c and writes the new newest
-    word at c + n; ``blocks`` reads the same offsets from j.  ``span`` is
+    word at c + n; ``blocks`` reads the same offsets from j.  A step
+    writes only words c + n - 1 (WELL rewrites it) and c + n, and the
+    lung: words c .. c + n - 2 stay as they were, each one grid word
+    further on.  ``advance_stream``'s copy back from word n - 1 and
+    ``ensemble.probe_images`` rely on it.  ``span`` is
     the most steps the block path computes in one numpy pass; 0 turns it
     off.  ``advance_stream`` chooses between the two, and runs ``blocks``
     on ``block_form``.  ``newest_first`` is the seed-file word order (see

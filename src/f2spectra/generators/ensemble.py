@@ -9,6 +9,7 @@ from ``mt.py``, ``well.py`` or ``melg.py``, with its constants cast to
 the array's word type.  Its per-step loop ``run(ens, count, out)`` acts
 on whole rows at once, at the same offsets as on the scalar ring, and
 appends each step's output words to ``out`` as one fresh (E,) array.
+No library function builds an ``Ensemble``; the tests' oracles do.
 
 ``probe_images`` starts one member on each unit vector of the state grid
 (every stored bit, dead bits included; see ``base.canonical_grid``),
@@ -16,7 +17,13 @@ steps once, and keeps the output words that step emits and the set bits
 of the images.  That yields the one-step matrix B of the grid as sparse
 (row, col) pairs, about k + 600 of them at k = 19937, and T B, the
 output map T of the stepped state composed with B, as one word per grid
-coordinate, with no k x k probe matrix ever built.
+coordinate, with no k x k probe matrix ever built.  A step writes only
+the two newest words and the lung, and every other word moves one grid
+word on unchanged (see ``Recurrence``).  So the probe reads set bits
+only from the stepped ring's two newest rows and its lung, O(k) words
+per probe, and adds the one moved bit of each unit vector in grid words
+1 .. n - 2 without reading it.  Its members step in a plain
+``base.Ring`` of n + 1 rows, room for one step, reused block by block.
 ``probe_grid`` runs it over the whole grid on worker threads; it is the
 package's only thread pool, and both transition-matrix extraction and
 the zeroland sweep read it.
@@ -35,12 +42,16 @@ import numpy as np
 
 from .._util import resolve_threads
 from . import recurrence
-from .base import GeneratorSpec, canonical_rows, grid_bits, grid_size, set_grid_bits, word_dtype
+from .base import (
+    GeneratorSpec, Ring, canonical_rows, grid_bits, grid_size, set_grid_bits, word_dtype,
+)
 
-#: Buffer words per block of probe members: bounds a block's buffer to
-#: 1-2 MB at k = 19937, half of it the rings and half the room a step
-#: writes into, and a full-grid probe's traced peak to 2.4-4.5 MB.
-#: Blocks four times larger took no less time.
+#: Buffer words per block of probe members: a block steps in a ring of
+#: n + 1 rows, the n ring words and the room for one step, of
+#: ``_PROBE_WORDS // (n + 1)`` members each.  That bounds the ring to
+#: 1-2 MB at k = 19937 and a full-grid probe's traced peak to 1.2-2.3 MB.
+#: Blocks four times larger took half the time at w = 32 and a third
+#: less at w = 64, but quadrupled the ring and the traced peak.
 _PROBE_WORDS = 1 << 18
 
 
@@ -83,17 +94,43 @@ def probe_images(
     set bits of the images (grid coordinates, B's nonzeros in columns
     lo..hi-1), and ``outputs[e]`` is the word the step from unit vector
     lo+e emits, that is column lo+e of T B.
+
+    A step writes only the two newest words and the lung (see
+    ``Recurrence``), and moves every other word one grid word on.  So
+    the image of a unit vector in grid words 1 .. n - 2 is the same bit
+    one grid word on, at coordinate + w, plus what the step wrote; only
+    the two newest rows of the stepped ring and the lung are read.
+    Blocks of up to ``_PROBE_WORDS // (n + 1)`` lanes step through one
+    zeroed ring of n + 1 rows, room for one step, and after each block
+    only the rows it set and the rows the step wrote are cleared.
     """
-    block = max(1, _PROBE_WORDS // (2 * spec.n + 1))
-    rows, cols, outputs = [], [], []
+    n, w, dt = spec.n, spec.w, word_dtype(spec)
+    block = max(1, _PROBE_WORDS // (n + 1))
+    width = min(block, hi - lo)
+    lung = np.zeros(width, dtype=dt) if spec.has_lung else None
+    ring = Ring(np.zeros((n + 1, width), dtype=dt), lung)
+    rec = recurrence(spec, dt)
+    rows, cols = [], []
+    outputs = np.empty(hi - lo, dtype=dt)
     for blo in range(lo, hi, block):
         bhi = min(blo + block, hi)
-        ens = Ensemble.from_grid_units(spec, np.arange(blo, bhi))
-        ens.rec.run(ens, 1, outputs)
-        r, c = grid_bits(spec, ens.window, ens.lung)
+        lanes = np.arange(bhi - blo)
+        set_grid_bits(spec, ring.buf[:n], ring.lung, lanes + blo, lanes)
+        out: list[np.ndarray] = []
+        ring.start = 0
+        rec.run(ring, 1, out)
+        outputs[blo - lo : bhi - lo] = out[0][: bhi - blo]
+        r, c = grid_bits(spec, ring.buf[n - 1 :], ring.lung)  # grid words 1 and 0, and the lung
         rows.append(r)
         cols.append(c + blo)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(outputs)
+        # the ring rows of grid words blo // w .. (bhi - 1) // w, then the rows the step wrote
+        ring.buf[max(0, n - 1 - (bhi - 1) // w) : max(0, n - blo // w)] = 0
+        ring.buf[n - 1 :] = 0
+        if ring.lung is not None:
+            ring.lung[:] = 0
+    del ring  # before the parts are joined, which lowers the traced peak
+    moved = np.arange(max(lo, w), min(hi, (n - 1) * w))  # the lanes in grid words 1 .. n - 2
+    return np.concatenate([moved + w, *rows]), np.concatenate([moved, *cols]), outputs
 
 
 def probe_grid(
@@ -102,8 +139,10 @@ def probe_grid(
     """``probe_images`` over the whole state grid.
 
     ``threads`` workers (default: ``resolve_threads``) each probe one
-    contiguous lane range; the parts are joined in lane order, so the
-    result does not depend on the thread count.
+    contiguous lane range, which is empty when there are more workers
+    than lanes; the parts are joined in lane order.  So the outputs, and
+    B's nonzeros as a set, do not depend on the thread count; the order
+    of the (row, col) pairs does.
     """
     threads = resolve_threads(threads)
     size = grid_size(spec)

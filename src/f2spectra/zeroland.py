@@ -112,7 +112,11 @@ def _adjoint_weight_totals(spec: GeneratorSpec, steps: int, threads: int | None)
     U_i over the canonical j.  The adjoint loop below makes U_2 .. U_steps.
     B = S ^ R, where S moves every coordinate down by delta (the commonest
     positive row - col offset of B's nonzeros) and R holds the rest,
-    including the entries that cancel S where B lacks them.  U lives in
+    including the entries that cancel S where B lacks them.  R is found
+    without hashing the k or so entries of B and S: B's entries at offset
+    delta mark their columns in a boolean array, and R is B's other
+    entries plus S's entries (j + delta, j) in the columns left unmarked,
+    grouped by column by one sort of those few hundred entries.  U lives in
     the window buf[off : off + size] of a buffer of twice that size, zero
     beyond the window, so S is ``off += delta`` and a step rewrites only
     R's columns.  The window's weight changes by the words that leave it
@@ -124,10 +128,16 @@ def _adjoint_weight_totals(spec: GeneratorSpec, steps: int, threads: int | None)
     size = len(u)
     offsets = rows - cols
     delta = 1 + int(np.argmax(np.bincount(offsets[offsets > 0], minlength=2)[1:]))
-    shifted = np.arange(size - delta)
-    r_codes = np.setxor1d(cols * size + rows, shifted * size + shifted + delta)
-    r_cols, r_rows = np.divmod(r_codes, size)  # sorted by column
-    touched, starts = np.unique(r_cols, return_index=True)
+    on_shift = offsets == delta
+    in_b = np.zeros(size - delta, dtype=bool)
+    in_b[cols[on_shift]] = True
+    missing = np.flatnonzero(~in_b)  # S's entries (j + delta, j) that B lacks
+    r_cols = np.concatenate((cols[~on_shift], missing))
+    r_rows = np.concatenate((rows[~on_shift], missing + delta))
+    order = np.argsort(r_cols, kind="stable")
+    r_cols, r_rows = r_cols[order], r_rows[order]
+    starts = np.flatnonzero(np.diff(r_cols, prepend=-1))
+    touched = r_cols[starts]
     dead = dead_bits(spec)
     buf = np.zeros(2 * size, dtype=u.dtype)
     buf[:size] = u

@@ -13,7 +13,7 @@ import numpy as np
 from f2spectra.bitlinalg import BitMatrix, BitVector, SparseBitMatrix, transpose
 from f2spectra.charpoly import BlockSpec, ZPoly
 from f2spectra.generators import Generator, GeneratorSpec, make_generator
-from f2spectra.generators.base import canonical_grid
+from f2spectra.generators.base import canonical_grid, grid_bits
 from f2spectra.generators.ensemble import Ensemble
 from f2spectra.gf2poly import GF2Poly, _square_bits
 
@@ -128,6 +128,24 @@ def rank_gf2(m: BitMatrix) -> int:
 def _unit_vectors(spec: GeneratorSpec, lo: int, hi: int) -> Ensemble:
     """Ensemble whose member e holds canonical basis vector lo+e."""
     return Ensemble.from_grid_units(spec, canonical_grid(spec)[lo:hi])
+
+
+def probe_images_full_window(
+    spec: GeneratorSpec, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ensemble.probe_images`` by scanning every stepped word: the grid
+    unit vectors lo..hi-1 stepped once in an ``Ensemble``, and every set
+    bit of the whole stepped window and lung read back by ``grid_bits``;
+    the oracle for the probe, which reads only the words a step writes."""
+    rows, cols, outputs = [], [], []
+    for blo in range(lo, hi, _LANES):
+        bhi = min(blo + _LANES, hi)
+        ens = Ensemble.from_grid_units(spec, np.arange(blo, bhi))
+        ens.rec.run(ens, 1, outputs)
+        r, c = grid_bits(spec, ens.window, ens.lung)
+        rows.append(r)
+        cols.append(c + blo)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(outputs)
 
 
 def dense_transition_matrix(spec: GeneratorSpec) -> BitMatrix:

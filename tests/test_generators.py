@@ -19,7 +19,7 @@ from f2spectra import (
     make_generator,
 )
 from f2spectra.bitlinalg import BitVector
-from f2spectra.generators import base, parse_params
+from f2spectra.generators import base, parse_params, recurrence
 from f2spectra.generators.base import (
     canonical_grid,
     dead_bits,
@@ -29,14 +29,14 @@ from f2spectra.generators.base import (
     set_grid_bits,
     word_dtype,
 )
-from f2spectra.generators.ensemble import Ensemble
+from f2spectra.generators.ensemble import Ensemble, probe_grid, probe_images
 from f2spectra.generators.melg import Melg
 from f2spectra.generators.mt import Mt
 from f2spectra.generators.well import Well
 from f2spectra.gf2poly import output_bit_sequence
 from f2spectra.zeroland import trajectory_trace
 
-from _oracles import bit_vector, hamming, xor
+from _oracles import bit_vector, hamming, probe_images_full_window, xor
 # small widths keep the exhaustive checks fast
 from _toys import TOY_MELG, TOY_MT8, TOY_WELL_DEAD_TAP
 
@@ -554,6 +554,27 @@ def test_run_equals_single_steps_on_an_ensemble_ring(spec):
                 assert np.array_equal(batched.lung, single.lung)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
+def test_a_step_writes_only_the_two_newest_words_and_the_lung(spec):
+    # The premise of the probe's shifted images and of advance_stream's
+    # copy back from word n - 1: a step from window start c leaves every
+    # word but c + n - 1 and c + n as it was, words c .. c + n - 2 included.
+    dt = word_dtype(spec)
+    rng = np.random.default_rng(spec.n)
+    rec = recurrence(spec, dt)
+    n = spec.n
+    for c in (0, 1, n - 1):
+        words = rng.integers(0, spec.word_mask, size=(2 * n, 4), dtype=dt, endpoint=True)
+        lung = rng.integers(0, spec.word_mask, size=4, dtype=dt, endpoint=True)
+        ring = base.Ring(words.copy(), lung.copy() if spec.has_lung else None)
+        ring.start = c
+        rec.run(ring, 1)
+        assert ring.start == c + 1
+        written = np.flatnonzero((ring.buf != words).any(axis=1))
+        assert set(written.tolist()) <= {c + n - 1, c + n}, c
+        assert c + n in written, c
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_words_and_reals_equal_the_single_call_streams(name):
     spec = get_spec(name)
@@ -692,3 +713,45 @@ def test_spans_of_the_bundled_generators():
     assert spans == {"mt19937": 227, "mt19937-64id1": 156, "mt19937-64id3": 88,
                      "well607b": 8, "well1024a": 3, "well19937a": 70,
                      "melg607": 4, "melg19937": 230}
+
+
+# -- the one-step probe of the state grid --------------------------------------
+
+
+def _sorted_pairs(rows, cols):
+    order = np.lexsort((rows, cols))
+    return np.stack([rows[order], cols[order]])
+
+
+def _assert_same_probe(got, expected):
+    (rows, cols, outputs), (e_rows, e_cols, e_outputs) = got, expected
+    assert rows.dtype == cols.dtype == np.int64
+    assert np.array_equal(_sorted_pairs(rows, cols), _sorted_pairs(e_rows, e_cols))
+    assert outputs.dtype == e_outputs.dtype
+    assert np.array_equal(outputs, e_outputs)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
+def test_probe_matches_the_full_window_oracle(spec):
+    # The whole grid, dead bits and lung included (matrix extraction drops
+    # both), then lane ranges that start and end mid-word: probe_grid's
+    # split at seven threads, and one from three bits before the dead bits
+    # (the oldest word's low r bits) to the end of the grid.
+    size, w = grid_size(spec), spec.w
+    bounds = [size * t // 7 for t in range(8)]
+    assert any(b % w for b in bounds)
+    dead = dead_bits(spec)
+    ranges = [(0, size), *zip(bounds[:-1], bounds[1:]), (dead.start - 3, size)]
+    for lo, hi in ranges:
+        _assert_same_probe(probe_images(spec, lo, hi), probe_images_full_window(spec, lo, hi))
+
+
+def test_probe_grid_with_more_threads_than_lanes():
+    # 24 grid lanes on 25 threads: one worker gets an empty lane range.
+    spec = TOY_MT8
+    assert grid_size(spec) == 24
+    _assert_same_probe(probe_grid(spec, 25), probe_grid(spec, 1))
+    rows, cols, outputs = probe_images(spec, 5, 5)
+    assert rows.size == cols.size == outputs.size == 0
+    assert rows.dtype == cols.dtype == np.int64
+    assert outputs.dtype == np.dtype(word_dtype(spec))
