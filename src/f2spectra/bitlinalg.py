@@ -9,7 +9,7 @@ The transition matrix B of every bundled generator is almost a pure
 shift, with about k + 600 nonzeros at k = 19937, so in this form it
 takes about 320 KB where packed rows would take 50 MB.  The extractor
 takes B's nonzeros from one sparse probe of the state grid
-(``generators.ensemble.probe_grid``): every stored bit is stepped once
+(``generators.ensemble.probe_images``): every stored bit is stepped once
 as a unit vector and the set bits of its image are listed as (row, col)
 pairs, of which those in canonical rows and columns are kept.
 ``B @ x == raw_step(x)`` is the property everything downstream relies
@@ -248,17 +248,17 @@ def write_matrix(m: SparseBitMatrix, sink: TextIO) -> None:
 # -- transition-matrix extraction --------------------------------------
 
 
-def extract_transition_matrix(spec, threads: int | None = None) -> SparseBitMatrix:
+def extract_transition_matrix(spec) -> SparseBitMatrix:
     """The k-square matrix B with ``B @ x == raw_step(x)`` for every state x.
 
-    One sparse probe of the state grid (``ensemble.probe_grid``, on
-    ``threads`` workers) lists B's nonzeros; those in canonical rows and
-    columns, renumbered to canonical coordinates, are B.
+    One sparse probe of the whole state grid (``ensemble.probe_images``)
+    lists B's nonzeros; those in canonical rows and columns, renumbered
+    to canonical coordinates, are B.
     """
-    from .generators.base import grid_canonical
-    from .generators.ensemble import probe_grid
+    from .generators.base import grid_canonical, grid_size
+    from .generators.ensemble import probe_images
 
-    rows, cols, _ = probe_grid(spec, threads)
+    rows, cols, _ = probe_images(spec, 0, grid_size(spec))
     canon = grid_canonical(spec)
     rows, cols = canon[rows], canon[cols]
     keep = (rows >= 0) & (cols >= 0)

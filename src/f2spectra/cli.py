@@ -1,20 +1,19 @@
 """Command-line surface: matrix, spectrum, and polynomial artifacts.
 
 Each ``cmd_*`` function does only its own work and returns a ``Result``.
-``main`` does every step the commands share: it resolves ``--threads``
-and ``--spec``, times the command, builds the run manifest (command,
-generator names, parameters, output paths, wall time, tool version, and
-the ``OPENBLAS_NUM_THREADS`` setting, null when unset, on which the last
-digits of ``entropy``'s results depend),
-writes it to ``<path>.manifest.json`` beside the first output file, and
-prints the text lines or, under ``--json``, the payload with the
-manifest inline.  ``parameters`` holds every parsed flag with its
-default resolved, except ``--spec`` (named in ``specs``) and ``--json``;
-a command whose defaults depend on its mode writes the resolved values
-back.  An integer of more than 4300 decimal digits, which a default
-``json.loads`` refuses, is written as a "0x..." string in the manifest
-and the payload.  Except for ``bench``, every command is deterministic
-given its flags.
+``main`` does every step the commands share: it resolves ``--spec``,
+times the command, builds the run manifest (command, generator names,
+parameters, output paths, wall time, tool version, and the
+``OPENBLAS_NUM_THREADS`` setting, null when unset, on which the last
+digits of ``entropy``'s results depend), writes it to
+``<path>.manifest.json`` beside the first output file, and prints the
+text lines or, under ``--json``, the payload with the manifest inline.
+``parameters`` holds every parsed flag with its default resolved, except
+``--spec`` (named in ``specs``) and ``--json``; a command whose defaults
+depend on its mode writes the resolved values back.  An integer of more
+than 4300 decimal digits, which a default ``json.loads`` refuses, is
+written as a "0x..." string in the manifest and the payload.  Except for
+``bench``, every command is deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from ._util import resolve_threads
 from .bitlinalg import BitVector, extract_transition_matrix, write_matrix
 from .charpoly import (
     BlockSpec,
@@ -122,7 +120,7 @@ def cmd_matrix(args: argparse.Namespace) -> Result:
     spec = args.spec
     if args.json and not args.out:
         raise ValueError("matrix --json needs --out (the matrix itself goes to the file)")
-    mat = extract_transition_matrix(spec, threads=args.threads)
+    mat = extract_transition_matrix(spec)
     if args.out:
         with open(args.out, "w") as sink:
             write_matrix(mat, sink)
@@ -140,7 +138,7 @@ def cmd_entropy(args: argparse.Namespace) -> Result:
             f"{spec.name} has k={spec.k} > {DEFAULT_EIGEN_CAP}; "
             "pass --extended for long dense eigensolves"
         )
-    mat = extract_transition_matrix(spec, threads=args.threads)
+    mat = extract_transition_matrix(spec)
     spectrum = eigenvalues(mat, source=spec.name)
     report = entropy(spectrum, w=spec.w)
     lines = [json.dumps(report)]
@@ -255,7 +253,7 @@ def cmd_zeroland(args: argparse.Namespace) -> Result:
             f"at normalized n={min_at} (window p={p})"
         ]
     else:
-        trace = unit_seed_sweep(spec, p=p, max_n=max_n, threads=args.threads)
+        trace = unit_seed_sweep(spec, p=p, max_n=max_n)
         settled = balanced_time(trace, band_sigmas=args.band_sigmas)
         payload.update(band_sigmas=args.band_sigmas, balanced_time=settled)
         lines = [
@@ -386,28 +384,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     spec_names = list(list_specs())
 
-    def add(name: str, help_text: str, *, spec: bool = True, threads: bool = False):
+    def add(name: str, help_text: str, *, spec: bool = True):
         sub = commands.add_parser(name, help=help_text, description=help_text)
         if spec:
             sub.add_argument("--spec", required=True, choices=spec_names, help="generator name")
-        if threads:
-            sub.add_argument(
-                "--threads",
-                type=_positive_int_arg,
-                default=None,
-                help="worker threads for the one-step probe of the state bits "
-                     "(default: F2SPECTRA_THREADS or single-threaded); the rest of "
-                     "the command runs on one thread",
-            )
         sub.add_argument("--json", action="store_true", help="machine-readable JSON on stdout")
         return sub
 
-    sub = add("matrix", "Extract the k x k transition matrix (text: one 0/1 row per line).",
-              threads=True)
+    sub = add("matrix", "Extract the k x k transition matrix (text: one 0/1 row per line).")
     sub.add_argument("--out", help="output path (default: stdout)")
     sub.set_defaults(func=cmd_matrix)
 
-    sub = add("entropy", "Eigenvalue spectrum and entropy report.", threads=True)
+    sub = add("entropy", "Eigenvalue spectrum and entropy report.")
     sub.epilog = ("The last digits of h and of the CSV depend on OpenBLAS's thread count; "
                   "OPENBLAS_NUM_THREADS=1 reproduces them.  The manifest records the "
                   "setting as openblas_threads.")
@@ -431,8 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--rng-seed", type=int, default=2026, help="config sampler seed (default 2026)")
     sub.set_defaults(func=cmd_charpoly)
 
-    sub = add("zeroland", "Hamming-weight window trace: ensemble sweep or stored-seed replay.",
-              threads=True)
+    sub = add("zeroland", "Hamming-weight window trace: ensemble sweep or stored-seed replay.")
     sub.add_argument("--p", type=int, default=None,
                      help="window length: normalized for sweeps (default 100), "
                           "actual for replays (default: state words)")
@@ -524,8 +511,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0 if exc.code is None else int(exc.code)
         try:
             has_spec = "spec" in vars(args)
-            if "threads" in vars(args):
-                args.threads = resolve_threads(args.threads)
             if has_spec:
                 args.spec = get_spec(args.spec)
             started = time.perf_counter()
@@ -551,7 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 for line in result.lines:
                     print(line)
             return 0 if result.ok else 1
-        except (ValueError, KeyError, OSError, ArithmeticError, RuntimeError) as exc:
+        except (ValueError, KeyError, OSError, ArithmeticError, RuntimeError, MemoryError) as exc:
             # a KeyError's str() quotes its message; an OSError's adds errno text and the path
             message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
             print(f"error: {message}", file=sys.stderr)

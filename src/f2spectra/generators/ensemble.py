@@ -24,9 +24,8 @@ only from the stepped ring's two newest rows and its lung, O(k) words
 per probe, and adds the one moved bit of each unit vector in grid words
 1 .. n - 2 without reading it.  Its members step in a plain
 ``base.Ring`` of n + 1 rows, room for one step, reused block by block.
-``probe_grid`` runs it over the whole grid on worker threads; it is the
-package's only thread pool, and both transition-matrix extraction and
-the zeroland sweep read it.
+Transition-matrix extraction and the zeroland sweep both probe the whole
+grid, ``probe_images(spec, 0, grid_size(spec))``.
 
 Members are read and written through ``base.grid_bits`` and
 ``base.set_grid_bits``, the codec the scalar generators use too;
@@ -36,15 +35,10 @@ little-endian uint64 limbs (the row format BitMatrix uses).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from .._util import resolve_threads
 from . import recurrence
-from .base import (
-    GeneratorSpec, Ring, canonical_rows, grid_bits, grid_size, set_grid_bits, word_dtype,
-)
+from .base import GeneratorSpec, Ring, canonical_rows, grid_bits, set_grid_bits, word_dtype
 
 #: Buffer words per block of probe members: a block steps in a ring of
 #: n + 1 rows, the n ring words and the room for one step, of
@@ -132,23 +126,3 @@ def probe_images(
     moved = np.arange(max(lo, w), min(hi, (n - 1) * w))  # the lanes in grid words 1 .. n - 2
     return np.concatenate([moved + w, *rows]), np.concatenate([moved, *cols]), outputs
 
-
-def probe_grid(
-    spec: GeneratorSpec, threads: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``probe_images`` over the whole state grid.
-
-    ``threads`` workers (default: ``resolve_threads``) each probe one
-    contiguous lane range, which is empty when there are more workers
-    than lanes; the parts are joined in lane order.  So the outputs, and
-    B's nonzeros as a set, do not depend on the thread count; the order
-    of the (row, col) pairs does.
-    """
-    threads = resolve_threads(threads)
-    size = grid_size(spec)
-    if threads == 1:
-        return probe_images(spec, 0, size)
-    bounds = [size * t // threads for t in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda lo, hi: probe_images(spec, lo, hi), bounds[:-1], bounds[1:]))
-    return tuple(np.concatenate(part) for part in zip(*parts))

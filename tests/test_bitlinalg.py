@@ -326,13 +326,6 @@ def test_extraction_matches_dense_oracle(spec):
     assert packed(extract_transition_matrix(spec)) == dense_transition_matrix(spec)
 
 
-def test_extraction_thread_count_is_irrelevant():
-    spec = get_spec("well1024a")
-    one, two = extract_transition_matrix(spec), extract_transition_matrix(spec, threads=2)
-    assert two == one
-    assert packed(two) == packed(one)
-
-
 def test_transition_matrix_is_invertible():
     # every bundled recurrence permutes its nonzero states
     spec = get_spec("well607b")

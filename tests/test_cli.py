@@ -342,10 +342,8 @@ def test_bench_contract(capsys):
         (["jump", "--spec", "well607b", "--steps", "3", "--emit", "0"], "--emit"),
         (["bench", "--specs", "well607b", "--doubles", "0"], "--doubles"),
         (["bench", "--specs", "well607b", "--warmup", "-1"], "--warmup"),
-        (["zeroland", "--spec", "well607b", "--threads", "0"], "--threads"),
     ],
-    ids=["trials-0", "trials-negative", "emit-negative", "emit-0", "doubles-0", "warmup-negative",
-         "threads-0"],
+    ids=["trials-0", "trials-negative", "emit-negative", "emit-0", "doubles-0", "warmup-negative"],
 )
 def test_out_of_range_counts_name_the_flag(capsys, argv, flag):
     code, stdout, stderr = run(capsys, *argv)
@@ -384,30 +382,25 @@ def test_band_sigmas_accepts_zero_and_the_default(capsys, extra, expected):
     assert json.loads(stdout)["band_sigmas"] == expected
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("F2SPECTRA_THREADS", "2")
-    code, stdout, _ = run(
-        capsys, "zeroland", "--spec", "well607b", "--max-n", "400", "--json"
-    )
-    assert code == 0
-    assert json.loads(stdout)["balanced_time"] == 44  # deterministic across threads
+@pytest.mark.parametrize("command", ["matrix", "entropy", "zeroland"])
+def test_the_probe_takes_no_thread_count(capsys, command):
+    # The one-step probe runs on one thread and takes no thread count.
+    code, stdout, stderr = run(capsys, command, "--spec", "well607b", "--threads", "1")
+    assert code == 2
+    assert stdout == ""
+    assert "unrecognized arguments: --threads 1" in stderr
 
 
-def test_threads_env_garbage_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("F2SPECTRA_THREADS", "lots")
-    code, _, stderr = run(capsys, "zeroland", "--spec", "well607b", "--max-n", "400")
-    assert code == 1
-    assert "F2SPECTRA_THREADS" in stderr
-
-
-def test_threads_env_zero_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("F2SPECTRA_THREADS", "0")
-    code, _, stderr = run(capsys, "zeroland", "--spec", "well607b", "--max-n", "400")
-    assert code == 1
-    assert stderr.startswith("error:")
-
-
-@pytest.mark.parametrize("exc", [OverflowError("operand too wide"), RuntimeError("degenerate")])
+@pytest.mark.parametrize(
+    "exc",
+    [
+        OverflowError("operand too wide"),
+        RuntimeError("degenerate"),
+        # what numpy raises for an array larger than memory, such as the
+        # trace of `zeroland --max-n 2000000000000`; nothing is allocated here
+        MemoryError("Unable to allocate 14.6 TiB for an array with shape (2000000000000,)"),
+    ],
+)
 def test_library_arithmetic_and_runtime_errors_are_error_lines(capsys, monkeypatch, exc):
     def fail(*args, **kwargs):
         raise exc
@@ -477,13 +470,13 @@ MANIFEST_KEYS = {"command", "specs", "parameters", "outputs", "wall_time_s", "ve
                  "openblas_threads"}
 
 CONTRACT_RUNS = {
-    "matrix": (["--spec", "well607b", "--out"], ["well607b"], {"threads": 1}),
-    "entropy": (["--spec", "well607b", "--out"], ["well607b"], {"threads": 1, "extended": False}),
+    "matrix": (["--spec", "well607b", "--out"], ["well607b"], {}),
+    "entropy": (["--spec", "well607b", "--out"], ["well607b"], {"extended": False}),
     "minpoly": (["--spec", "well607b", "--out"], ["well607b"], {"seed": 12345}),
     "charpoly": (["verify-appendix-b", "--trials", "1"], [],
                  {"check": "verify-appendix-b", "trials": 1, "rng_seed": 2026}),
     "zeroland": (["--spec", "well607b", "--max-n", "400", "--out"], ["well607b"],
-                 {"threads": 1, "p": 100, "max_n": 400, "seed_file": None, "band_sigmas": 2.0}),
+                 {"p": 100, "max_n": 400, "seed_file": None, "band_sigmas": 2.0}),
     "badseed": (["--spec", "well607b", "--d", "150", "--out"], ["well607b"], {"d": 150}),
     "jump": (["--spec", "well607b", "--steps", "3"], ["well607b"],
              {"seed": 12345, "steps": 3, "emit": 5, "verify": False}),
@@ -493,8 +486,7 @@ CONTRACT_RUNS = {
 
 
 @pytest.mark.parametrize("command", list(CONTRACT_RUNS))
-def test_manifest_contract(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.delenv("F2SPECTRA_THREADS", raising=False)
+def test_manifest_contract(tmp_path, capsys, command):
     flags, specs, parameters = CONTRACT_RUNS[command]
     argv = [command, *flags]
     if argv[-1] == "--out":

@@ -29,7 +29,7 @@ from f2spectra.generators.base import (
     set_grid_bits,
     word_dtype,
 )
-from f2spectra.generators.ensemble import Ensemble, probe_grid, probe_images
+from f2spectra.generators.ensemble import Ensemble, probe_images
 from f2spectra.generators.melg import Melg
 from f2spectra.generators.mt import Mt
 from f2spectra.generators.well import Well
@@ -734,9 +734,9 @@ def _assert_same_probe(got, expected):
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_probe_matches_the_full_window_oracle(spec):
     # The whole grid, dead bits and lung included (matrix extraction drops
-    # both), then lane ranges that start and end mid-word: probe_grid's
-    # split at seven threads, and one from three bits before the dead bits
-    # (the oldest word's low r bits) to the end of the grid.
+    # both), then lane ranges that start and end mid-word: the grid cut
+    # into seven parts, and one from three bits before the dead bits (the
+    # oldest word's low r bits) to the end of the grid.
     size, w = grid_size(spec), spec.w
     bounds = [size * t // 7 for t in range(8)]
     assert any(b % w for b in bounds)
@@ -746,11 +746,8 @@ def test_probe_matches_the_full_window_oracle(spec):
         _assert_same_probe(probe_images(spec, lo, hi), probe_images_full_window(spec, lo, hi))
 
 
-def test_probe_grid_with_more_threads_than_lanes():
-    # 24 grid lanes on 25 threads: one worker gets an empty lane range.
+def test_probe_of_an_empty_lane_range():
     spec = TOY_MT8
-    assert grid_size(spec) == 24
-    _assert_same_probe(probe_grid(spec, 25), probe_grid(spec, 1))
     rows, cols, outputs = probe_images(spec, 5, 5)
     assert rows.size == cols.size == outputs.size == 0
     assert rows.dtype == cols.dtype == np.int64

@@ -10,7 +10,8 @@ import pytest
 from f2spectra import get_spec, make_generator
 from f2spectra.bitlinalg import BitVector
 from f2spectra.generators import GENERATOR_NAMES
-from f2spectra.generators.ensemble import probe_grid
+from f2spectra.generators.base import grid_size
+from f2spectra.generators.ensemble import probe_images
 from f2spectra.gf2poly import jump_ahead
 from f2spectra.zeroland import (
     ZerolandTrace,
@@ -122,11 +123,13 @@ def test_dead_tap_toy_reads_its_dead_bits():
     # columns, so those columns of the sweep's U fill up and must be left
     # out of the totals.
     spec = TOY_WELL_DEAD_TAP
-    _, cols, _ = probe_grid(spec)
+    _, cols, _ = probe_images(spec, 0, grid_size(spec))
     assert spec.r and np.any(cols >= spec.n * spec.w - spec.r)
 
 
 def test_sweep_thread_count_is_irrelevant():
+    # The sweep runs on one thread and ignores ``threads``, which the
+    # benchmark's check still passes (perfbench/checks.py::_sweep).
     solo = unit_seed_sweep(get_spec("well607b"), p=32, max_n=200)
     duo = unit_seed_sweep(get_spec("well607b"), p=32, max_n=200, threads=2)
     assert solo.values.tolist() == duo.values.tolist()
@@ -227,6 +230,9 @@ def test_seed_text_errors():
     bad_lung = good.replace(good.splitlines()[-1], "lung=0xzz")
     with pytest.raises(ValueError, match=r"^line 11: not an integer: '0xzz'$"):
         parse_seed_text("# comment\n" + bad_lung, spec)
+    for lung in ("-0x1", hex(spec.word_mask + 1)):  # a lung outside 0 .. 2^w - 1
+        with pytest.raises(ValueError, match="must fit in 64 bits"):
+            parse_seed_text(good.replace(good.splitlines()[-1], f"lung={lung}"), spec)
 
 
 def test_bundled_bad_seeds_load():
