@@ -40,6 +40,16 @@ the remainder's transform.
 ``berlekamp_massey`` recovers the minimal LFSR connection polynomial of
 a bit sequence; fed 2k+64 output bits of a k-dimensional generator it
 returns the full characteristic polynomial p of the transition matrix B.
+Massey's iteration there carries the products of its two connection
+polynomials C and B with the sequence S, updated by the same XORs, so
+each discrepancy is one bit of C S, not a dot product with the reversed
+sequence.  C S is kept from the current step t up and B S from the step
+t0 of the last length change up, both cut at the sequence's length.  An
+update adds B shifted by t - t0, and t0 is fixed between length changes,
+so bit j of B S, coefficient t0 + j, lands on bit j of C S: one XOR, no
+shift.  A run of zero discrepancies costs one shift of C S, found from
+the lowest set bit of a window of it.
+
 ``jump_ahead`` moves any generator by a signed step count: it evaluates
 g = t^steps mod p at B on the state by a sliding-window Horner walk.  Its
 table holds J sub-tables of 2^q rows of n words, oldest first like the
@@ -530,9 +540,9 @@ class _Barrett:
         return r & self.low_mask
 
 
-#: Steps per slice of the reversed sequence in ``berlekamp_massey``, and
-#: the spare width each slice leaves above the current length.
-_BM_BLOCK = 64
+#: Bits of D_c that ``berlekamp_massey`` searches at once for the next
+#: discrepancy, and the steps between two trims of both products.
+_BM_WINDOW = 256
 
 
 def berlekamp_massey(bits: int, nbits: int) -> GF2Poly:
@@ -542,37 +552,65 @@ def berlekamp_massey(bits: int, nbits: int) -> GF2Poly:
     and degree L such that c_0 s_j = sum_{i=1..L} c_i s_{j-i} for all
     covered j.
 
-    Massey's iteration in a compact frame: C keeps bit i = c_i, so it is
-    L + 1 bits long, and B, the C before the last length change, enters
-    an update shifted by the steps since that change.  The discrepancy
-    at step t is the parity of C AND the sequence reversed from s_t.
-    With R the sequence reversed once (bit j = s_{nbits-1-j}), that
-    operand is a shift of R; a window of R, L + 64 bits wide plus the
-    block's own span, is sliced once per 64 steps and again only when L
-    outgrows it, so each step's AND, shift and popcount touch about L
-    bits, not the t bits of the whole prefix.
+    Massey's iteration, with the products D_c = C S and D_b = B S carried
+    beside C and B: S is the sequence as a polynomial and B the C before
+    the last length change, made at step t0.  The discrepancy at step t is
+    coefficient t of C S, one bit of D_c, and each update C ^= B t^gap,
+    gap = t - t0, is mirrored by D_c ^= D_b t^gap.
+
+    Both products are truncated.  D_c is kept from the last step read, t,
+    up (bit j is coefficient t + j), and D_b from t0 up (bit j is
+    coefficient t0 + j), so the coefficients below are shifted out.
+    Coefficients of D_c from ``nbits`` up are never read, and those of
+    D_b from nbits - gap up only ever land there, as gap only grows until
+    D_b is replaced.  So both are cut to their low nbits - t bits once
+    per ``_BM_WINDOW`` steps, which keeps them near nbits - t bits long.
+
+    Coefficient t + j of D_b t^gap is coefficient t - gap + j = t0 + j of
+    D_b, and t - gap = t0 stays constant between length changes, as gap
+    grows one step with t.  So bit j of D_b lines up with bit j of D_c,
+    and an update is a plain XOR, with no shift.  A length change at t
+    makes the old D_c the new D_b, whose frame is then already t0 = t.
+
+    The next discrepancy is the lowest set bit w & -w of the window w of
+    D_c's bits 1 .. ``_BM_WINDOW``.  One right shift of D_c by its
+    ``bit_length()`` - 1 skips the whole run of zero discrepancies before
+    it, and an empty window skips ``_BM_WINDOW`` steps at once.
     """
     if nbits <= 0:
         return GF2Poly(1)
-    bits &= (1 << nbits) - 1
-    reversed_bits = int(format(bits, f"0{nbits}b")[::-1], 2)
-    c, b, length, gap = 1, 1, 0, 1
-    top = width = -1  # the window serves steps up to ``top`` while length < width
-    window = 0
-    for t in range(nbits):
-        if t > top or length >= width:
-            top = min(t + _BM_BLOCK, nbits) - 1
-            width = length + _BM_BLOCK
-            # bit i of window >> (top - t) is s_{t-i}, for i below width
-            window = (reversed_bits >> (nbits - 1 - top)) & ((1 << (width + top - t)) - 1)
-        if (c & (window >> (top - t))).bit_count() & 1:
-            if 2 * length <= t:
-                c, b = c ^ (b << gap), c
-                length = t + 1 - length
-                gap = 1
-                continue
-            c ^= b << gap
-        gap += 1
+    window = ((1 << _BM_WINDOW) - 1) << 1
+    # t = t0 = -1: bit 0 of both frames is coefficient -1, which is 0
+    dc = db = (bits & ((1 << nbits) - 1)) << 1
+    c = b = 1
+    length = 0
+    t = t0 = trimmed = -1
+    while True:
+        w = dc & window
+        if not w:
+            t += _BM_WINDOW
+            if t >= nbits:
+                break
+            dc >>= _BM_WINDOW
+            continue
+        run = (w & -w).bit_length() - 1
+        t += run
+        if t >= nbits:
+            break
+        dc >>= run
+        if t - trimmed >= _BM_WINDOW:
+            kept = (1 << (nbits - t)) - 1
+            dc &= kept
+            db &= kept
+            trimmed = t
+        if 2 * length <= t:
+            c, b = c ^ (b << (t - t0)), c
+            dc, db = dc ^ db, dc
+            length = t + 1 - length
+            t0 = t
+        else:
+            c ^= b << (t - t0)
+            dc ^= db
     return GF2Poly(c)
 
 

@@ -18,6 +18,7 @@ from f2spectra.cli import main
 from f2spectra.generators.melg import Melg
 from f2spectra.generators.mt import Mt
 from f2spectra.gf2poly import (
+    _BM_WINDOW,
     _FFT_THRESHOLD_BITS,
     GF2Poly,
     _Barrett,
@@ -468,6 +469,18 @@ def test_bm_handles_all_zero_prefix():
     assert berlekamp_massey(0, 32) == GF2Poly.from_degrees([0])
 
 
+def _lfsr_prefix(rng: random.Random, degree: int, nbits: int) -> int:
+    """``nbits`` bits of a random LFSR of the given degree, from a random fill."""
+    taps = rng.getrandbits(degree) | 1 << (degree - 1)  # bit i - 1 is c_i
+    bits = rng.getrandbits(degree)
+    recent = int(f"{bits:0{degree}b}"[::-1], 2)  # bit i - 1 is s_(j-i)
+    for j in range(degree, nbits):
+        s = (recent & taps).bit_count() & 1
+        bits |= s << j
+        recent = (recent << 1 | s) & ((1 << degree) - 1)
+    return bits
+
+
 _BM_RNG = random.Random(64)
 _BM_CASES = {
     "empty": (_BM_RNG.getrandbits(8), 0),
@@ -476,12 +489,28 @@ _BM_CASES = {
     "all zero": (0, 300),
     "not a multiple of 64": (_BM_RNG.getrandbits(1000), 1000),
     "bits wider than nbits": (_BM_RNG.getrandbits(500), 333),
-    # L jumps from 0 to 700 at the lone 1, past the window's spare width
+    # L jumps from 0 to 700 at the lone 1, which D_b = S meets 700 steps on
     "zeros then a one": (1 << 699, 1500),
     "zeros, a one, then noise": ((_BM_RNG.getrandbits(800) << 900) | (1 << 450), 1700),
-    # L = 2 for 1000 steps, then jumps to 999 mid-block, where the rest of
-    # the block needs sequence bits far beyond the stale window
+    # L = 2 for 1000 steps, then jumps to 999: D_b's frame stays 1000 steps
+    # behind t, across windows that hold no discrepancy
     "periodic prefix, then noise": (int("01" * 500, 2) | (_BM_RNG.getrandbits(500) << 1000), 1500),
+    # the first window holds only zeros, twice over, before L jumps to 1201
+    "zeros for over two windows, then a one": (1 << 1200, 2000),
+    # the first discrepancy, a length change, is the top bit of the first
+    # window; then the first bit after an empty window
+    "a one on a window's last step, then noise": (
+        (1 << (_BM_WINDOW - 1)) | (_BM_RNG.getrandbits(2 * _BM_WINDOW) << _BM_WINDOW),
+        3 * _BM_WINDOW),
+    "a one just past an empty window, then noise": (
+        (1 << _BM_WINDOW) | (_BM_RNG.getrandbits(2 * _BM_WINDOW) << (_BM_WINDOW + 1)),
+        3 * _BM_WINDOW),
+    "nbits a window multiple": (_BM_RNG.getrandbits(2 * _BM_WINDOW), 2 * _BM_WINDOW),
+    "nbits a window multiple - 1": (_BM_RNG.getrandbits(2 * _BM_WINDOW), 2 * _BM_WINDOW - 1),
+    "nbits a window multiple + 1": (_BM_RNG.getrandbits(2 * _BM_WINDOW + 1), 2 * _BM_WINDOW + 1),
+    "all ones": ((1 << 2000) - 1, 2000),
+    "degree-300 LFSR prefix, then noise": (
+        _lfsr_prefix(_BM_RNG, 300, 800) | (_BM_RNG.getrandbits(700) << 800), 1500),
 }
 
 
@@ -492,7 +521,8 @@ def test_bm_matches_prefix_oracle(bits, nbits):
 
 def test_bm_matches_prefix_oracle_at_every_short_length():
     rng = random.Random(65)
-    for nbits in range(1, 140):
+    near_windows = [m * _BM_WINDOW + d for m in range(1, 5) for d in range(-2, 3)]
+    for nbits in [*range(1, 140), *near_windows]:
         bits = rng.getrandbits(nbits)
         assert berlekamp_massey(bits, nbits) == berlekamp_massey_prefix(bits, nbits), nbits
 
@@ -514,7 +544,7 @@ def test_bm_matches_prefix_oracle_at_full_k(name):
     assert conn.degree == spec.k
 
 
-@pytest.mark.parametrize("name", ["well607b", "melg607"])
+@pytest.mark.parametrize("name", sorted(N1_TABLE))
 def test_minimal_polynomial_fresh_equals_bundled(name):
     spec = get_spec(name)
     bundled = minimal_polynomial(spec)
