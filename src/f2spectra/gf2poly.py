@@ -1,7 +1,7 @@
 """Polynomials over GF(2), minimal polynomials, and jump-ahead.
 
 A GF2Poly is an int-backed bitset: coefficient i of the polynomial is
-bit i of ``bits``.  Small products use a shift-XOR schoolbook loop.
+bit i of ``bits``.  Small products XOR shifts (``_shifted_sum``).
 Products whose shorter operand exceeds ``_FFT_THRESHOLD_BITS`` are an
 exact float64 FFT convolution of the coefficient vectors: every
 coefficient of the integer product is a count no larger than the
@@ -12,7 +12,7 @@ element is then lo + mid 2^15 + hi 2^30, and coefficient 2j is the
 parity of lo_j + hi_(j-1), coefficient 2j + 1 that of mid_j.  That holds
 while no field reaches 2^15, which bounds the shorter operand at
 ``_PACKED_LIMIT`` = 2^15 - 2 coefficients; longer products, which no
-bundled generator makes, take the schoolbook loop.  Lengths below count
+bundled generator makes, take the shifts.  Lengths below count
 elements, not coefficients.  Each FFT product checks its own rounding
 residual and its fields' width, and raises ``ArithmeticError`` rather
 than return a wrong bit.  At degree 19937 the residual measured at most
@@ -22,13 +22,13 @@ operands, against the guard of 0.25.
 Squaring respaces bits, and ``_Barrett``, which ``pow_mod`` builds once
 per call, reduces the square modulo a fixed polynomial of degree d with
 two products by fixed operands, q = t^(2d) // mod and the modulus.  It
-picks one engine per modulus for both.  Small and very large moduli take
-``_mul_bits``.  At k = 19937, the sparse moduli of MT (mt19937 and
-mt19937-64id1, whose q and modulus have a few hundred set bits) take
-shifts and XORs over the set bits, paired at a common distance so that a
-pair costs one shift.  The dense ones (mt19937-64id3, WELL and MELG)
-take spectra computed once.  There the quotient takes three transforms
-of half the full product's length, not two of the full length: the high
+picks one engine per modulus for both.  Small and very large moduli, and
+the sparse moduli of MT at k = 19937 (mt19937 and mt19937-64id1, whose q
+and modulus have a few hundred set bits), take shifts and XORs over the
+set bits, paired at a common distance on the sparse ones so that a pair
+costs one shift.  The dense ones (mt19937-64id3, WELL and MELG) take
+spectra computed once.  There the quotient takes three transforms of
+half the full product's length, not two of the full length: the high
 half of x^2 is x's upper half respaced, so it meets q's even and odd
 halves in two half-length products.  With the remainder's two, a dense
 reduced square at k = 19937 makes five transforms of 10240 elements.
@@ -86,7 +86,7 @@ BigUint = int
 
 #: Products whose shorter operand is longer than this use the FFT.  The two
 #: are level near 512 bits; at 1024 every reduction for k <= 1024 stays on
-#: the schoolbook loop and never loads ``numpy.fft`` (about 1 MB of RSS).
+#: plain shifts and never loads ``numpy.fft`` (about 1 MB of RSS).
 _FFT_THRESHOLD_BITS = 1024
 #: Largest accepted distance of an FFT coefficient from its integer.
 _ROUNDING_GUARD = 0.25
@@ -252,7 +252,8 @@ def _from_bit_vector(bits: np.ndarray) -> int:
 
 
 def _mul_bits(a: int, b: int) -> int:
-    """Carryless product of two coefficient bitsets."""
+    """Carryless product of two coefficient bitsets: the FFT product, or
+    the longer operand shifted to each set bit of the shorter and XORed."""
     if a == 0 or b == 0:
         return 0
     la, lb = a.bit_length(), b.bit_length()
@@ -264,12 +265,7 @@ def _mul_bits(a: int, b: int) -> int:
         return _from_bit_vector(_product_bits(spectrum, n, short))
     if la < lb:
         a, b = b, a
-    acc = 0
-    while b:
-        low = b & -b
-        acc ^= a << (low.bit_length() - 1)
-        b ^= low
-    return acc
+    return _shifted_sum(a, _exponents(b), operator.lshift)
 
 
 @lru_cache(maxsize=1)
@@ -446,17 +442,19 @@ class _Barrett:
     coefficients of ``r - qhat * mod`` the remainder.  ``engine`` names
     how both products are taken, chosen once per modulus:
 
-    - ``"products"``: ``_mul_bits``, at d up to ``_FFT_THRESHOLD_BITS``,
-      where both stay on the schoolbook loop, and above
-      ``_PACKED_LIMIT``, which the spectra's fields cannot hold.
-    - ``"shift"``: when q has fewer than ``_SPARSE_QUOTIENT_WEIGHT`` set
-      bits and the modulus fewer than ``_SPARSE_MODULUS_WEIGHT``, shifts
-      and XORs over them, exact and free of transforms.  The quotient is
-      the XOR of ``hi >> (d - e)`` over q's exponents e, and the
-      remainder the XOR of ``qhat << e`` over the modulus's exponents
-      into r, each taken by a ``_shift_plan`` that pairs exponents at a
-      common distance: 48 and 34 shifts for mt19937's 161 and 135 set
-      bits, 147 and 58 for mt19937-64id1's 579 and 285.
+    - ``"shift"``: shifts and XORs over the set bits, exact and free of
+      transforms (``_shifted_sum``): the quotient is the XOR of
+      ``hi >> (d - e)`` over q's exponents e, and the remainder the XOR
+      of ``qhat << e`` over the modulus's exponents into r.  Every
+      modulus takes it on plain exponent lists at d up to
+      ``_FFT_THRESHOLD_BITS``, where a ``_shift_plan`` costs 7 to 15 ms,
+      more than a jump's few squares save, and above ``_PACKED_LIMIT``,
+      which the spectra's fields cannot hold.  In between, a modulus
+      takes it when q has fewer than ``_SPARSE_QUOTIENT_WEIGHT`` set
+      bits and the modulus fewer than ``_SPARSE_MODULUS_WEIGHT``, on
+      planned lists that pair exponents at a common distance: 48 and 34
+      shifts for mt19937's 161 and 135 set bits, 147 and 58 for
+      mt19937-64id1's 579 and 285.
     - ``"spectra"``: for every other modulus, the spectra of q's even
       and odd halves and of the modulus, computed once, all of
       m = ``_fft_length(ceil((d + 1) / 2))`` elements, so M = 2m >= d + 1
@@ -484,9 +482,9 @@ class _Barrett:
     ==============  =====  ==============  ========  ========
     generator       d      modulus weight  q weight  engine
     ==============  =====  ==============  ========  ========
-    well607b        607    313             298       products
-    melg607         607    313             298       products
-    well1024a       1024   407             495       products
+    well607b        607    313             298       shift
+    melg607         607    313             298       shift
+    well1024a       1024   407             495       shift
     mt19937         19937  135             161       shift
     mt19937-64id1   19937  285             579       shift
     mt19937-64id3   19937  5795            7774      spectra
@@ -503,16 +501,17 @@ class _Barrett:
         d = self.d = mod.degree
         self.low_mask = (1 << d) - 1
         q = self.q = _barrett_quotient(mod)
-        if d <= _FFT_THRESHOLD_BITS or d > _PACKED_LIMIT:
-            self.engine, self.operands = "products", (q, mod.bits)
-        elif q.bit_count() < _SPARSE_QUOTIENT_WEIGHT and mod.weight < _SPARSE_MODULUS_WEIGHT:
-            plans = _shift_plan([d - e for e in _exponents(q)]), _shift_plan(_exponents(mod.bits))
-            self.engine, self.operands = "shift", plans
-        else:
+        fft_range = _FFT_THRESHOLD_BITS < d <= _PACKED_LIMIT
+        sparse = q.bit_count() < _SPARSE_QUOTIENT_WEIGHT and mod.weight < _SPARSE_MODULUS_WEIGHT
+        if fft_range and not sparse:
             self.m = m = _fft_length(-(-(d + 1) // 2))
             halves = np.unpackbits(_bytes_of(q), bitorder="little")
             q0, q1 = (_spectrum(_from_bit_vector(half), m) for half in (halves[0::2], halves[1::2]))
             self.engine, self.operands = "spectra", (q0, q1, _spectrum(mod.bits, m))
+        else:
+            shifts = [d - e for e in _exponents(q)], _exponents(mod.bits)
+            self.engine = "shift"
+            self.operands = tuple(map(_shift_plan, shifts)) if fft_range else shifts
 
     def square(self, x: int) -> int:
         """x^2 mod the modulus, for x of degree below d."""
@@ -521,10 +520,7 @@ class _Barrett:
         hi = r >> d
         if not hi:
             return r
-        if self.engine == "products":
-            q, mod = self.operands
-            r ^= _mul_bits(_mul_bits(hi, q) >> d, mod)
-        elif self.engine == "shift":
+        if self.engine == "shift":
             q_plan, mod_plan = self.operands
             r ^= _shifted_sum(_shifted_sum(hi, q_plan, operator.rshift), mod_plan, operator.lshift)
         else:

@@ -12,7 +12,7 @@ from _oracles import berlekamp_massey_prefix, horner_apply, square
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from f2spectra import get_spec, make_generator
+from f2spectra import get_spec, gf2poly, make_generator
 from f2spectra.bitlinalg import BitVector
 from f2spectra.cli import main
 from f2spectra.generators.melg import Melg
@@ -23,6 +23,7 @@ from f2spectra.gf2poly import (
     GF2Poly,
     _Barrett,
     _barrett_quotient,
+    _exponents,
     _fft_length,
     _mul_bits,
     _product_bits,
@@ -57,10 +58,10 @@ ENGINES = {
     "mt19937": "shift",
     "mt19937-64id1": "shift",
     "mt19937-64id3": "spectra",
-    "well607b": "products",
-    "well1024a": "products",
+    "well607b": "shift",
+    "well1024a": "shift",
     "well19937a": "spectra",
-    "melg607": "products",
+    "melg607": "shift",
     "melg19937": "spectra",
 }
 
@@ -115,12 +116,15 @@ def test_square_and_pow_mod():
 
 
 def _schoolbook_product(a: int, b: int) -> int:
-    """a * b from slices of ``a`` short enough for the shift-XOR loop."""
-    acc, offset = 0, 0
-    while a:
-        acc ^= _mul_bits(a & ((1 << _FFT_THRESHOLD_BITS) - 1), b) << offset
-        a >>= _FFT_THRESHOLD_BITS
-        offset += _FFT_THRESHOLD_BITS
+    """a * b by a shift-XOR loop of its own: a shifted to each set bit of
+    the shorter b, found as b & -b, with no transform and no library call."""
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    acc = 0
+    while b:
+        low = b & -b
+        acc ^= a << (low.bit_length() - 1)
+        b ^= low
     return acc
 
 
@@ -208,12 +212,13 @@ def test_barrett_reduce_matches_long_division_just_above_the_fft_threshold(d, se
 
 
 def _pow_mod_oracle(base: GF2Poly, e: int, mod: GF2Poly) -> GF2Poly:
-    """Square-and-multiply with every reduction by long division."""
+    """Square-and-multiply with every reduction by long division, and every
+    product by ``_schoolbook_product``."""
     result = GF2Poly(1) % mod
     for ch in format(e, "b"):
         result = square(result) % mod
         if ch == "1":
-            result = (result * base) % mod
+            result = GF2Poly(_schoolbook_product(result.bits, base.bits)) % mod
     return result
 
 
@@ -232,19 +237,45 @@ def _fft_calls(monkeypatch) -> list[str]:
 
 
 def test_sparse_barrett_makes_no_fft_call_and_matches_long_division(monkeypatch):
-    # mt19937's q and modulus have weights 161 and 135: both products are
-    # shift-XOR loops over their set bits
-    mod = minimal_polynomial(get_spec("mt19937"))
-    d = mod.degree
-    rng = random.Random(161)
-    squares = [rng.getrandbits(d) for _ in range(3)] + [(1 << d) - 1, 1 << (d // 2), 1]
-    expect_squares = [square(GF2Poly(x)) % mod for x in squares]
+    # mt19937's q and modulus have weights 161 and 135, and every modulus
+    # up to the FFT threshold takes shifts whatever its weights: both
+    # products are shift-XOR loops over their set bits
+    cases = []
+    for name in ("mt19937", "well607b", "well1024a", "melg607"):
+        mod = minimal_polynomial(get_spec(name))
+        rng = random.Random(name)
+        d = mod.degree
+        squares = [rng.getrandbits(d) for _ in range(3)] + [(1 << d) - 1, 1 << (d // 2), 1]
+        cases.append((name, mod, squares, [square(GF2Poly(x)) % mod for x in squares]))
     calls = _fft_calls(monkeypatch)
-    ctx = _Barrett(mod)
-    assert ctx.engine == "shift"
-    assert [GF2Poly(ctx.square(x)) for x in squares] == expect_squares
-    assert GF2Poly(2).pow_mod(random.Random(5).getrandbits(64), mod).degree < d
+    for name, mod, squares, expect_squares in cases:
+        ctx = _Barrett(mod)
+        assert ctx.engine == "shift", name
+        assert [GF2Poly(ctx.square(x)) for x in squares] == expect_squares, name
+        assert GF2Poly(2).pow_mod(random.Random(5).getrandbits(64), mod).degree < mod.degree
     assert calls == []
+
+
+def test_barrett_plans_no_shifts_up_to_the_fft_threshold(monkeypatch):
+    # A plan costs more to build than the few squares of a small-k jump
+    # save, so up to the threshold q's and the modulus's exponents stay
+    # plain lists; just above it a sparse modulus is planned.
+    def refuse(shifts):
+        raise AssertionError(f"planned {len(shifts)} shifts")
+
+    monkeypatch.setattr(gf2poly, "_shift_plan", refuse)
+    rng = random.Random(_FFT_THRESHOLD_BITS)
+    d = _FFT_THRESHOLD_BITS
+    mods = [minimal_polynomial(get_spec(name)) for name in ("well607b", "well1024a", "melg607")]
+    mods += [GF2Poly.from_degrees([d, 1, 0]), GF2Poly(1 << d | rng.getrandbits(d) | 1)]
+    for mod in mods:
+        ctx = _Barrett(mod)
+        assert ctx.engine == "shift"
+        assert ctx.operands == ([mod.degree - e for e in _exponents(ctx.q)], _exponents(mod.bits))
+        x = rng.getrandbits(mod.degree)
+        assert GF2Poly(ctx.square(x)) == square(GF2Poly(x)) % mod
+    with pytest.raises(AssertionError, match="planned"):
+        _Barrett(GF2Poly.from_degrees([d + 1, 1, 0]))
 
 
 def _plan_shifts(plan) -> int:
@@ -327,11 +358,12 @@ def test_pow_mod_matches_the_oracle_on_each_pairing_of_engines(mod, engine):
 @pytest.mark.parametrize("d", [2600, 2601, 2**15 - 2, 2**15 - 1])
 def test_half_length_square_matches_long_division_on_random_moduli(d):
     # delta = 2 ceil(d/2) - d is 0 at even d and 1 at odd d; from 2^15 - 1
-    # on, the packed fields could overflow, and the products engine runs
+    # on, the packed fields could overflow, and the shift engine runs on
+    # plain exponent lists
     rng = random.Random(d)
     mod = GF2Poly(1 << d | rng.getrandbits(d) | 1)
     ctx = _Barrett(mod)
-    assert ctx.engine == ("spectra" if d < 2**15 - 1 else "products")
+    assert ctx.engine == ("spectra" if d < 2**15 - 1 else "shift")
     assert ctx.q == (GF2Poly.x_power(2 * d) // mod).bits  # Newton's iteration
     half = (d + 1) // 2
     squares = [rng.getrandbits(d) for _ in range(4)]
