@@ -9,9 +9,11 @@ The transition matrix B of every bundled generator is almost a pure
 shift, with about k + 600 nonzeros at k = 19937, so in this form it
 takes about 320 KB where packed rows would take 50 MB.  The extractor
 takes B's nonzeros from one sparse probe of the state grid
-(``generators.ensemble.probe_images``): every stored bit is stepped once
-as a unit vector and the set bits of its image are listed as (row, col)
-pairs, of which those in canonical rows and columns are kept.
+(``generators.ensemble.probe_images``), which lists the set bits of the
+image of every stored bit's unit vector as (row, col) pairs: it steps
+once only the unit vectors in the few words a step reads, and moves
+every other one grid word on.  The pairs in canonical rows and columns
+are kept.
 ``B @ x == raw_step(x)`` is the property everything downstream relies
 on.  ``write_matrix`` streams each text row straight from the nonzeros:
 slices of one all-zeros line joined around the row's "1"s.

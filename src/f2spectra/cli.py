@@ -28,6 +28,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -374,7 +375,10 @@ def cmd_bench(args: argparse.Namespace) -> Result:
 # -- parser ------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``main`` only
+    parses with it, and each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="f2spectra",
         description="Spectral and polynomial diagnostics for F2-linear generators.",

@@ -264,15 +264,20 @@ class Recurrence(ABC):
     writes only words c + n - 1 (WELL rewrites it) and c + n, and the
     lung: words c .. c + n - 2 stay as they were, each one grid word
     further on.  ``advance_stream``'s copy back from word n - 1 and
-    ``ensemble.probe_images`` rely on it.  ``span`` is
-    the most steps the block path computes in one numpy pass; 0 turns it
-    off.  ``advance_stream`` chooses between the two, and runs ``blocks``
-    on ``block_form``.  ``newest_first`` is the seed-file word order (see
-    the module docstring).
+    ``ensemble.probe_images`` rely on it.  ``reads`` holds the offsets
+    from c, all below n, of the ring words that the step and its output
+    word read besides the lung; a word at any other offset changes
+    neither what the step writes nor what it emits, and
+    ``ensemble.probe_images`` steps only the unit vectors in these words.
+    ``span`` is the most steps the block path computes in one numpy pass;
+    0 turns it off.  ``advance_stream`` chooses between the two, and runs
+    ``blocks`` on ``block_form``.  ``newest_first`` is the seed-file word
+    order (see the module docstring).
     """
 
     newest_first = False
     span = 0
+    reads: tuple[int, ...]
 
     def __init__(self, spec: GeneratorSpec, cast: Callable[[int], object]) -> None:
         self.spec = spec

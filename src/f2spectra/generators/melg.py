@@ -43,6 +43,8 @@ class Melg(Recurrence):
         self.a = cast(spec.a)
         self.b = cast(spec.b)
         self.lag = (spec.lag - 1) % spec.n + 1  # lag 0 reads the word just written
+        # a lag of n reads the word the step writes, so lag % n adds no offset
+        self.reads = (0, 1, spec.m, self.lag % spec.n)
         self.span = spec.n - spec.m
 
     def temper(self, v, lagged):

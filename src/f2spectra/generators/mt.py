@@ -27,6 +27,7 @@ class Mt(Recurrence):
         super().__init__(spec, cast)
         self.a = cast(spec.a)
         self.taps = (spec.m,) if spec.m is not None else (spec.m1, spec.m2, spec.m3)
+        self.reads = (0, 1, *self.taps)
         self.span = min(spec.n - max(self.taps), spec.n - 1)
         self.tempering = tuple(cast(x) for x in spec.temper)
 

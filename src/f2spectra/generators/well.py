@@ -64,6 +64,7 @@ class Well(Recurrence):
         self.t = tuple(transform_fn(kind, t, self.mask) for kind, t in spec.transforms)
         # o1, o2, o3: the taps' offsets from the window start
         self.taps = tuple(spec.n - 1 - m for m in (spec.m1, spec.m2, spec.m3))
+        self.reads = (0, 1, *self.taps, spec.n - 1)
         if spec.w <= 32:
             self.span = min(spec.m1, spec.m2, spec.m3, spec.n - 2)
 

@@ -110,25 +110,27 @@ def _adjoint_weight_totals(spec: GeneratorSpec, steps: int) -> np.ndarray:
     U_1 = T B is the probe's output words, U_{i+1}[j] is the XOR of U_i[r]
     over the rows r of B's column j, and a step's total is the weight of
     U_i over the canonical j.  The adjoint loop below makes U_2 .. U_steps.
-    B = S ^ R, where S moves every coordinate down by delta (the commonest
-    positive row - col offset of B's nonzeros) and R holds the rest,
-    including the entries that cancel S where B lacks them.  R is found
-    without hashing the k or so entries of B and S: B's entries at offset
-    delta mark their columns in a boolean array, and R is B's other
-    entries plus S's entries (j + delta, j) in the columns left unmarked,
-    grouped by column by one sort of those few hundred entries.  U lives in
-    the window buf[off : off + size] of a buffer of twice that size, zero
-    beyond the window, so S is ``off += delta`` and a step rewrites only
-    R's columns.  The window's weight changes by the words that leave it
-    and by the rewritten words; the dead-bit columns, which hold no lane,
-    are taken off each total.  Weights are counted once per run of steps
-    between two moves of the window back to the front of the buffer.
+    B = S ^ R, where S moves every coordinate down by delta = w, one grid
+    word, and R holds the rest, including the entries that cancel S where
+    B lacks them.  R is found without hashing the k or so entries of B and
+    S: B's entries at offset delta mark their columns in a boolean array,
+    and R is B's other entries plus S's entries (j + delta, j) in the
+    columns left unmarked, grouped by column by one sort of those few
+    hundred entries.  U lives in the window buf[off : off + size] of a
+    buffer of twice that size, zero beyond the window, so S is
+    ``off += delta`` and a step rewrites only R's columns.  The window's
+    weight changes by the words that leave it and by the rewritten words;
+    the dead-bit columns, which hold no lane, are taken off each total.
+    Weights are counted once per run of steps between two moves of the
+    window back to the front of the buffer.
     """
     rows, cols, u = probe_images(spec, 0, grid_size(spec))
     size = len(u)
-    offsets = rows - cols
-    delta = 1 + int(np.argmax(np.bincount(offsets[offsets > 0], minlength=2)[1:]))
-    on_shift = offsets == delta
+    # A step moves all but a few ring words one grid word on (see
+    # ``Recurrence``), so S is the shift by w; any delta would be exact,
+    # as R absorbs what S gets wrong.
+    delta = spec.w
+    on_shift = rows - cols == delta
     in_b = np.zeros(size - delta, dtype=bool)
     in_b[cols[on_shift]] = True
     missing = np.flatnonzero(~in_b)  # S's entries (j + delta, j) that B lacks

@@ -176,6 +176,26 @@ def test_badseed_roundtrips_through_zeroland_replay(tmp_path, capsys):
     assert abs(payload["min_at"] - 150) <= 35
 
 
+def test_main_calls_share_the_parser_but_no_parsed_state(tmp_path, capsys):
+    # main parses with one parser per process; each call still resolves its
+    # own defaults: a sweep's p and max_n, then a replay's, then a sweep's.
+    assert cli._build_parser() is cli._build_parser()
+    seed_file = tmp_path / "bad.seed"
+    assert run(capsys, "badseed", "--spec", "well607b", "--d", "150", "--out", str(seed_file))[0] == 0
+    reports = []
+    for extra in ((), ("--seed-file", str(seed_file)), ()):
+        code, stdout, _ = run(capsys, "zeroland", "--spec", "well607b", *extra, "--json")
+        assert code == 0
+        reports.append(json.loads(stdout))
+    # a replay's default window is the 19 state words of well607b
+    expected = [("sweep", 100, 2000, None), ("replay", 19, 8000, str(seed_file)),
+                ("sweep", 100, 2000, None)]
+    for report, (mode, p, max_n, seed) in zip(reports, expected):
+        parameters = report["manifest"]["parameters"]
+        assert (report["mode"], report["p"], report["max_n"]) == (mode, p, max_n)
+        assert (parameters["p"], parameters["max_n"], parameters["seed_file"]) == (p, max_n, seed)
+
+
 def test_badseed_stdout_is_a_seed_file(capsys):
     code, stdout, _ = run(capsys, "badseed", "--spec", "melg607", "--d", "9")
     assert code == 0

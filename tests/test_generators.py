@@ -559,20 +559,37 @@ def test_a_step_writes_only_the_two_newest_words_and_the_lung(spec):
     # The premise of the probe's shifted images and of advance_stream's
     # copy back from word n - 1: a step from window start c leaves every
     # word but c + n - 1 and c + n as it was, words c .. c + n - 2 included.
+    # And the premise of the probe's read set: with every ring word outside
+    # the offsets rec.reads made random, the step writes the same words and
+    # lung and emits the same word.
     dt = word_dtype(spec)
     rng = np.random.default_rng(spec.n)
     rec = recurrence(spec, dt)
     n = spec.n
+    assert set(rec.reads) <= set(range(n))
+    unread = [o for o in range(n) if o not in rec.reads]
     for c in (0, 1, n - 1):
         words = rng.integers(0, spec.word_mask, size=(2 * n, 4), dtype=dt, endpoint=True)
         lung = rng.integers(0, spec.word_mask, size=4, dtype=dt, endpoint=True)
         ring = base.Ring(words.copy(), lung.copy() if spec.has_lung else None)
         ring.start = c
-        rec.run(ring, 1)
+        out = []
+        rec.run(ring, 1, out)
         assert ring.start == c + 1
         written = np.flatnonzero((ring.buf != words).any(axis=1))
         assert set(written.tolist()) <= {c + n - 1, c + n}, c
         assert c + n in written, c
+        other = words.copy()
+        other[[c + o for o in unread]] = rng.integers(
+            0, spec.word_mask, size=(len(unread), 4), dtype=dt, endpoint=True)
+        other_ring = base.Ring(other, lung.copy() if spec.has_lung else None)
+        other_ring.start = c
+        other_out = []
+        rec.run(other_ring, 1, other_out)
+        assert np.array_equal(other_ring.buf[written], ring.buf[written]), c
+        assert np.array_equal(other_out[0], out[0]), c
+        if spec.has_lung:
+            assert np.array_equal(other_ring.lung, ring.lung), c
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
