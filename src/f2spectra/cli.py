@@ -289,7 +289,9 @@ def cmd_badseed(args: argparse.Namespace) -> Result:
 
 def cmd_jump(args: argparse.Namespace) -> Result:
     if args.verify and abs(args.steps) > 2_000_000:
-        raise ValueError("--verify steps one at a time; keep |--steps| <= 2000000 with it")
+        raise ValueError(
+            "--verify steps along one stream of |--steps| words; keep |--steps| <= 2000000 with it"
+        )
     spec = args.spec
     gen = make_generator(spec, seed=args.seed)
     jump_ahead(gen, args.steps)

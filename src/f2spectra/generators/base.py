@@ -3,13 +3,12 @@
 Every generator here updates a ring of n w-bit words (plus, for the MELG
 family, one extra w-bit "lung" word) by an F2-linear recurrence, so the
 full state is a vector over GF(2).  Every ring is held in *logical order*,
-oldest word first: it is the window ``buf[start : start + n]`` of a buffer
-``buf`` with n words of spare room, and a step appends its new word at
-``buf[start + n]`` and moves ``start`` up by one.  When the room runs out,
-the window is copied back to the front of the buffer, so a step costs
-amortised O(1) and reads each operand at a fixed offset from ``start``.
-The scalar ``Generator`` below holds a list of 2n ints, and
-``ensemble.Ensemble`` a (2n, E) word array, one column per member.
+oldest word first: the scalar ``Generator`` below holds a list of n ints,
+and ``ensemble.Ensemble`` an (n, E) word array, one column per member.
+Steps run along a *stream* of n + count words whose first n words are
+the ring: the step from window start c reads its operands at fixed
+offsets from c and writes the new newest word at c + n, so the last n
+words of the stream are the advanced ring.
 
 The package reads the state in one order, the *state grid*:
 
@@ -38,27 +37,27 @@ it, and only ``Generator.seed``, ``get_raw_state`` and ``set_raw_state``
 read it.
 
 Each family's recurrence is a ``Recurrence`` subclass in ``mt.py``,
-``well.py`` or ``melg.py``, in two forms that read the same offsets.  The
-per-step loop ``run(ring, count, out=None)`` runs unchanged on the scalar
-``Generator`` and on the ``Ensemble``, and is the one place a step's
-output word is formed: it appends the word to ``out``, from the state the
-step leaves.  Every single-step reader (``Generator.next_word``,
-``ensemble.probe_images``) takes its word from there; the storage
-classes hold only storage-specific code.  The block path
-``blocks(buf, count, lung)`` runs one stream along a word array instead:
-it computes up to ``span`` new words per numpy pass, where ``span`` is
-the longest run of steps in which no step reads a word an earlier step
-of the run wrote.
+``well.py`` or ``melg.py``, in two forms that advance the same stream
+and read the same offsets.  The per-step loop
+``run(buf, count, lung, out=None)`` runs unchanged on a list of ints and
+on a word array whose rows are an ensemble's words, and appends each
+step's output word to ``out``, from the state the step leaves.  The
+block path ``blocks(buf, count, lung, emit)`` runs on a word array and
+computes up to ``span`` new words per numpy pass, where ``span`` is the
+longest run of steps in which no step reads a word an earlier step of
+the run wrote.
 
 ``advance_stream`` is the one place that chooses between the two: it
 advances a ring along one word array, forming the output words or not,
-and ``Generator.word_array`` (so ``words`` and ``reals``), the Horner
-walk of ``gf2poly`` and ``stream_states``, which gives the walk's table
-its first states, all call it.  A family with a long span (the five
-k = 19937 generators) takes the block path at every count; the
-k <= 1024 generators, whose spans are 3-8 words, take the per-step loop
-on one list copy of the stream.  The per-step loop is also the oracle
-the tests hold the block path to.
+and ``Generator.step``, ``next_word`` and ``word_array`` (so ``words``
+and ``reals``), the Horner walk of ``gf2poly`` and ``stream_states``,
+which gives the walk's table its first states, all call it.  A family
+with a long span (the five k = 19937 generators) takes the block path at
+every count; the k <= 1024 generators, whose spans are 3-8 words, take
+the per-step loop on one list copy of the stream.  The per-step loop is
+also the oracle the tests hold the block path to, and
+``ensemble.probe_images`` and ``Ensemble.step`` run it on their streams
+directly.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -248,15 +247,14 @@ def canonical_rows(spec: GeneratorSpec, st: np.ndarray, lung: np.ndarray | None)
 
 
 class Recurrence(ABC):
-    """One family's F2-linear recurrence, on either kind of ring.
+    """One family's F2-linear recurrence, on either kind of stream.
 
-    ``run`` acts on a ring holder with attributes ``buf`` (a list of ints,
-    or an array whose rows are words), ``start`` and ``lung``: the ring
-    is ``buf[start : start + n]``, oldest word first, and the rest of
-    ``buf`` is room.  ``Generator``, ``ensemble.Ensemble`` and the plain
-    ``Ring`` are such holders.  Every constant is cast once by ``cast``
-    (``int``, or the array's word type) so one set of expressions serves
-    both; left shifts are masked explicitly because ints do not wrap.
+    ``run`` and ``blocks`` both advance a stream ``buf`` of n + count
+    words whose first n words are the ring, oldest word first: ``run`` a
+    list of ints or an array whose rows are words, ``blocks`` a word
+    array.  Every constant is cast once by ``cast`` (``int``, or the
+    array's word type) so one set of expressions serves both; left shifts
+    are masked explicitly because ints do not wrap.
 
     ``run`` is the family's per-step loop.  The step from window start c
     reads its operands at fixed offsets from c and writes the new newest
@@ -286,31 +284,15 @@ class Recurrence(ABC):
         self.upper = cast(spec.upper_mask)
         self.lower = cast(spec.lower_mask)
 
-    def stretches(self, ring, count: int) -> Iterator[tuple[int, int]]:
-        """(j, e) pairs, one per stretch of the buffer's room: the next
-        ``count`` steps start from the windows at j .. j + e - 1, e > 0.
-
-        Moves the ring's ``start`` past each stretch before the caller runs
-        it, and copies the window back to the front of the buffer when the
-        room has run out, before the next stretch.
-        """
-        n, buf, j = self.n, ring.buf, ring.start
-        end = len(buf) - n  # the first window start with no room for a step
-        while count:
-            if j == end:
-                buf[:n] = buf[end:]
-                j = 0
-            e = min(count, end - j)
-            ring.start = j + e
-            yield j, e
-            j += e
-            count -= e
-
     @abstractmethod
-    def run(self, ring, count: int, out: list | None = None) -> None:
-        """Advance the ring ``count`` steps in place.
+    def run(self, buf, count: int, lung, out: list | None = None):
+        """Advance one stream ``count`` steps, one step at a time.
 
+        ``buf`` holds n + count words, the first n of them the ring in
+        logical order; on return its last n words are the advanced ring.
+        ``lung`` is the lung word (an (E,) row on an ensemble), or None.
         When ``out`` is a list, append each step's output word to it.
+        Returns the new lung.
         """
 
     @abstractmethod
@@ -344,17 +326,6 @@ def _words(values: list[int], dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(array(dtype.char, values), dtype=dtype)
 
 
-class Ring:
-    """A plain ring holder for ``Recurrence.run``: the ring is
-    ``buf[start : start + n]``, oldest word first, of a list or word array
-    with room past it, and ``lung`` is the lung word, or None."""
-
-    __slots__ = ("buf", "start", "lung")
-
-    def __init__(self, buf, lung) -> None:
-        self.buf, self.lung, self.start = buf, lung, 0
-
-
 def advance_stream(rec: Recurrence, stream: np.ndarray, count: int, lung, emit: bool = True):
     """Advance the ring ``stream[:n]`` ``count`` steps along ``stream``.
 
@@ -372,10 +343,10 @@ def advance_stream(rec: Recurrence, stream: np.ndarray, count: int, lung, emit: 
     """
     if rec.span >= _BLOCK_SPAN:
         return rec.block_form.blocks(stream, count, lung, emit)
-    ring, out = Ring(stream.tolist(), lung), [] if emit else None
-    rec.run(ring, count, out)
-    stream[rec.n - 1 :] = _words(ring.buf[rec.n - 1 :], stream.dtype)
-    return (None if out is None else _words(out, stream.dtype)), ring.lung
+    buf, out = stream.tolist(), [] if emit else None
+    lung = rec.run(buf, count, lung, out)
+    stream[rec.n - 1 :] = _words(buf[rec.n - 1 :], stream.dtype)
+    return (None if out is None else _words(out, stream.dtype)), lung
 
 
 def stream_states(gen: Generator, count: int) -> np.ndarray:
@@ -408,26 +379,22 @@ def stream_states(gen: Generator, count: int) -> np.ndarray:
     return states
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+
+
 class Generator:
-    """Scalar (single-stream) generator: a ring of plain Python ints."""
+    """Scalar (single-stream) generator: ``window``, a ring of n plain
+    Python ints, oldest word first, and ``lung``, an int or None."""
 
     def __init__(self, rec: Recurrence, seed: int | None = None) -> None:
         self.rec = rec
         self.spec = spec = rec.spec
-        self.buf: list[int] = [0] * (2 * spec.n)
-        self.start = 0
+        self.window: list[int] = [0] * spec.n
         self.lung: int | None = 0 if spec.has_lung else None
         if seed is not None:
             self.seed(seed)
-
-    @property
-    def window(self) -> list[int]:
-        """The ring, oldest word first (a copy)."""
-        return self.buf[self.start : self.start + self.spec.n]
-
-    @window.setter
-    def window(self, words: list[int]) -> None:
-        self.buf[self.start : self.start + self.spec.n] = words
 
     # -- seeding -------------------------------------------------------
 
@@ -452,20 +419,26 @@ class Generator:
 
     # -- stepping --------------------------------------------------------
 
-    def step(self, count: int = 1) -> None:
-        """Advance the recurrence ``count`` steps (no output)."""
-        self.rec.run(self, count)
-
-    def word_array(self, count: int) -> np.ndarray:
-        """The next ``count`` output words, as one word array: the ring is
-        copied into a stream of n + count words, advanced there by
-        ``advance_stream`` and copied back."""
+    def _advance(self, count: int, emit: bool) -> np.ndarray | None:
+        """Advance ``count`` steps: the ring is copied into a stream of
+        n + count words, advanced there by ``advance_stream`` and copied
+        back.  Returns the output words as a word array, or None unless
+        ``emit``."""
+        _check_count(count)
         n, dtype = self.spec.n, np.dtype(word_dtype(self.spec))
         stream = np.empty(n + count, dtype=dtype)
         stream[:n] = _words(self.window, dtype)
-        words, self.lung = advance_stream(self.rec, stream, count, self.lung)
+        words, self.lung = advance_stream(self.rec, stream, count, self.lung, emit)
         self.window = stream[count:].tolist()
         return words
+
+    def step(self, count: int = 1) -> None:
+        """Advance the recurrence ``count`` steps (no output)."""
+        self._advance(count, emit=False)
+
+    def word_array(self, count: int) -> np.ndarray:
+        """The next ``count`` output words, as one word array."""
+        return self._advance(count, emit=True)
 
     def words(self, count: int) -> list[int]:
         """The next ``count`` output words."""
@@ -476,6 +449,7 @@ class Generator:
         conversion: WELL scales one 32-bit word, MT32 joins the top 27 and
         26 bits of two words into 53, and 64-bit words keep their top 53.
         Every step of each conversion is exact in float64."""
+        _check_count(count)
         spec = self.spec
         if spec.family is Family.WELL:
             return (self.word_array(count) * _INV32).tolist()
@@ -485,15 +459,13 @@ class Generator:
         return ((self.word_array(count) >> 11) * _INV53).tolist()
 
     def next_word(self) -> int:
-        """The next output word: the one ``run`` emits for one step."""
-        out: list[int] = []
-        self.rec.run(self, 1, out)
-        return out[0]
+        """The next output word."""
+        return int(self._advance(1, emit=True)[0])
 
     # -- state access ----------------------------------------------------
 
     def get_raw_state(self) -> GeneratorState:
-        words = self.window
+        words = list(self.window)
         if self.rec.newest_first:
             words.reverse()
         return GeneratorState(tuple(words), self.lung)

@@ -1,15 +1,15 @@
 """Vectorized lockstep ensembles and the one-step probe of the state grid.
 
-Storage is one (2n, E) word array ``buf`` (plus an (E,) lung row for
-MELG), laid out as the scalar ring is (see ``base``): ``window``, rows
-``start`` .. ``start + n - 1``, holds the rings in logical order, and
-slot [j, e] of it is word j, oldest first, of ensemble member e.
-Callers step it through ``ens.rec``: the family's own ``Recurrence``
-from ``mt.py``, ``well.py`` or ``melg.py``, with its constants cast to
-the array's word type.  Its per-step loop ``run(ens, count, out)`` acts
-on whole rows at once, at the same offsets as on the scalar ring, and
-appends each step's output words to ``out`` as one fresh (E,) array.
-No library function builds an ``Ensemble``; the tests' oracles do.
+Storage is one (n, E) word array ``window`` (plus an (E,) lung row for
+MELG) that holds the rings in logical order, as the scalar ring is held
+(see ``base``): slot [j, e] is word j, oldest first, of ensemble member
+e.  ``Ensemble.step`` runs ``ens.rec``, the family's own ``Recurrence``
+from ``mt.py``, ``well.py`` or ``melg.py`` with its constants cast to
+the array's word type, on one stream of n + count rows: its per-step
+loop acts on whole rows at once, at the same offsets as on the scalar
+stream, and appends each step's output words to ``out`` as one fresh
+(E,) array.  No library function builds an ``Ensemble``; the tests'
+oracles do.
 
 ``probe_images`` yields the one-step matrix B of the state grid (every
 stored bit, dead bits included; see ``base.canonical_grid``) as sparse
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import recurrence
-from .base import GeneratorSpec, Ring, canonical_rows, grid_bits, set_grid_bits, word_dtype
+from .base import GeneratorSpec, canonical_rows, grid_bits, set_grid_bits, word_dtype
 
 
 class Ensemble:
@@ -42,17 +42,17 @@ class Ensemble:
         dt = word_dtype(spec)
         self.spec = spec
         self.rec = recurrence(spec, dt)
-        # A step writes each row of the room before any step reads it, so
-        # the room is left uninitialised: it takes no memory until then.
-        self.buf = np.empty((2 * spec.n, size), dtype=dt)
-        self.buf[: spec.n] = 0
-        self.start = 0
+        self.window = np.zeros((spec.n, size), dtype=dt)
         self.lung = np.zeros(size, dtype=dt) if spec.has_lung else None
 
-    @property
-    def window(self) -> np.ndarray:
-        """The (n, E) rings, oldest word first (a view)."""
-        return self.buf[self.start : self.start + self.spec.n]
+    def step(self, count: int, out: list | None = None) -> None:
+        """Advance every member ``count`` steps by the per-step loop; when
+        ``out`` is a list, append each step's (E,) output words to it."""
+        n = self.spec.n
+        stream = np.empty((n + count, self.window.shape[1]), dtype=self.window.dtype)
+        stream[:n] = self.window
+        self.lung = self.rec.run(stream, count, self.lung, out)
+        self.window = stream[count:]
 
     @classmethod
     def from_grid_units(cls, spec: GeneratorSpec, grid: np.ndarray) -> "Ensemble":
@@ -83,8 +83,8 @@ def probe_images(
     word on, at coordinate + w, plus what the step wrote, and the step
     writes nothing and emits 0 for one in a word it does not read.  Only
     the lanes of lo..hi-1 in the words it reads, the newest word and the
-    lung step, once, in one zeroed ring of n + 1 rows, room for one step;
-    only the two newest rows of the stepped ring and the lung are read.
+    lung step, once, along one zeroed stream of n + 1 rows; only its two
+    newest rows and the lung are read.
     """
     n, w, dt = spec.n, spec.w, word_dtype(spec)
     rec = recurrence(spec, dt)
@@ -92,12 +92,12 @@ def probe_images(
     words = {n - 1 - o for o in rec.reads} | ({0, n} if spec.has_lung else {0})
     lanes = np.concatenate([np.arange(max(lo, g * w), min(hi, g * w + w)) for g in sorted(words)])
     lung = np.zeros(len(lanes), dtype=dt) if spec.has_lung else None
-    ring = Ring(np.zeros((n + 1, len(lanes)), dtype=dt), lung)
-    set_grid_bits(spec, ring.buf[:n], ring.lung, lanes, np.arange(len(lanes)))
+    stream = np.zeros((n + 1, len(lanes)), dtype=dt)
+    set_grid_bits(spec, stream[:n], lung, lanes, np.arange(len(lanes)))
     out: list[np.ndarray] = []
-    rec.run(ring, 1, out)
+    lung = rec.run(stream, 1, lung, out)
     outputs = np.zeros(hi - lo, dtype=dt)
     outputs[lanes - lo] = out[0]
-    rows, cols = grid_bits(spec, ring.buf[n - 1 :], ring.lung)  # grid words 1 and 0, and the lung
+    rows, cols = grid_bits(spec, stream[n - 1 :], lung)  # grid words 1 and 0, and the lung
     moved = np.arange(max(lo, w), min(hi, (n - 1) * w))  # the lanes in grid words 1 .. n - 2
     return np.concatenate([moved + w, rows]), np.concatenate([moved, lanes[cols]]), outputs

@@ -6,7 +6,9 @@ with the low bits of its successor, mixes that with the feedback tap and
 the sheared lung, writes the new lung, and appends the newest word.
 The output tempers the newest word and XORs in a lagged state word,
 which keeps the output map linear in the post-step state.  ``Melg.run``
-is the per-step loop and ``Melg.temper`` the one output expression;
+is the per-step loop along a stream of words whose first n are the ring
+(see ``base``), and both it and ``blocks`` take the lung as an argument and
+return the new one.  ``Melg.temper`` is the one output expression;
 ``run`` applies it to each new newest word and its lagged word, and
 ``blocks`` to all of its new words at once.
 
@@ -50,20 +52,19 @@ class Melg(Recurrence):
     def temper(self, v, lagged):
         return v ^ ((v << self.spec.s3) & self.b) ^ lagged
 
-    def run(self, ring, count, out=None) -> None:
-        n, buf, lung, m, lag = self.n, ring.buf, ring.lung, self.spec.m, self.lag
+    def run(self, buf, count, lung, out=None):
+        n, m, lag = self.n, self.spec.m, self.lag
         upper, lower, mask, a = self.upper, self.lower, self.mask, self.a
         s1, s2 = self.spec.s1, self.spec.s2
         temper, emit = self.temper, None if out is None else out.append
-        for j, e in self.stretches(ring, count):
-            for c in range(j, j + e):
-                x = (buf[c] & upper) | (buf[c + 1] & lower)
-                lung = lung ^ ((lung << s1) & mask)
-                lung ^= (x >> 1) ^ ((x & 1) * a) ^ buf[c + m]
-                buf[c + n] = v = x ^ lung ^ (lung >> s2)
-                if emit is not None:
-                    emit(temper(v, buf[c + lag]))
-        ring.lung = lung
+        for c in range(count):
+            x = (buf[c] & upper) | (buf[c + 1] & lower)
+            lung = lung ^ ((lung << s1) & mask)
+            lung ^= (x >> 1) ^ ((x & 1) * a) ^ buf[c + m]
+            buf[c + n] = v = x ^ lung ^ (lung >> s2)
+            if emit is not None:
+                emit(temper(v, buf[c + lag]))
+        return lung
 
     @cached_property
     def lung_factors(self) -> tuple[list[tuple[int, np.ndarray]], ...]:

@@ -9,7 +9,8 @@ the one output expression; ``run`` applies it to each new newest word,
 and ``blocks`` to all of its new words at once.
 
 The recurrence appends x[j + n] = f(x[j], x[j + 1], x[j + m]) for each
-tap m, and both forms read those offsets from the window start j.  So a
+tap m to a stream of words whose first n are the ring (see ``base``), and
+both forms read those offsets from the window start j.  So a
 run of n - (largest tap) steps reads only words older than the run: the
 block path computes that many words, 227 for mt19937, per numpy pass, as
 the published refill computes its first n - m words.
@@ -39,18 +40,18 @@ class Mt(Recurrence):
         y = y ^ ((y << t) & c)
         return y ^ (y >> l)
 
-    def run(self, ring, count, out=None) -> None:
-        n, buf, taps, upper, lower, a = self.n, ring.buf, self.taps, self.upper, self.lower, self.a
+    def run(self, buf, count, lung, out=None):
+        n, taps, upper, lower, a = self.n, self.taps, self.upper, self.lower, self.a
         temper, emit = self.temper, None if out is None else out.append
-        for j, e in self.stretches(ring, count):
-            for c in range(j, j + e):
-                x = (buf[c] & upper) | (buf[c + 1] & lower)
-                v = (x >> 1) ^ ((x & 1) * a)
-                for t in taps:
-                    v ^= buf[c + t]
-                buf[c + n] = v
-                if emit is not None:
-                    emit(temper(v))
+        for c in range(count):
+            x = (buf[c] & upper) | (buf[c + 1] & lower)
+            v = (x >> 1) ^ ((x & 1) * a)
+            for t in taps:
+                v ^= buf[c + t]
+            buf[c + n] = v
+            if emit is not None:
+                emit(temper(v))
+        return lung
 
     def blocks(self, buf, count, lung, emit):
         n, span, upper, lower, a = self.n, self.span, self.upper, self.lower, self.a

@@ -4,8 +4,9 @@ One step combines the newest word, three tap words, and a splice of the
 two oldest words through eight per-slot linear transforms T0..T7, then
 writes two words: the new second-newest (z3) over the old newest word and
 the new newest (z4) after it.  The published generators emit the newest
-word untempered.  ``Well.run`` is the per-step loop; it emits each z4 as
-it writes it.  The published code keeps its newest word first, and so do
+word untempered.  ``Well.run`` is the per-step loop along a stream of
+words whose first n are the ring (see ``base``); it emits each z4 as it
+writes it.  The published code keeps its newest word first, and so do
 seed files (``Well.newest_first``).
 
 Transform grammar (shared with the .params files): ``XS:t`` is
@@ -68,20 +69,20 @@ class Well(Recurrence):
         if spec.w <= 32:
             self.span = min(spec.m1, spec.m2, spec.m3, spec.n - 2)
 
-    def run(self, ring, count, out=None) -> None:
-        n, buf, (o1, o2, o3), upper, lower = self.n, ring.buf, self.taps, self.upper, self.lower
+    def run(self, buf, count, lung, out=None):
+        n, (o1, o2, o3), upper, lower = self.n, self.taps, self.upper, self.lower
         t0, t1, t2, t3, t4, t5, t6, t7 = self.t
         emit = None if out is None else out.append
-        for j, e in self.stretches(ring, count):
-            for c, y in zip(range(j, j + e), range(j + n - 1, j + n - 1 + e)):
-                z0 = (buf[c] & upper) | (buf[c + 1] & lower)
-                z1 = t0(buf[y]) ^ t1(buf[c + o1])
-                z2 = t2(buf[c + o2]) ^ t3(buf[c + o3])
-                z3 = z1 ^ z2
-                buf[y] = z3
-                buf[y + 1] = z4 = t4(z0) ^ t5(z1) ^ t6(z2) ^ t7(z3)
-                if emit is not None:
-                    emit(z4)
+        for c, y in zip(range(count), range(n - 1, n - 1 + count)):
+            z0 = (buf[c] & upper) | (buf[c + 1] & lower)
+            z1 = t0(buf[y]) ^ t1(buf[c + o1])
+            z2 = t2(buf[c + o2]) ^ t3(buf[c + o3])
+            z3 = z1 ^ z2
+            buf[y] = z3
+            buf[y + 1] = z4 = t4(z0) ^ t5(z1) ^ t6(z2) ^ t7(z3)
+            if emit is not None:
+                emit(z4)
+        return lung
 
     @cached_property
     def chain_tables(self) -> tuple[list[int], ...]:

@@ -766,12 +766,12 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
     of rows of the flattened table: q is 4 wherever there is more than one
     sub-table, so a digit is a nibble of ``poly``, and below 4
     coefficients the one window's one digit is all of ``poly``.  The
-    accumulator is one word stream, zero at first, with room for 8
-    windows past the ring, whose ring is copied back to the front when
-    the room runs out.  Each window after the top one advances the ring W
-    steps by one ``advance_stream`` call that forms no output words (the
-    block path on the five k = 19937 generators, the per-step loop on the
-    others), and XORs its row into the new ring in place.  Dead bits
+    accumulator is one word stream of n + (windows - 1) W words, zero at
+    first, whose first n words are the ring.  Each window after the top
+    one advances the ring W words along it by one ``advance_stream`` call
+    that forms no output words (the block path on the five k = 19937
+    generators, the per-step loop on the others), and XORs its row into
+    the new ring in place.  Dead bits
     introduced by whole-word XORs never feed live coordinates and are
     cleared at the end.
     """
@@ -787,14 +787,10 @@ def apply_transition_polynomial(gen: "Generator", poly: GF2Poly) -> None:
     nibbles = np.stack((packed & 15, packed >> 4), axis=1).reshape(-1)[: windows * subtables]
     selected = nibbles.reshape(windows, subtables)[::-1] + np.arange(subtables) * rows
     flat = table.reshape(-1, cols)
-    room = 8 * width
-    buf = np.zeros(n + room, dtype=table.dtype)
+    buf = np.zeros(n + max(windows - 1, 0) * width, dtype=table.dtype)
     j, lung = 0, 0 if has_lung else None
     for i, select in enumerate(selected):
         if i:
-            if j == room:
-                buf[:n] = buf[room:]
-                j = 0
             _, lung = advance_stream(rec, buf[j : j + n + width], width, lung, emit=False)
             j += width
         row = np.bitwise_xor.reduce(flat[select])

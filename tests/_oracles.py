@@ -141,7 +141,7 @@ def probe_images_full_window(
     for blo in range(lo, hi, _LANES):
         bhi = min(blo + _LANES, hi)
         ens = Ensemble.from_grid_units(spec, np.arange(blo, bhi))
-        ens.rec.run(ens, 1, outputs)
+        ens.step(1, outputs)
         r, c = grid_bits(spec, ens.window, ens.lung)
         rows.append(r)
         cols.append(c + blo)
@@ -156,7 +156,7 @@ def dense_transition_matrix(spec: GeneratorSpec) -> BitMatrix:
     for lo in range(0, spec.k, _LANES):
         hi = min(lo + _LANES, spec.k)
         ens = _unit_vectors(spec, lo, hi)
-        ens.rec.run(ens, 1)
+        ens.step(1)
         images[lo:hi] = ens.state_rows()
     return transpose(BitMatrix(spec.k, spec.k, images))
 
@@ -227,18 +227,24 @@ def horner_apply(gen: Generator, poly: GF2Poly) -> None:
     """Replace the state x by poly(B) x one coefficient at a time; the
     oracle for ``gf2poly.apply_transition_polynomial``.
 
-    Each Horner stage is one generator step of an accumulator plus, for a
-    set coefficient, an XOR of the start state into its ring, word by
-    word in logical order.
+    Each Horner stage is one step of an accumulator plus, for a set
+    coefficient, an XOR of the start state into its ring, word by word in
+    logical order.  The accumulator, zero at first, is one list stream of
+    n + 1 words: the per-step loop ``rec.run`` advances it one step, never
+    the block path the walk takes, and its oldest word is then dropped.
     """
-    x0, x_lung = gen.window, gen.lung
-    acc = make_generator(gen.spec)  # zero state
+    n, x0, x_lung = gen.spec.n, gen.window, gen.lung
+    stream, lung = [0] * (n + 1), None if x_lung is None else 0
     for i in range(poly.degree, -1, -1):
-        acc.step()
+        lung = gen.rec.run(stream, 1, lung)
+        del stream[0]
         if poly.coeff(i):
-            acc.window = [a ^ b for a, b in zip(acc.window, x0)]
+            stream = [a ^ b for a, b in zip(stream, x0)]
             if x_lung is not None:
-                acc.lung ^= x_lung
+                lung ^= x_lung
+        stream.append(0)
+    acc = make_generator(gen.spec)
+    acc.window, acc.lung = stream[:n], lung
     gen.set_raw_state(acc.get_raw_state())
 
 
@@ -253,7 +259,7 @@ def ensemble_weight_totals(spec: GeneratorSpec, steps: int) -> np.ndarray:
     for lo in range(0, spec.k, _LANES):
         ens = _unit_vectors(spec, lo, min(lo + _LANES, spec.k))
         words: list[np.ndarray] = []
-        ens.rec.run(ens, steps, words)
+        ens.step(steps, words)
         totals += np.bitwise_count(np.array(words)).sum(axis=1, dtype=np.int64)
     return totals
 

@@ -237,8 +237,7 @@ def test_cxx_reference_streams(name):
         gen = make_generator(name, seed=seed)
         assert [gen.next_word() for _ in range(len(words))] == words
     gen = make_generator(name, seed=5489)
-    for _ in range(9999):
-        gen.next_word()
+    gen.step(9999)
     assert gen.next_word() == CXX_TEN_THOUSANDTH[name]
 
 
@@ -248,8 +247,7 @@ def test_regression_streams(name):
     gen = make_generator(name, seed=12345)
     assert [gen.next_word() for _ in range(5)] == head
     gen = make_generator(name, seed=12345)
-    for _ in range(999):
-        gen.next_word()
+    gen.step(999)
     assert gen.next_word() == thousandth
 
 
@@ -352,8 +350,7 @@ ALL_SPECS_AND_TOYS = [
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_codec_matches_per_bit_reference(spec):
     gen = make_generator(spec, seed=21)
-    for _ in range(17):  # a window off the buffer's front, past a copy back for the toys
-        gen.step()
+    gen.step(17)
     assert gen.state_vector() == _per_bit_state_vector(gen)
     vec = BitVector.random(spec.k, random.Random(spec.k))
     gen.set_state_vector(vec)
@@ -412,7 +409,7 @@ def test_zero_state_is_fixed(name):
 
 
 def _ensemble_of(gens) -> Ensemble:
-    """Ensemble whose member e holds the ring of ``gens[e]``, at buffer offset 0."""
+    """Ensemble whose member e holds the ring of ``gens[e]``."""
     spec = gens[0].spec
     ens = Ensemble(spec, len(gens))
     for e, gen in enumerate(gens):
@@ -423,12 +420,10 @@ def _ensemble_of(gens) -> Ensemble:
 
 
 def _staggered(spec):
-    """Three generators 0, 7 and 14 steps past seeding: their windows sit
-    at different buffer offsets, and the toys' past a copy back."""
+    """Three generators 0, 7 and 14 steps past seeding."""
     gens = [make_generator(spec, seed=seed) for seed in (1, 2, 3)]
     for lead, gen in enumerate(gens):
-        for _ in range(7 * lead):
-            gen.step()
+        gen.step(7 * lead)
     return gens
 
 
@@ -436,8 +431,8 @@ def _staggered(spec):
 def test_state_rows_match_per_bit_reference(spec):
     gens = _staggered(spec)
     ens = _ensemble_of(gens)
-    for _ in range(5):  # an ensemble window off the buffer's front too
-        ens.rec.run(ens, 1)
+    for _ in range(5):
+        ens.step(1)
         for gen in gens:
             gen.step()
     rows = [BitVector.from_limbs(row, spec.k) for row in ens.state_rows()]
@@ -479,21 +474,17 @@ def test_zero_states_through_the_grid_codec(spec):
 def test_ensemble_lanes_match_scalar_generators(name):
     # Three scalar streams, loaded into one ensemble as raw words, must
     # emit the same words (tempering, lags) and end in the same canonical
-    # states, from each window offset of the ensemble (see ``_offsets``)
-    # through one copy back to its buffer's front.
+    # states n + 3 steps on, split after each lead of ``_leads``.
     spec = get_spec(name)
-    for start in _offsets(spec):
+    for lead in _leads(spec):
         gens = _staggered(spec)
         ens = _ensemble_of(gens)
-        ens.rec.run(ens, start)
+        ens.step(lead)
         for gen in gens:
-            gen.step(start)
-        assert ens.start == start
-        for _ in range(len(ens.buf) - spec.n - start + 3):
-            out = []
-            ens.rec.run(ens, 1, out)
-            assert out[0].tolist() == [gen.next_word() for gen in gens]
-        assert ens.start == 3
+            gen.step(lead)
+        out = []
+        ens.step(spec.n + 3 - lead, out)
+        assert np.array(out).T.tolist() == [gen.words(spec.n + 3 - lead) for gen in gens], lead
         rows = [BitVector.from_limbs(row, spec.k) for row in ens.state_rows()]
         assert rows == [gen.state_vector() for gen in gens]
 
@@ -501,19 +492,16 @@ def test_ensemble_lanes_match_scalar_generators(name):
 # -- the batched step loop ---------------------------------------------------
 
 
-def _offsets(spec):
-    """Window offsets 0, 1, room - 1 and room: a run of more than
-    room - offset steps crosses a copy back to the buffer's front, and one
-    from offset room starts with one."""
-    room = len(make_generator(spec).buf) - spec.n
-    return (0, 1, room - 1, room)
+def _leads(spec):
+    """Steps taken from seeding before a case: 0, 1 and n, so that steps
+    wrote none, one or all of the starting ring (and moved the lung)."""
+    return (0, 1, spec.n)
 
 
-def _at_offset(spec, seed, start):
-    """A seeded generator stepped until its window starts at ``buf[start]``."""
+def _at_lead(spec, seed, lead):
+    """A seeded generator stepped ``lead`` times."""
     gen = make_generator(spec, seed=seed)
-    gen.step(start)
-    assert gen.start == start
+    gen.step(lead)
     return gen
 
 
@@ -521,35 +509,42 @@ def _counts(spec):
     return (0, 1, spec.n - 1, spec.n, spec.n + 1)
 
 
+def _run_on_a_list(gen, count, out=None):
+    """Advance ``gen`` ``count`` steps by the per-step loop on one list
+    stream of n + count words."""
+    stream = gen.window + [0] * count
+    gen.lung = gen.rec.run(stream, count, gen.lung, out)
+    gen.window = stream[count:]
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_run_equals_single_steps_on_a_scalar_ring(spec):
-    for start in _offsets(spec):
+    for lead in _leads(spec):
         for count in _counts(spec):
-            batched, single = _at_offset(spec, 5, start), _at_offset(spec, 5, start)
+            batched, single = _at_lead(spec, 5, lead), _at_lead(spec, 5, lead)
             out = [-1]  # run appends after what the list holds
-            batched.rec.run(batched, count, out)
+            _run_on_a_list(batched, count, out)
             expected = [-1]
             for _ in range(count):
-                single.rec.run(single, 1, expected)
-            assert out == expected, (start, count)
-            assert batched.get_raw_state() == single.get_raw_state(), (start, count)
+                _run_on_a_list(single, 1, expected)
+            assert out == expected, (lead, count)
+            assert batched.get_raw_state() == single.get_raw_state(), (lead, count)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_run_equals_single_steps_on_an_ensemble_ring(spec):
     gens = [make_generator(spec, seed=seed) for seed in (1, 2, 3)]
-    for start in _offsets(spec):
+    for lead in _leads(spec):
         for count in _counts(spec):
             batched, single = _ensemble_of(gens), _ensemble_of(gens)
             for ens in (batched, single):
-                ens.rec.run(ens, start)
-                assert ens.start == start
+                ens.step(lead)
             out, expected = [], []
-            batched.rec.run(batched, count, out)
+            batched.step(count, out)
             for _ in range(count):
-                single.rec.run(single, 1, expected)
-            assert np.array_equal(np.array(out), np.array(expected)), (start, count)
-            assert np.array_equal(batched.window, single.window), (start, count)
+                single.step(1, expected)
+            assert np.array_equal(np.array(out), np.array(expected)), (lead, count)
+            assert np.array_equal(batched.window, single.window), (lead, count)
             if spec.has_lung:
                 assert np.array_equal(batched.lung, single.lung)
 
@@ -557,11 +552,12 @@ def test_run_equals_single_steps_on_an_ensemble_ring(spec):
 @pytest.mark.parametrize("spec", ALL_SPECS_AND_TOYS, ids=lambda s: s.name)
 def test_a_step_writes_only_the_two_newest_words_and_the_lung(spec):
     # The premise of the probe's shifted images and of advance_stream's
-    # copy back from word n - 1: a step from window start c leaves every
-    # word but c + n - 1 and c + n as it was, words c .. c + n - 2 included.
-    # And the premise of the probe's read set: with every ring word outside
-    # the offsets rec.reads made random, the step writes the same words and
-    # lung and emits the same word.
+    # copy back from word n - 1: a step from window start c, run on the
+    # stream from word c on, leaves every word but c + n - 1 and c + n as it
+    # was, words c .. c + n - 2 included.  And the premise of the probe's
+    # read set: with every ring word outside the offsets rec.reads made
+    # random, the step writes the same words and lung and emits the same
+    # word.
     dt = word_dtype(spec)
     rng = np.random.default_rng(spec.n)
     rec = recurrence(spec, dt)
@@ -571,25 +567,21 @@ def test_a_step_writes_only_the_two_newest_words_and_the_lung(spec):
     for c in (0, 1, n - 1):
         words = rng.integers(0, spec.word_mask, size=(2 * n, 4), dtype=dt, endpoint=True)
         lung = rng.integers(0, spec.word_mask, size=4, dtype=dt, endpoint=True)
-        ring = base.Ring(words.copy(), lung.copy() if spec.has_lung else None)
-        ring.start = c
-        out = []
-        rec.run(ring, 1, out)
-        assert ring.start == c + 1
-        written = np.flatnonzero((ring.buf != words).any(axis=1))
+        lung = lung if spec.has_lung else None
+        stepped, out = words.copy(), []
+        stepped_lung = rec.run(stepped[c : c + n + 1], 1, lung, out)
+        written = np.flatnonzero((stepped != words).any(axis=1))
         assert set(written.tolist()) <= {c + n - 1, c + n}, c
         assert c + n in written, c
         other = words.copy()
         other[[c + o for o in unread]] = rng.integers(
             0, spec.word_mask, size=(len(unread), 4), dtype=dt, endpoint=True)
-        other_ring = base.Ring(other, lung.copy() if spec.has_lung else None)
-        other_ring.start = c
         other_out = []
-        rec.run(other_ring, 1, other_out)
-        assert np.array_equal(other_ring.buf[written], ring.buf[written]), c
+        other_lung = rec.run(other[c : c + n + 1], 1, lung, other_out)
+        assert np.array_equal(other[written], stepped[written]), c
         assert np.array_equal(other_out[0], out[0]), c
         if spec.has_lung:
-            assert np.array_equal(other_ring.lung, ring.lung), c
+            assert np.array_equal(other_lung, stepped_lung), c
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -604,6 +596,17 @@ def test_words_and_reals_equal_the_single_call_streams(name):
         single.step()
     assert batched.words(5) == [single.next_word() for _ in range(5)]
     assert batched.words(0) == [] and batched.reals(0) == []
+
+
+@pytest.mark.parametrize("name", ["mt19937", "well607b"])
+@pytest.mark.parametrize("call", ["step", "word_array", "words", "reals"])
+def test_negative_counts_raise_and_name_the_count(name, call):
+    gen = make_generator(name, seed=1)
+    before = gen.get_raw_state()
+    with pytest.raises(ValueError, match=r"^count must be non-negative, got -1$"):
+        getattr(gen, call)(-1)
+    assert gen.get_raw_state() == before
+    assert len(gen.words(2)) == 2
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -624,7 +627,7 @@ def test_reals_use_the_published_conversion(name):
 
 def _per_step_words(gen, count):
     out = []
-    gen.rec.run(gen, count, out)
+    _run_on_a_list(gen, count, out)
     return out
 
 
@@ -638,14 +641,16 @@ def test_block_path_equals_the_per_step_loop(spec, monkeypatch):
     counts = {1, 2, span - 1, span, span + 1, spec.n, 2 * spec.n + 3} - {0}
     if spec.name in ALL_NAMES:  # the toys' spans of 1-2 words would take seconds
         counts.add(40000)
-    for start in _offsets(spec):
+    for lead in _leads(spec):
         for count in sorted(counts):
-            blocked, single = _at_offset(spec, 5, start), _at_offset(spec, 5, start)
+            blocked, single = _at_lead(spec, 5, lead), _at_lead(spec, 5, lead)
+            stepped = _at_lead(spec, 5, lead)
             words = blocked.word_array(count)
-            assert words.dtype == np.dtype(word_dtype(spec)), (start, count)
-            assert words.tolist() == _per_step_words(single, count), (start, count)
-            assert blocked.window == single.window, (start, count)
-            assert blocked.lung == single.lung, (start, count)
+            stepped.step(count)
+            assert words.dtype == np.dtype(word_dtype(spec)), (lead, count)
+            assert words.tolist() == _per_step_words(single, count), (lead, count)
+            assert blocked.window == stepped.window == single.window, (lead, count)
+            assert blocked.lung == stepped.lung == single.lung, (lead, count)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -679,14 +684,14 @@ def test_word_array_on_the_per_step_path_equals_the_per_step_loop(name):
     # A WELL step rewrites the word before the one it appends, so the
     # stream is copied back from word n - 1 on, not from word n.
     spec = get_spec(name)
-    for start in _offsets(spec):
+    for lead in _leads(spec):
         for count in (1, 2, spec.n - 1, spec.n, spec.n + 1):
-            stream, single = _at_offset(spec, 5, start), _at_offset(spec, 5, start)
+            stream, single = _at_lead(spec, 5, lead), _at_lead(spec, 5, lead)
             words = stream.word_array(count)
-            assert words.dtype == np.dtype(word_dtype(spec)), (start, count)
-            assert words.tolist() == _per_step_words(single, count), (start, count)
-            assert stream.window == single.window, (start, count)
-            assert stream.lung == single.lung, (start, count)
+            assert words.dtype == np.dtype(word_dtype(spec)), (lead, count)
+            assert words.tolist() == _per_step_words(single, count), (lead, count)
+            assert stream.window == single.window, (lead, count)
+            assert stream.lung == single.lung, (lead, count)
 
 
 def test_the_span_alone_picks_the_block_path(monkeypatch):

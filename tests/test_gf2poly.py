@@ -628,8 +628,7 @@ def test_jump_matches_stepping(name, steps):
     jumper = make_generator(spec, seed=31)
     walker = make_generator(spec, seed=31)
     jump_ahead(jumper, steps)
-    for _ in range(steps):
-        walker.next_word()
+    walker.step(steps)
     assert [jumper.next_word() for _ in range(5)] == [walker.next_word() for _ in range(5)]
 
 
@@ -666,8 +665,10 @@ def test_jump_matches_stepping_just_above_k():
         jumper = make_generator(spec, seed=21)
         walker = make_generator(spec, seed=21)
         jump_ahead(jumper, steps)
-        for _ in range(steps):
-            walker.step()
+        # the per-step loop on one list stream, not the block path the walk takes
+        stream = walker.window + [0] * steps
+        walker.lung = walker.rec.run(stream, steps, walker.lung)
+        walker.window = stream[steps:]
         assert jumper.state_vector() == walker.state_vector(), name
 
 
@@ -707,28 +708,24 @@ def _apply_cases(spec, gen) -> list[GF2Poly]:
     return [GF2Poly(bits) for bits in cases]
 
 
-def _stepped(spec, start=3):
-    """A seeded generator whose window starts at ``buf[start]``; the lung
-    has moved."""
+def _stepped(spec, lead=3):
+    """A seeded generator stepped ``lead`` times; the lung has moved."""
     gen = make_generator(spec, seed=17)
-    gen.step(start)
-    assert gen.start == start
+    gen.step(lead)
     return gen
 
 
 @pytest.mark.parametrize("name", sorted(N1_TABLE))
 def test_window_apply_matches_horner_oracle(name):
-    # The cases cycle through the input's window offsets 0, 1, room - 1 and
-    # room; the accumulators' runs cross copies back of their own.
+    # The cases cycle through inputs 0, 1, n - 1 and n steps past seeding.
     spec = get_spec(name)
-    room = len(make_generator(spec).buf) - spec.n
-    starts = cycle((0, 1, room - 1, room))
+    leads = cycle((0, 1, spec.n - 1, spec.n))
     for poly in _apply_cases(spec, _stepped(spec)):
-        start = next(starts)
-        fast, slow = _stepped(spec, start), _stepped(spec, start)
+        lead = next(leads)
+        fast, slow = _stepped(spec, lead), _stepped(spec, lead)
         apply_transition_polynomial(fast, poly)
         horner_apply(slow, poly)
-        assert fast.get_raw_state() == slow.get_raw_state(), (start, poly)
+        assert fast.get_raw_state() == slow.get_raw_state(), (lead, poly)
 
 
 @pytest.mark.parametrize(
@@ -808,8 +805,7 @@ def test_backward_jump_then_stepping_returns(name, offset):
     start = gen.state_vector()
     jump_ahead(gen, -d)
     assert gen.state_vector() != start
-    for _ in range(d):
-        gen.step()
+    gen.step(d)
     assert gen.state_vector() == start
 
 
